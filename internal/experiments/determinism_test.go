@@ -74,11 +74,19 @@ func TestE9RepeatableAcrossRuns(t *testing.T) {
 	}
 }
 
-// The runner must actually buy wall time on the E9 sweep. The sweep is
-// ordered heaviest-point-first, so with ≥4 workers the wall time should
-// approach the 8-pair point alone (~40% of the serial sum); assert a
-// conservative 0.7× so scheduler noise cannot flake CI, and log the real
-// ratio for the record.
+// speedupBound is the wall-time ratio against serial that a run on n
+// shards or workers (2 ≤ n ≤ 4) must beat: atFour at 4, loosening
+// linearly to 1.0 — merely faster than serial — at 2.
+func speedupBound(n int, atFour float64) float64 {
+	return 1 - (1-atFour)*float64(n-2)/2
+}
+
+// The runner must actually buy wall time on the E9 sweep, run on
+// min(NumCPU, 4) workers. The sweep is ordered heaviest-point-first, so
+// with 4 workers the wall time should approach the 8-pair point alone
+// (~40% of the serial sum); assert a conservative 0.7× there, and only
+// a win over serial at 2, so scheduler noise cannot flake CI. The real
+// ratio is logged for the record.
 func TestE9ParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -86,27 +94,28 @@ func TestE9ParallelSpeedup(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation distorts wall-clock ratios")
 	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("needs ≥4 physical CPUs, have %d", runtime.NumCPU())
+	workers := min(runtime.NumCPU(), 4)
+	if workers < 2 {
+		t.Skip("needs ≥2 CPUs")
 	}
 	const dur = 4 * sim.Millisecond
 	// Warm the frame pool and page caches off the clock.
-	withWorkers(4, func() *stats.Table { return E9PortScaling(sim.Millisecond) })
+	withWorkers(workers, func() *stats.Table { return E9PortScaling(sim.Millisecond) })
 
 	t0 := time.Now()
 	serial := withWorkers(1, func() *stats.Table { return E9PortScaling(dur) })
 	serialWall := time.Since(t0)
 
 	t0 = time.Now()
-	parallel := withWorkers(4, func() *stats.Table { return E9PortScaling(dur) })
+	parallel := withWorkers(workers, func() *stats.Table { return E9PortScaling(dur) })
 	parallelWall := time.Since(t0)
 
 	if serial.String() != parallel.String() {
 		t.Fatal("speedup run diverged from serial")
 	}
 	ratio := float64(parallelWall) / float64(serialWall)
-	t.Logf("E9 wall: serial=%v 4-workers=%v ratio=%.2f", serialWall, parallelWall, ratio)
-	if ratio > 0.7 {
-		t.Errorf("4-worker E9 took %.2f× the serial wall time, want < 0.7×", ratio)
+	t.Logf("E9 wall: serial=%v %d-workers=%v ratio=%.2f", serialWall, workers, parallelWall, ratio)
+	if bound := speedupBound(workers, 0.7); ratio > bound {
+		t.Errorf("%d-worker E9 took %.2f× the serial wall time, want < %.2f×", workers, ratio, bound)
 	}
 }

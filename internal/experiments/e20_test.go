@@ -73,10 +73,11 @@ func TestE19ShardedByteIdenticalAcrossShards(t *testing.T) {
 }
 
 // The cluster must actually buy wall time on the E20 workload: one k=8
-// permutation point, serial engine vs the same point on 4 shards. The
-// tentpole targets ≥2.5×; assert a conservative 0.55× (≈1.8×) so
-// scheduler noise cannot flake CI, and log the real ratio for the
-// record (EXPERIMENTS.md quotes a measured run).
+// permutation point, serial engine vs the same point on
+// min(NumCPU, 4) shards. At 4 shards the target is ≥2.5×; assert a
+// conservative 0.55× (≈1.8×) so scheduler noise cannot flake CI. At 2
+// the sharded point need only beat the serial one. Either way the real
+// ratio is logged for the record (EXPERIMENTS.md quotes a measured run).
 func TestE20ShardSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -84,28 +85,29 @@ func TestE20ShardSpeedup(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation distorts wall-clock ratios")
 	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("needs ≥4 physical CPUs, have %d", runtime.NumCPU())
+	shards := min(runtime.NumCPU(), 4)
+	if shards < 2 {
+		t.Skip("needs ≥2 CPUs")
 	}
 	const dur = 400 * sim.Microsecond
 	// Warm the frame pool and page caches off the clock.
-	e20Point(50*sim.Microsecond, 8, "permutation", e20Load, e20LinkDelay, 0, 4)
+	e20Point(50*sim.Microsecond, 8, "permutation", e20Load, e20LinkDelay, 0, shards)
 
 	t0 := time.Now()
 	serial := e20Point(dur, 8, "permutation", e20Load, e20LinkDelay, 0, 1)
 	serialWall := time.Since(t0)
 
 	t0 = time.Now()
-	sharded := e20Point(dur, 8, "permutation", e20Load, e20LinkDelay, 0, 4)
+	sharded := e20Point(dur, 8, "permutation", e20Load, e20LinkDelay, 0, shards)
 	shardedWall := time.Since(t0)
 
 	if serial.digest != sharded.digest {
 		t.Fatalf("sharded digest %016x diverged from serial %016x", sharded.digest, serial.digest)
 	}
 	ratio := float64(shardedWall) / float64(serialWall)
-	t.Logf("E20 k=8 permutation wall: serial=%v 4-shards=%v ratio=%.2f (speedup %.2f×)",
-		serialWall, shardedWall, ratio, 1/ratio)
-	if ratio > 0.55 {
-		t.Errorf("4-shard point took %.2f× the serial wall time, want < 0.55×", ratio)
+	t.Logf("E20 k=8 permutation wall: serial=%v %d-shards=%v ratio=%.2f (speedup %.2f×)",
+		serialWall, shards, shardedWall, ratio, 1/ratio)
+	if bound := speedupBound(shards, 0.55); ratio > bound {
+		t.Errorf("%d-shard point took %.2f× the serial wall time, want < %.2f×", shards, ratio, bound)
 	}
 }

@@ -106,7 +106,12 @@ func makeScenario(rng *sim.Rand) randomScenario {
 // receiving port, an FNV-1a fold over every delivered frame's embedded
 // send timestamp, measured latency and size, combined in global port
 // order. Any retiming, reordering or loss anywhere changes it.
-func runScenario(t *testing.T, s randomScenario, shards int, shardOf func(i int) int) uint64 {
+//
+// A positive slice runs the traffic phase as RunUntil calls slice apart,
+// and between calls the caller touches devices on every shard: it folds
+// each generator's sent count into the digest, stops generator 0 after
+// the second call and restarts it after the fourth.
+func runScenario(t *testing.T, s randomScenario, shards int, shardOf func(i int) int, slice sim.Duration) uint64 {
 	t.Helper()
 	cl := shard.NewCluster(shards)
 	defer cl.Close()
@@ -161,13 +166,29 @@ func runScenario(t *testing.T, s randomScenario, shards int, shardOf func(i int)
 		g.Start(0)
 		gens = append(gens, g)
 	}
-	cl.RunUntil(sim.Time(50 * sim.Microsecond))
+	const end = sim.Time(50 * sim.Microsecond)
+	var sent uint64 = 14695981039346656037
+	if slice > 0 {
+		for i, at := 0, sim.Time(0).Add(slice); at < end; i, at = i+1, at.Add(slice) {
+			cl.RunUntil(at)
+			for _, g := range gens {
+				sent = fnvMix(sent, g.Sent().Packets)
+			}
+			switch i {
+			case 1:
+				gens[0].Stop()
+			case 3:
+				gens[0].Start(at.Add(1))
+			}
+		}
+	}
+	cl.RunUntil(end)
 	for _, g := range gens {
 		g.Stop()
 	}
 	cl.Run() // drain in-flight frames
 
-	digest := uint64(14695981039346656037)
+	digest := sent
 	for _, d := range digests {
 		digest = fnvMix(digest, d)
 	}
@@ -199,14 +220,14 @@ func TestRandomPartitionDigest(t *testing.T) {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := sim.NewRand(0x5eed<<8 | uint64(trial))
 			s := makeScenario(rng)
-			want := runScenario(t, s, 1, func(int) int { return 0 })
+			want := runScenario(t, s, 1, func(int) int { return 0 }, 0)
 			for _, shards := range []int{2, 3, 4} {
 				for cut := 0; cut < 3; cut++ {
 					assign := make([]int, s.testers)
 					for i := range assign {
 						assign[i] = rng.Intn(shards)
 					}
-					got := runScenario(t, s, shards, func(i int) int { return assign[i] })
+					got := runScenario(t, s, shards, func(i int) int { return assign[i] }, 0)
 					if got != want {
 						t.Fatalf("digest %016x at %d shards (cut %v) != single-shard %016x",
 							got, shards, assign, want)
@@ -215,4 +236,126 @@ func TestRandomPartitionDigest(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Alternating RunUntil with direct caller access to devices on every
+// shard — reading counters, stopping and restarting a generator — must
+// stay race-free and reproduce the 1-shard digest of the same call
+// sequence. The slice is deliberately not a multiple of any lookahead,
+// so calls end mid-window and the next call resumes from there.
+func TestSlicedRunsWithCallerAccess(t *testing.T) {
+	const slice = 3300 * sim.Nanosecond
+	for trial := 0; trial < 2; trial++ {
+		rng := sim.NewRand(0x511ce<<8 | uint64(trial))
+		s := makeScenario(rng)
+		want := runScenario(t, s, 1, func(int) int { return 0 }, slice)
+		for _, shards := range []int{2, 3} {
+			got := runScenario(t, s, shards, func(i int) int { return i % shards }, slice)
+			if got != want {
+				t.Fatalf("trial %d: sliced digest %016x at %d shards != single-shard %016x",
+					trial, got, shards, want)
+			}
+		}
+	}
+}
+
+// A panic in any shard's event is re-raised on the caller only after
+// every other shard has finished the same window, and the cluster can
+// still be closed afterwards. The bystander's event shares the window
+// with the panicking one; under -race the read of its counter also
+// certifies that the bystander's window happens-before the re-raise.
+func TestPanicReraisedAfterEveryShardQuiesces(t *testing.T) {
+	for panicking := 0; panicking < 2; panicking++ {
+		c := shard.NewCluster(2)
+		var sink topo.Sink
+		c.CrossLink(0, 1, c.Engine(0), wire.Rate10G, sim.Microsecond, &sink)
+		bystander := 1 - panicking
+		fired := 0
+		c.Engine(panicking).Schedule(sim.Time(5*sim.Microsecond), func() { panic("boom") })
+		c.Engine(bystander).Schedule(sim.Time(5500*sim.Nanosecond), func() { fired++ })
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("shard %d panicked: recovered %v, want boom", panicking, r)
+				}
+			}()
+			c.RunUntil(sim.Time(100 * sim.Microsecond))
+		}()
+		if fired != 1 {
+			t.Fatalf("shard %d panicked: bystander shard fired %d events of its window before the re-raise, want 1",
+				panicking, fired)
+		}
+		c.Close()
+		c.Close()
+	}
+}
+
+// Windows open only where work is: one frame every 100 µs across a 1 µs
+// cut must cost a handful of windows per frame, not one per lookahead
+// of the 10 ms span.
+func TestSparseTrafficStepsWindowsPerFrame(t *testing.T) {
+	c := shard.NewCluster(2)
+	defer c.Close()
+	b := topo.New()
+	b.Tester("a", netfpga.Config{Ports: 1})
+	b.Tester("z", netfpga.Config{Ports: 1})
+	b.LinkAt("a:0", "z:0", 0, sim.Microsecond)
+	tp, err := b.BuildPartitioned(c.Partition(func(name string) int {
+		if name == "z" {
+			return 1
+		}
+		return 0
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	received := 0
+	tp.Port("z:0").OnReceive = func(*wire.Frame, sim.Time, timing.Timestamp) { received++ }
+	g, err := gen.New(tp.Port("a:0"), gen.Config{
+		Source: &gen.UDPFlowSource{Spec: packet.UDPSpec{
+			SrcMAC: packet.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packet.MAC{2, 0, 0, 0, 0, 2},
+			SrcIP: packet.IP4{10, 0, 0, 1}, DstIP: packet.IP4{10, 0, 0, 2},
+		}, NumFlows: 1, FrameSize: 512},
+		Spacing: gen.CBR{Interval: 100 * sim.Microsecond},
+		Pool:    wire.DefaultPool,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start(0)
+	const span = 10 * sim.Millisecond
+	c.RunUntil(sim.Time(span))
+	g.Stop()
+	c.Run()
+	if received != 100 && received != 101 {
+		t.Fatalf("received %d frames over %v at one per 100µs", received, span)
+	}
+	perFrame := float64(c.Windows()) / float64(received)
+	t.Logf("%d windows for %d frames (%.1f per frame; fixed windows would step %d)",
+		c.Windows(), received, perFrame, span/c.Lookahead())
+	if perFrame > 4 {
+		t.Fatalf("%d windows for %d frames: %.1f per frame, want ≤ 4", c.Windows(), received, perFrame)
+	}
+}
+
+// BenchmarkClusterWindow is the barrier protocol's cost per window: two
+// shards, each with one reusable ticker firing once per lookahead, so
+// every window holds work on both shards and none can be skipped.
+// Steady state allocates nothing.
+func BenchmarkClusterWindow(b *testing.B) {
+	c := shard.NewCluster(2)
+	defer c.Close()
+	var sink topo.Sink
+	c.CrossLink(0, 1, c.Engine(0), wire.Rate10G, sim.Microsecond, &sink)
+	la := c.Lookahead()
+	for i := 0; i < c.Shards(); i++ {
+		c.Engine(i).ScheduleEvery(0, la, func() {})
+	}
+	c.RunFor(100 * la) // first windows: slot and scratch growth
+	w0 := c.Windows()
+	b.ReportAllocs()
+	b.ResetTimer()
+	c.RunFor(sim.Duration(b.N) * la)
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.Windows()-w0), "ns/window")
 }

@@ -205,40 +205,6 @@ func TestPropertyEventOrder(t *testing.T) {
 	}
 }
 
-// Property: the calendar queue pops events in exactly the order the
-// engine's heap would (time, then FIFO).
-func TestPropertyCalendarQueueMatchesHeap(t *testing.T) {
-	f := func(offsets []uint16) bool {
-		cq := NewCalendarQueue(64, 100)
-		heapEng := NewEngine()
-		for _, off := range offsets {
-			at := Time(off)
-			cq.Push(at, nil)
-			heapEng.Schedule(at, func() {})
-		}
-		var cqOrder []Time
-		for ev := cq.Pop(); ev != nil; ev = cq.Pop() {
-			cqOrder = append(cqOrder, ev.At())
-		}
-		var heapOrder []Time
-		for heapEng.Step() {
-			heapOrder = append(heapOrder, heapEng.Now())
-		}
-		if len(cqOrder) != len(heapOrder) {
-			return false
-		}
-		for i := range cqOrder {
-			if cqOrder[i] != heapOrder[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDurationString(t *testing.T) {
 	cases := []struct {
 		d    Duration
@@ -392,22 +358,6 @@ func BenchmarkHeapQueue(b *testing.B) {
 	}
 }
 
-func BenchmarkCalendarQueue(b *testing.B) {
-	q := NewCalendarQueue(1024, 16)
-	r := NewRand(1)
-	now := Time(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Push(now+Time(r.Intn(10000)), nil)
-		if q.Len() > 1024 {
-			ev := q.Pop()
-			now = ev.At()
-		}
-	}
-	for q.Pop() != nil {
-	}
-}
-
 // BenchmarkEngineChurn is schedule/fire churn against a one-million-
 // pending event heap: every step fires the head event, which immediately
 // re-arms itself a pseudo-random span ahead, so the heap stays at 1M
@@ -429,6 +379,40 @@ func BenchmarkEngineChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
+		e.Step()
+	}
+}
+
+// BenchmarkPendingEvents1M is the classic hold benchmark (pop the
+// earliest, push a successor) on a million-event set.
+func BenchmarkPendingEvents1M(b *testing.B) {
+	const (
+		pending = 1 << 20
+		spacing = Microsecond       // mean inter-event gap in the set
+		horizon = pending * spacing // ≈ 1 s of pending virtual time
+		maxInc  = 2 * int(horizon)  // hold increment: uniform [1, 2·horizon]
+	)
+	// The hold model: pop the earliest event, push its successor a draw
+	// of mean ≈ horizon later, so the popped event leapfrogs the whole
+	// set and the pending-set occupancy stays uniform — the steady state
+	// an engine with 1M concurrently armed timers lives in.
+	inc := func(r *Rand) Duration { return Duration(1 + r.Intn(maxInc)) }
+
+	e := NewEngine()
+	rnd := NewRand(1)
+	at := Time(0)
+	for i := 0; i < pending; i++ {
+		at = at.Add(Duration(1 + rnd.Intn(int(2*spacing))))
+		// Each event re-arms itself on firing, so the engine's heap
+		// stays at `pending` entries with zero per-op allocations.
+		var ev *Event
+		ev = e.Schedule(at, func() {
+			e.Reschedule(ev, e.Now().Add(inc(rnd)))
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
 }
