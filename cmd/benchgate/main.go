@@ -22,6 +22,8 @@
 //	benchgate -count 5 -tol-ns 1.5 # more samples, looser wall-time tolerance
 //	benchgate -expect-improve E14Capture100G:1.2
 //	                               # additionally fail unless E14 runs ≥1.2× faster than baseline
+//	benchgate -cpuprofile cpu.pprof -memprofile mem.pprof
+//	                               # profile the gated drivers (go tool pprof -top cpu.pprof)
 //
 // Each measurement prints its percentage delta against the baseline as
 // it lands, so a CI log shows where the time went without a separate
@@ -48,6 +50,7 @@ import (
 	"osnt/internal/analysis"
 	"osnt/internal/experiments"
 	"osnt/internal/packet"
+	"osnt/internal/prof"
 	"osnt/internal/sim"
 )
 
@@ -339,6 +342,8 @@ func main() {
 	tolNS := flag.Float64("tol-ns", 1.25, "allowed ns/op growth factor over baseline")
 	tolAllocs := flag.Float64("tol-allocs", 1.10, "allowed allocs/op growth factor over baseline")
 	expectImprove := flag.String("expect-improve", "", "comma-separated name:factor[@file] entries whose ns/op must beat the improve baseline (or the @file snapshot) by ≥ factor (e.g. E14Capture100G:1.2,E19FatTreeK4:1.5@BENCH_PRESHARD.json)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the measurements to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile, taken after a GC once the measurements end, to this file")
 	improveBase := flag.String("improve-baseline", "", "baseline -expect-improve measures against (default: the -baseline file); point it at a frozen pre-optimisation snapshot to assert a speedup that outlives baseline rewrites")
 	flag.Parse()
 
@@ -364,6 +369,11 @@ func main() {
 		}
 	}
 
+	stop, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+		os.Exit(1)
+	}
 	got := make(report, len(benchmarks))
 	for _, b := range benchmarks {
 		r := measure(b.run, *count)
@@ -374,6 +384,10 @@ func main() {
 				pctDelta(r.NsPerOp, base.NsPerOp), pctDelta(r.AllocsPerOp, base.AllocsPerOp))
 		}
 		fmt.Println()
+	}
+	if err := stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+		os.Exit(1)
 	}
 	if err := writeJSON(*out, got); err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)

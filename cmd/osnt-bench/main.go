@@ -21,6 +21,8 @@
 //	osnt-bench -losses            # per-hop/per-reason loss attribution table
 //	osnt-bench -list              # list experiment ids
 //	osnt-bench -write-experiments # regenerate EXPERIMENTS.md tables in place
+//	osnt-bench -e e14 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	                              # profile one experiment (go tool pprof -top cpu.pprof)
 package main
 
 import (
@@ -30,6 +32,7 @@ import (
 	"strings"
 
 	"osnt/internal/experiments"
+	"osnt/internal/prof"
 	"osnt/internal/stats"
 )
 
@@ -76,40 +79,58 @@ func main() {
 	shards := flag.Int("shards", 0, "cap on the shard axis of the sharded experiment (0 = full 1/2/4/8 sweep; N keeps shard counts ≤ N plus the 1-shard reference)")
 	losses := flag.Bool("losses", false, "print the per-hop/per-reason loss table of the canonical oversubscribed fabric (E15 at 100% load) and exit")
 	writeExp := flag.String("write-experiments", "", "regenerate the generated tables section of the given markdown file (\"\" = off; CI uses EXPERIMENTS.md)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile, taken after a GC at exit, to this file")
 	flag.Parse()
 	experiments.Workers = *workers
 	experiments.TrainCap = *train
 	experiments.Shards = *shards
 
-	if *list {
+	stop, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "osnt-bench: %v\n", err)
+		os.Exit(1)
+	}
+	code := run(*sel, *list, *losses, *writeExp)
+	if err := stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "osnt-bench: %v\n", err)
+		code = max(code, 1)
+	}
+	os.Exit(code)
+}
+
+// run does what the flags select and returns the exit status.
+func run(sel string, list, losses bool, writeExp string) int {
+	if list {
 		for _, r := range runners {
 			fmt.Printf("%-4s %s\n", r.id, r.desc)
 		}
-		return
+		return 0
 	}
-	if *losses {
+	if losses {
 		fmt.Println(experiments.E15LossMap(0).Table().String())
-		return
+		return 0
 	}
-	if *writeExp != "" {
-		if err := writeExperiments(*writeExp); err != nil {
+	if writeExp != "" {
+		if err := writeExperiments(writeExp); err != nil {
 			fmt.Fprintf(os.Stderr, "osnt-bench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	ran := 0
 	for _, r := range runners {
-		if *sel != "" && !strings.EqualFold(*sel, r.id) {
+		if sel != "" && !strings.EqualFold(sel, r.id) {
 			continue
 		}
 		fmt.Println(r.run().String())
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "osnt-bench: unknown experiment %q (valid: %s)\n", *sel, validIDs())
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "osnt-bench: unknown experiment %q (valid: %s)\n", sel, validIDs())
+		return 2
 	}
+	return 0
 }
 
 // Markers bracketing the generated section of EXPERIMENTS.md. Everything

@@ -41,15 +41,10 @@ func main() {
 	e := sim.NewEngine()
 	card := netfpga.New(e, netfpga.Config{})
 
-	var sink *pcap.Writer
+	var sink *pcap.WriteCloser
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		sink, err = pcap.NewWriter(f, 0, true)
-		if err != nil {
+		var err error
+		if sink, err = pcap.Create(*out, 0, true); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -112,7 +107,12 @@ func main() {
 	if g.Dropped() > 0 {
 		fmt.Printf("dropped at TX queue (offered > line rate): %d\n", g.Dropped())
 	}
-	if written > 0 && *out != "" {
-		fmt.Printf("wrote %d packets to %s\n", written, *out)
+	if sink != nil {
+		if err := sink.Close(); err != nil {
+			log.Fatal(err)
+		}
+		if written > 0 {
+			fmt.Printf("wrote %d packets to %s\n", written, *out)
+		}
 	}
 }

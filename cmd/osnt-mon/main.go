@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"osnt/internal/filter"
 	"osnt/internal/flowstats"
@@ -90,15 +89,10 @@ func main() {
 	ledger := &wire.DropLedger{}
 	txCard.SetDropSite(ledger, ledger.Add("tx-card"))
 
-	var sink *pcap.Writer
+	var sink *pcap.WriteCloser
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		sink, err = pcap.NewWriter(f, 0, true)
-		if err != nil {
+		var err error
+		if sink, err = pcap.Create(*out, 0, true); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -263,7 +257,10 @@ func main() {
 		fmt.Println(lm.Table().String())
 	}
 
-	if *out != "" {
+	if sink != nil {
+		if err := sink.Close(); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("wrote %d packets to %s\n", captured, *out)
 	}
 	for _, name := range rxCard.Regs.Names() {

@@ -1,8 +1,10 @@
 package flowstats
 
 import (
+	"slices"
 	"testing"
 
+	"osnt/internal/packet"
 	"osnt/internal/sim"
 	"osnt/internal/timing"
 	"osnt/internal/wire"
@@ -230,5 +232,93 @@ func TestSpaceSavingAddZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Add allocates %.2f per sample, want 0", avg)
+	}
+}
+
+// refSpaceSavingAdd is the single-pass Add the summary shipped with: one
+// scan that matches the digest and tracks the minimum slot together. It
+// is the reference the split hit/evict Add must agree with slot for slot.
+func refSpaceSavingAdd(s *SpaceSaving, digest uint64, n uint64) {
+	minIdx := 0
+	for i := 0; i < s.n; i++ {
+		if s.digests[i] == digest {
+			s.counts[i] += n
+			return
+		}
+		if s.counts[i] < s.counts[minIdx] {
+			minIdx = i
+		}
+	}
+	if s.n < len(s.digests) {
+		s.digests[s.n], s.counts[s.n], s.errs[s.n] = digest, n, 0
+		s.n++
+		return
+	}
+	s.errs[minIdx] = s.counts[minIdx]
+	s.digests[minIdx] = digest
+	s.counts[minIdx] += n
+}
+
+// TestSpaceSavingMatchesReference: random streams over more flows than
+// slots, with small counts so evictions and equal-count ties are common,
+// must leave Add and the reference in the same state — same victims,
+// same Top(k) (digest, count, err) and the same Monitored answers.
+func TestSpaceSavingMatchesReference(t *testing.T) {
+	rnd := sim.NewRand(0x55)
+	for trial := 0; trial < 50; trial++ {
+		k := 1 + rnd.Intn(32)
+		flows := k + 1 + rnd.Intn(4*k)
+		got, ref := NewSpaceSaving(k), NewSpaceSaving(k)
+		evictions := 0
+		for i := 0; i < 2000; i++ {
+			d := uint64(rnd.Intn(flows)) * 0x9e3779b97f4a7c15
+			n := uint64(1 + rnd.Intn(2))
+			if ref.n == k && !ref.Monitored(d) {
+				evictions++
+			}
+			got.Add(d, n)
+			refSpaceSavingAdd(ref, d, n)
+		}
+		if evictions == 0 {
+			t.Fatalf("trial %d: stream never evicted", trial)
+		}
+		if !slices.Equal(got.digests, ref.digests) || !slices.Equal(got.counts, ref.counts) || !slices.Equal(got.errs, ref.errs) {
+			t.Fatalf("trial %d (k=%d, %d flows): slots diverge from the reference", trial, k, flows)
+		}
+		for _, top := range []int{1, k / 2, k} {
+			if a, b := got.Top(top), ref.Top(top); !slices.Equal(a, b) {
+				t.Fatalf("trial %d: Top(%d) = %v, reference %v", trial, top, a, b)
+			}
+		}
+		for f := 0; f < flows; f++ {
+			d := uint64(f) * 0x9e3779b97f4a7c15
+			if got.Monitored(d) != ref.Monitored(d) {
+				t.Fatalf("trial %d: Monitored(%x) = %v, reference %v", trial, d, got.Monitored(d), ref.Monitored(d))
+			}
+		}
+	}
+}
+
+// BenchmarkSpaceSavingAdd measures one Add on a 128-slot summary in the
+// two shapes the capture path sees: every flow already monitored (64
+// flows, hits only) and more flows than slots (512 flows, mostly
+// evictions).
+func BenchmarkSpaceSavingAdd(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		flows int
+	}{{"hits", 64}, {"evicting", 512}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ss := NewSpaceSaving(128)
+			digests := make([]uint64, bc.flows)
+			for i := range digests {
+				digests[i] = packet.Mix64(uint64(i) + 1)
+				ss.Add(digests[i], 1)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ss.Add(digests[i%len(digests)], 1)
+			}
+		})
 	}
 }

@@ -1,6 +1,10 @@
 package flowstats
 
-import "osnt/internal/packet"
+import (
+	"slices"
+
+	"osnt/internal/packet"
+)
 
 // CountMin is a count-min sketch over flow digests: d rows of w
 // counters, each row indexed by an independently whitened hash of the
@@ -103,24 +107,26 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	}
 }
 
-// Add counts n more packets for digest.
+// Add counts n more packets for digest. A hit scans digests only; the
+// minimum is searched for only when a full summary must evict.
 func (s *SpaceSaving) Add(digest uint64, n uint64) {
-	minIdx := 0
-	for i := 0; i < s.n; i++ {
-		if s.digests[i] == digest {
-			s.counts[i] += n
-			return
-		}
-		if s.counts[i] < s.counts[minIdx] {
-			minIdx = i
-		}
+	if i := slices.Index(s.digests[:s.n], digest); i >= 0 {
+		s.counts[i] += n
+		return
 	}
 	if s.n < len(s.digests) {
 		s.digests[s.n], s.counts[s.n], s.errs[s.n] = digest, n, 0
 		s.n++
 		return
 	}
-	// Evict the minimum: the newcomer inherits its count as error.
+	// Evict the minimum (lowest slot on ties): the newcomer inherits its
+	// count as error.
+	minIdx := 0
+	for i, c := range s.counts {
+		if c < s.counts[minIdx] {
+			minIdx = i
+		}
+	}
 	s.errs[minIdx] = s.counts[minIdx]
 	s.digests[minIdx] = digest
 	s.counts[minIdx] += n
@@ -131,12 +137,7 @@ func (s *SpaceSaving) Len() int { return s.n }
 
 // Monitored reports whether digest is currently tracked.
 func (s *SpaceSaving) Monitored(digest uint64) bool {
-	for i := 0; i < s.n; i++ {
-		if s.digests[i] == digest {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.digests[:s.n], digest)
 }
 
 // Top returns up to k monitored flows by descending count (ties by

@@ -2,6 +2,9 @@ package mon
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"osnt/internal/gen"
@@ -242,6 +245,134 @@ func TestMergePropertyRandomTraffic(t *testing.T) {
 				t.Fatalf("trial %d: flow %x timestamp went backwards", trial, rec.Hash)
 			}
 			flowTS[rec.Hash] = rec.TS
+		}
+	}
+}
+
+// equivRun drives one seeded 10G capture of 64 B frames carrying
+// embedded TX timestamps and returns every record its consumer saw, with
+// the data copied at delivery. With merged set the records come through
+// NewMerge, whose sink also checks that each record's bytes still hash
+// to its digest (a buffer recycled under an unmerged record would not);
+// otherwise they come straight from per-queue sinks, in delivery order.
+func equivRun(t *testing.T, queues []QueueConfig, steer Steer, train int, merged bool) (recs []Record, maxPending int, drops uint64) {
+	t.Helper()
+	e := sim.NewEngine()
+	card := netfpga.New(e, netfpga.Config{Ports: 2})
+	card.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, 0, card.Port(1)))
+	keep := func(rec Record) {
+		rec.Data = append([]byte(nil), rec.Data...)
+		recs = append(recs, rec)
+	}
+	cfg := Config{
+		SnapLen:   64,
+		HashBytes: packet.HeaderDigestBytes,
+		Queues:    append([]QueueConfig(nil), queues...),
+		Steer:     steer,
+	}
+	if !merged {
+		for i := range cfg.Queues {
+			cfg.Queues[i].Sink = keep
+		}
+	}
+	m := Attach(card.Port(1), cfg)
+	var g *Merge
+	if merged {
+		g = NewMerge(m, func(rec Record) {
+			if d := packet.PacketDigest(rec.Data, packet.HeaderDigestBytes); d != rec.Hash {
+				t.Fatalf("record q=%d seq=%d: data digest %x, want %x (buffer recycled under it?)", rec.Queue, rec.Seq, d, rec.Hash)
+			}
+			maxPending = max(maxPending, g.Pending())
+			keep(rec)
+		})
+	}
+	const end = sim.Time(200 * sim.Microsecond)
+	gn, err := gen.New(card.Port(0), gen.Config{
+		Source:         &gen.UDPFlowSource{Spec: spec, NumFlows: 16, FrameSize: 64},
+		Spacing:        gen.CBRForLoad(64, wire.Rate10G, 1.0),
+		EmbedTimestamp: true,
+		Pool:           wire.DefaultPool,
+		Seed:           7,
+		MaxTrain:       train,
+		Until:          end,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gn.Start(0)
+	e.RunUntil(end)
+	gn.Stop()
+	e.Run()
+	if merged {
+		g.Flush()
+		if g.Pending() != 0 || g.OrderViolations() != 0 {
+			t.Fatalf("after Flush: %d pending, %d order violations", g.Pending(), g.OrderViolations())
+		}
+	}
+	return recs, maxPending, m.RingDrops()
+}
+
+// TestMergeEquivalentToSortedPerQueueStreams: the merged stream of a
+// seeded capture must equal the same capture's per-queue records stably
+// sorted by (TS, Queue, Seq), field for field — Delivered, Seq and the
+// Data bytes included — over 1/2/4/8 queues, both steering policies,
+// per-frame and train delivery, a ring small enough to drop and a
+// host cost skewed enough to hold a merge backlog.
+func TestMergeEquivalentToSortedPerQueueStreams(t *testing.T) {
+	shapes := []struct {
+		name  string
+		queue func(i int) QueueConfig
+	}{
+		// Every host core far below line rate behind an 8-deep ring.
+		{"drop", func(int) QueueConfig { return QueueConfig{RingSize: 8, HostPerPacket: sim.Microsecond} }},
+		// Queue 0 lags behind deep rings: the others' records wait in
+		// their slots until its keys pass them.
+		{"backlog", func(i int) QueueConfig {
+			if i == 0 {
+				return QueueConfig{RingSize: 1 << 14, HostPerPacket: 3 * sim.Microsecond}
+			}
+			return QueueConfig{RingSize: 1 << 14, HostPerPacket: 100 * sim.Nanosecond}
+		}},
+	}
+	for _, nq := range []int{1, 2, 4, 8} {
+		for _, steer := range []Steer{SteerHash, SteerRoundRobin} {
+			for _, sh := range shapes {
+				for _, train := range []int{1, 64} {
+					queues := make([]QueueConfig, nq)
+					for i := range queues {
+						queues[i] = sh.queue(i)
+					}
+					ref, _, refDrops := equivRun(t, queues, steer, train, false)
+					got, maxPending, drops := equivRun(t, queues, steer, train, true)
+					where := fmt.Sprintf("%dq steer=%d %s train=%d", nq, steer, sh.name, train)
+					if sh.name == "drop" && drops == 0 {
+						t.Fatalf("%s: ring never dropped", where)
+					}
+					if sh.name == "backlog" && nq > 1 && maxPending < 100 {
+						t.Fatalf("%s: merge backlog peaked at %d records", where, maxPending)
+					}
+					if drops != refDrops {
+						t.Fatalf("%s: merge run dropped %d, per-queue run %d", where, drops, refDrops)
+					}
+					slices.SortStableFunc(ref, func(a, b Record) int {
+						switch {
+						case keyLess(&a, &b):
+							return -1
+						case keyLess(&b, &a):
+							return 1
+						}
+						return 0
+					})
+					if len(got) != len(ref) || len(got) == 0 {
+						t.Fatalf("%s: merged %d records, per-queue %d", where, len(got), len(ref))
+					}
+					for i := range ref {
+						if !reflect.DeepEqual(got[i], ref[i]) {
+							t.Fatalf("%s: record %d differs:\nmerged    %+v\nper-queue %+v", where, i, got[i], ref[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }

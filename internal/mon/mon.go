@@ -27,6 +27,7 @@ package mon
 
 import (
 	"fmt"
+	"slices"
 
 	"osnt/internal/filter"
 	"osnt/internal/netfpga"
@@ -207,12 +208,16 @@ type queue struct {
 	sink      func(Record)
 	recycle   bool
 
-	// ring is a head-indexed FIFO: head advances on delivery and the
-	// tail grows by append; pending occupancy is len(ring)-head. The
-	// slice is compacted only when the dead prefix dominates, so the
-	// per-packet cost is O(1) with no copy-down.
+	// ring is a head-indexed FIFO written in place: admission fills the
+	// next slot, head advances on delivery, and merged advances once the
+	// sink (or the Merge) has seen the record. ring[merged:head] holds
+	// delivered records a Merge has not emitted yet; pending occupancy
+	// is len(ring)-head. The slice is compacted only when the dead
+	// prefix before merged dominates, so the per-packet cost is O(1)
+	// with no copy-down.
 	ring     []Record
 	head     int
+	merged   int
 	draining bool
 	drainEv  *sim.Event // reusable: at most one DMA completion in flight
 	// nextFinish is the instant the in-flight DMA completes (valid while
@@ -225,7 +230,7 @@ type queue struct {
 	touched bool
 
 	// bufFree recycles record buffers when the queue's recycle flag
-	// allows it; bounded by the ring capacity.
+	// allows it; bounded by the peak number of records in the ring.
 	bufFree [][]byte
 
 	// seq numbers ring admissions; stamped into Record.Seq so a merge
@@ -260,7 +265,8 @@ type Monitor struct {
 	eng  *sim.Engine
 
 	queues []queue
-	rr     int // round-robin cursor
+	rr     int    // round-robin cursor
+	merge  *Merge // when set, emits every queue's records from their slots
 	// scratch collects the queues one train touched (reused across
 	// trains, so the batched path allocates nothing).
 	scratch []*queue
@@ -272,7 +278,7 @@ type Monitor struct {
 	// maxTS is the high-water mark of hardware timestamps presented to
 	// the pipeline. MAC timestamps are latched in arrival order on one
 	// engine, so every future record carries TS ≥ maxTS — the watermark
-	// a streaming merge needs to know when a buffered record can no
+	// a streaming merge needs to know when a delivered record can no
 	// longer be preceded by anything still in flight.
 	maxTS timing.Timestamp
 
@@ -418,24 +424,9 @@ func (m *Monitor) onReceive(f *wire.Frame, at sim.Time, ts timing.Timestamp) {
 
 	q := m.steer(data, ruleIdx, hash)
 	q.seen.Add(wb)
-
-	if len(q.ring)-q.head >= q.ringSize {
-		q.ringDrops++
-		m.ledger.Report(m.hop, wire.DropRingFull, 1)
-		return
+	if q.admit(f, data, at, ts, ruleIdx, hash) {
+		q.drain()
 	}
-	q.accepted.Add(wb)
-	// The descriptor ring owns a copy: the frame buffer belongs to the
-	// datapath and may be reused.
-	cp := q.getBuf(len(data))
-	copy(cp, data)
-	q.ring = append(q.ring, Record{
-		Data: cp, WireSize: f.Size, TS: ts, Arrival: at,
-		Port: m.port.Index(), Queue: q.idx, Rule: ruleIdx, Hash: hash,
-		Seq: q.seq, Trace: f.Trace,
-	})
-	q.seq++
-	q.drain()
 }
 
 // onReceiveTrain is the batched admission path: the port hands a whole
@@ -544,27 +535,15 @@ func (m *Monitor) onReceiveTrain(t *wire.Train, at sim.Time) {
 		q.seen.Add(wb)
 
 		q.advanceTo(lb)
-
-		if len(q.ring)-q.head >= q.ringSize {
-			q.ringDrops++
-			m.ledger.Report(m.hop, wire.DropRingFull, 1)
+		if !q.admit(f, data, lb, ts, ruleIdx, hash) {
 			continue
 		}
-		q.accepted.Add(wb)
-		cp := q.getBuf(len(data))
-		copy(cp, data)
-		q.ring = append(q.ring, Record{
-			Data: cp, WireSize: f.Size, TS: ts, Arrival: lb,
-			Port: m.port.Index(), Queue: q.idx, Rule: ruleIdx, Hash: hash,
-			Seq: q.seq, Trace: f.Trace,
-		})
-		q.seq++
 		if !q.draining {
 			// The host core was idle when this record landed: the DMA
 			// starts at the (virtual) arrival instant, exactly as drain()
 			// would have at a real per-frame event.
 			q.draining = true
-			q.nextFinish = lb.Add(q.perPacket + sim.Duration(len(cp))*q.perByte)
+			q.nextFinish = lb.Add(q.perPacket + sim.Duration(len(data))*q.perByte)
 		}
 		if !q.touched {
 			q.touched = true
@@ -642,18 +621,31 @@ func (m *Monitor) steer(data []byte, ruleIdx int, hash uint64) *queue {
 	return &m.queues[int(packet.Mix64(hash)%uint64(nq))]
 }
 
-// getBuf returns a buffer of length n, recycled from delivered records
-// when the configuration allows it.
-func (q *queue) getBuf(n int) []byte {
-	if k := len(q.bufFree); k > 0 {
-		b := q.bufFree[k-1]
-		q.bufFree[k-1] = nil
-		q.bufFree = q.bufFree[:k-1]
-		if cap(b) >= n {
-			return b[:n]
-		}
+// admit writes one accepted packet into the next ring slot, or counts a
+// ring-full drop and reports false. The slot owns a copy of the captured
+// bytes (the frame buffer belongs to the datapath and may be reused), in
+// a buffer recycled from released records when the free list has one.
+func (q *queue) admit(f *wire.Frame, data []byte, at sim.Time, ts timing.Timestamp, rule int, hash uint64) bool {
+	if q.pending() >= q.ringSize {
+		q.ringDrops++
+		q.m.ledger.Report(q.m.hop, wire.DropRingFull, 1)
+		return false
 	}
-	return make([]byte, n)
+	q.accepted.Add(wire.WireBytes(f.Size))
+	var buf []byte
+	if k := len(q.bufFree); k > 0 {
+		buf = q.bufFree[k-1]
+		q.bufFree = q.bufFree[:k-1]
+	}
+	n := len(q.ring)
+	q.ring = slices.Grow(q.ring, 1)[:n+1]
+	r := &q.ring[n]
+	r.Data = append(buf, data...)
+	r.WireSize, r.TS, r.Arrival, r.Delivered = f.Size, ts, at, 0
+	r.Port, r.Queue, r.Seq, r.Rule, r.Hash = q.m.port.Index(), q.idx, q.seq, rule, hash
+	r.Trace = f.Trace
+	q.seq++
+	return true
 }
 
 // drain models this queue's host core consuming the ring one record at
@@ -679,31 +671,45 @@ func (q *queue) drain() {
 }
 
 // deliverHead completes the in-flight DMA for the record at the ring
-// head, stamping the given completion instant. Shared by the real
-// completion event and the train path's virtual advance.
+// head, stamping the given completion instant in its slot. Shared by the
+// real completion event and the train path's virtual advance. With a
+// Merge attached the record stays in its slot until the merge emits it;
+// otherwise the sink sees it and the slot is released at once.
 func (q *queue) deliverHead(doneAt sim.Time) {
-	rec := q.ring[q.head]
-	q.ring[q.head] = Record{}
+	r := &q.ring[q.head]
+	r.Delivered = doneAt
+	q.delivered.Add(r.WireSize)
 	q.head++
-	// Compact once the dead prefix dominates a non-trivial ring, so the
-	// backing array stays proportional to occupancy.
-	if q.head >= 256 && q.head*2 >= len(q.ring) {
-		n := copy(q.ring, q.ring[q.head:])
-		for i := n; i < len(q.ring); i++ {
-			q.ring[i] = Record{}
-		}
-		q.ring = q.ring[:n]
-		q.head = 0
+	if q.m.merge != nil {
+		q.m.merge.advance(false)
+		return
 	}
-	rec.Delivered = doneAt
-	q.delivered.Add(rec.WireSize)
 	if q.sink != nil {
-		q.sink(rec)
+		q.sink(*r)
 	}
+	q.release()
+}
+
+// release retires the oldest delivered record once its consumer has
+// returned: its buffer goes back to the free list when recycling is on,
+// and the ring compacts once the released prefix dominates a non-trivial
+// ring, so the backing array stays proportional to occupancy.
+func (q *queue) release() {
 	if q.recycle {
-		q.bufFree = append(q.bufFree, rec.Data[:0])
+		q.bufFree = append(q.bufFree, q.ring[q.merged].Data[:0])
+	}
+	q.merged++
+	if q.merged >= 256 && q.merged*2 >= len(q.ring) {
+		n := copy(q.ring, q.ring[q.merged:])
+		clear(q.ring[n:])
+		q.ring = q.ring[:n]
+		q.head -= q.merged
+		q.merged = 0
 	}
 }
+
+// pending returns the queue's undelivered ring occupancy.
+func (q *queue) pending() int { return len(q.ring) - q.head }
 
 // drainDone is the DMA-completion handler for the record at the ring
 // head.
@@ -735,7 +741,7 @@ func (m *Monitor) QueueStats(i int) QueueStats {
 		Accepted:  q.accepted,
 		RingDrops: q.ringDrops,
 		Delivered: q.delivered,
-		Depth:     len(q.ring) - q.head,
+		Depth:     q.pending(),
 	}
 }
 
@@ -765,7 +771,7 @@ func (m *Monitor) Delivered() stats.Counter {
 func (m *Monitor) RingDepth() int {
 	d := 0
 	for i := range m.queues {
-		d += len(m.queues[i].ring) - m.queues[i].head
+		d += m.queues[i].pending()
 	}
 	return d
 }

@@ -6,10 +6,12 @@
 package pcap
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"osnt/internal/sim"
 )
@@ -196,6 +198,56 @@ func (wr *Writer) Write(rec Record) error {
 	}
 	if _, err := wr.w.Write(data); err != nil {
 		return fmt.Errorf("pcap: record data: %w", err)
+	}
+	return nil
+}
+
+// WriteCloser is a Writer that buffers its output and owns the stream
+// underneath: records cost no write syscall of their own, and Close
+// flushes the buffer, then closes the stream, returning the first error
+// of the two — so a write-back that fails only at the end is reported,
+// not lost.
+type WriteCloser struct {
+	*Writer
+	buf *bufio.Writer
+	dst io.WriteCloser
+}
+
+// NewWriteCloser writes the global header into a buffer over dst and
+// returns the writer (see NewWriter for snapLen and nano). Close must be
+// called to flush the buffer into dst.
+func NewWriteCloser(dst io.WriteCloser, snapLen uint32, nano bool) (*WriteCloser, error) {
+	buf := bufio.NewWriterSize(dst, 64<<10)
+	w, err := NewWriter(buf, snapLen, nano)
+	if err != nil {
+		return nil, err
+	}
+	return &WriteCloser{Writer: w, buf: buf, dst: dst}, nil
+}
+
+// Create creates (or truncates) the named file and returns a buffered
+// writer over it; the caller must check Close's error.
+func Create(path string, snapLen uint32, nano bool) (*WriteCloser, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("pcap: %w", err)
+	}
+	w, err := NewWriteCloser(f, snapLen, nano)
+	if err != nil {
+		f.Close() // the header error is the one to report
+		return nil, err
+	}
+	return w, nil
+}
+
+// Close flushes buffered records and closes the underlying stream.
+func (w *WriteCloser) Close() error {
+	err := w.buf.Flush()
+	if cerr := w.dst.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("pcap: close: %w", err)
 	}
 	return nil
 }

@@ -3,7 +3,10 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +234,84 @@ func BenchmarkWriteRead(b *testing.B) {
 		_ = w.Write(rec)
 		if _, err := ReadAll(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestCreateRoundTrip: records written through the buffered file writer
+// are all on disk once Close returns.
+func TestCreateRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cap.pcap")
+	w, err := Create(path, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	for i := 0; i < 1000; i++ { // well past one buffer's worth
+		recs = append(recs, mkRecord(sim.Time(i)*sim.Time(sim.Microsecond), 64+i%1400))
+		if err := w.Write(recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("read back %d of %d records", len(got), len(recs))
+	}
+	for i := range recs {
+		if got[i].TS != recs[i].TS || got[i].OrigLen != recs[i].OrigLen || !bytes.Equal(got[i].Data, recs[i].Data) {
+			t.Fatalf("record %d did not round-trip", i)
+		}
+	}
+}
+
+var errWrite = errors.New("device full")
+
+// failWriter fails every write with errWrite.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWrite }
+
+// stream is a write stream whose close fails with closeErr.
+type stream struct {
+	io.Writer
+	closeErr error
+}
+
+func (s stream) Close() error { return s.closeErr }
+
+// TestWriteCloserReportsStreamErrors: a write-back that fails only when
+// the buffer drains, or a failing close, comes back from Close.
+func TestWriteCloserReportsStreamErrors(t *testing.T) {
+	errClose := errors.New("close failed")
+	for _, tc := range []struct {
+		name string
+		dst  io.WriteCloser
+		want error
+	}{
+		{"flush", stream{failWriter{}, nil}, errWrite},
+		{"flush before close", stream{failWriter{}, errClose}, errWrite},
+		{"close", stream{io.Discard, errClose}, errClose},
+	} {
+		w, err := NewWriteCloser(tc.dst, 0, true)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := w.Write(mkRecord(0, 64)); err != nil {
+			t.Fatalf("%s: buffered write failed early: %v", tc.name, err)
+		}
+		if err := w.Close(); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Close = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }
