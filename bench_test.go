@@ -1,361 +1,27 @@
-// Package osnt_test holds the repository-level benchmark harness: one
-// benchmark per experiment table/figure in DESIGN.md (E1–E8, plus the
-// E9–E19 scaling sweeps). Each iteration regenerates the corresponding
-// table from scratch, so `go test -bench=. -benchmem` both exercises the
-// full stack and reports how much host CPU a complete experiment costs.
-// The tables themselves are printed by `go run ./cmd/osnt-bench` and
-// recorded in EXPERIMENTS.md.
+// Package osnt_test holds the repository-level benchmark harness.
+// BenchmarkDrivers runs every entry of experiments.Drivers — the timed
+// runs that cmd/benchgate also gates — as one sub-benchmark, so
+// `go test -bench=. -benchmem` both exercises the full stack and
+// reports how much host CPU each driver costs. A driver that breaks its
+// checks fails its sub-benchmark. The tables themselves are printed by
+// `go run ./cmd/osnt-bench` and recorded in EXPERIMENTS.md.
 package osnt_test
 
 import (
 	"testing"
 
 	"osnt/internal/experiments"
-	"osnt/internal/sim"
 )
 
-// short durations keep a single benchmark iteration around the hundreds
-// of milliseconds of host time while preserving every experiment's shape.
-const (
-	// E1 needs a window long enough that losing the packet straddling the
-	// window edge stays under the 0.1% line-rate tolerance.
-	benchE1Dur  = sim.Millisecond
-	benchE2Dur  = 60 * sim.Second
-	benchE3Dur  = 5 * sim.Millisecond
-	benchE7Dur  = 5 * sim.Millisecond
-	benchE9Dur  = sim.Millisecond
-	benchE10Dur = sim.Millisecond
-	benchE11Dur = sim.Millisecond
-	benchE12Dur = 2 * sim.Millisecond
-	benchE13Dur = 2 * sim.Millisecond
-	benchE14Dur = sim.Millisecond
-	benchE15Dur = sim.Millisecond
-	benchE16Dur = 2 * sim.Millisecond
-	benchE17Dur = 2 * sim.Millisecond
-	benchE18Dur = sim.Millisecond
-	benchE19Dur = 250 * sim.Microsecond
-)
-
-func BenchmarkE1LineRate(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E1LineRate(benchE1Dur)
-		for _, row := range tbl.Rows {
-			if row[5] != "true" {
-				b.Fatalf("line rate missed: %v", row)
-			}
-		}
-	}
-}
-
-func BenchmarkE2ClockDiscipline(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tbl := experiments.E2ClockDiscipline(benchE2Dur); len(tbl.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkE3SwitchLatency(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tbl := experiments.E3SwitchLatency(benchE3Dur); len(tbl.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkE4FlowModLatency(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tbl := experiments.E4FlowModLatency(); len(tbl.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkE5Consistency(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tbl := experiments.E5Consistency(); len(tbl.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkE6TimestampNoise(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tbl := experiments.E6TimestampNoise(500); len(tbl.Rows) != 2 {
-			b.Fatal("rows")
-		}
-	}
-}
-
-func BenchmarkE7CapturePath(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tbl := experiments.E7CapturePath(benchE7Dur); len(tbl.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkE8ControlUnderLoad(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tbl := experiments.E8ControlUnderLoad(); len(tbl.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkE9PortScaling(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E9PortScaling(benchE9Dur)
-		for _, row := range tbl.Rows {
-			if row[6] != "true" {
-				b.Fatalf("scaling missed line rate: %v", row)
-			}
-		}
-	}
-}
-
-func BenchmarkE10TesterMesh(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E10TesterMesh(benchE10Dur)
-		for _, row := range tbl.Rows {
-			if row[7] != "true" {
-				b.Fatalf("mesh missed line rate: %v", row)
-			}
-		}
-	}
-}
-
-func BenchmarkE11Rate40G(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E11Rate40G(benchE11Dur)
-		for _, row := range tbl.Rows {
-			if row[6] != "true" {
-				b.Fatalf("40G missed line rate: %v", row)
-			}
-		}
-	}
-}
-
-func BenchmarkE12MixedRateFanIn(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E12MixedRateFanIn(benchE12Dur)
-		for _, row := range tbl.Rows {
-			if row[3] != "0" {
-				b.Fatalf("fan-in direction dropped: %v", row)
-			}
-		}
-	}
-}
-
-func BenchmarkE13MultiDUTChain(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E13MultiDUTChain(benchE13Dur)
-		for _, row := range tbl.Rows {
-			if row[7] != "0.00" {
-				b.Fatalf("chain lost packets: %v", row)
-			}
-		}
-	}
-}
-
-func BenchmarkE14Capture100G(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E14Capture100G(benchE14Dur)
-		for _, row := range tbl.Rows {
-			queues, frame, lossless := row[0], row[1], row[8]
-			// The tentpole claim at the bandwidth-bound frame size: one
-			// DMA queue saturates, two restore lossless thinned capture.
-			if frame == "1518" {
-				want := "true"
-				if queues == "1" {
-					want = "false"
-				}
-				if lossless != want {
-					b.Fatalf("100G capture at %s queues: lossless=%s, want %s (%v)", queues, lossless, want, row)
+func BenchmarkDrivers(b *testing.B) {
+	for _, d := range experiments.Drivers {
+		b.Run(d.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := d.Run(); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}
-	}
-}
-
-func BenchmarkE15Oversubscribed(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E15Oversubscribed(benchE15Dur)
-		for _, row := range tbl.Rows {
-			if row[8] != "true" {
-				b.Fatalf("fabric loss not conserved: %v", row)
-			}
-		}
-	}
-}
-
-func BenchmarkE16LossAttribution(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E16LossAttribution(benchE16Dur)
-		for _, row := range tbl.Rows {
-			if row[10] != "true" {
-				b.Fatalf("chain loss not conserved: %v", row)
-			}
-		}
-	}
-}
-
-func BenchmarkE17FlowAnalytics(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E17FlowAnalytics(benchE17Dur)
-		for _, row := range tbl.Rows {
-			if row[10] != "true" {
-				b.Fatalf("flow analytics invariant failed: %v", row)
-			}
-		}
-	}
-}
-
-// BenchmarkE18TrainSweep runs the frame-train coalescing sweep and
-// asserts its core contract: every row's stream digest matches the
-// per-frame (cap 1) reference run of its frame size.
-func BenchmarkE18TrainSweep(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E18TrainSpeedup(benchE18Dur)
-		for _, row := range tbl.Rows {
-			if row[6] != "true" {
-				b.Fatalf("train run diverged from the per-frame reference: %v", row)
-			}
-		}
-	}
-}
-
-// BenchmarkE19FatTreeK4 runs the k=4 slice of the synthesized-fabric
-// sweep (20 switches, 16 hosts, three traffic matrices across load) and
-// asserts the ledger's conservation column on every row.
-func BenchmarkE19FatTreeK4(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E19FatTreeK4(benchE19Dur)
-		for _, row := range tbl.Rows {
-			if row[12] != "true" {
-				b.Fatalf("fabric loss not conserved: %v", row)
-			}
-		}
-	}
-}
-
-// BenchmarkE19FatTreeK4Sharded runs the same nine (matrix, load) points
-// as BenchmarkE19FatTreeK4 on the 1 µs-cable variant of the k=4 fabric,
-// each point executed across 4 conservative-lookahead shards (one
-// engine per core). This is the benchgate's gated E19FatTreeK4 workload
-// post-sharding: the frozen BENCH_PRESHARD.json snapshot holds the
-// serial pre-sharding figure it must beat.
-func BenchmarkE19FatTreeK4Sharded(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E19FatTreeK4Sharded(benchE19Dur, 4)
-		if len(tbl.Rows) != 9 {
-			b.Fatalf("sharded sweep produced %d rows, want 9", len(tbl.Rows))
-		}
-	}
-}
-
-// BenchmarkE20ShardScaling is one k=8 permutation point on 4 shards —
-// the shard runtime's barrier/window/drain overhead and parallel win in
-// a single number (machine-dependent by design: more cores, lower
-// ns/op).
-func BenchmarkE20ShardScaling(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if experiments.E20ShardMicroBench() == 0 {
-			b.Fatal("degenerate digest")
-		}
-	}
-}
-
-// BenchmarkFabricSynthK8 isolates fabric synthesis: one iteration
-// builds a full k=8 fat-tree (80 switches, 128 hosts, every FDB
-// pre-learned) on a fresh engine — the fixed cost every E19 point pays
-// before the first frame.
-func BenchmarkFabricSynthK8(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if experiments.FabricSynthMicroBench() != 80 {
-			b.Fatal("k=8 synthesis produced the wrong switch count")
-		}
-	}
-}
-
-// BenchmarkDUTSpray2W isolates the ECMP spray hot path: 64 B line-rate
-// traffic hashed across a two-member uplink group.
-func BenchmarkDUTSpray2W(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m0, m1 := experiments.SprayMicroBench(sim.Millisecond)
-		if m0 == 0 || m1 == 0 {
-			b.Fatalf("degenerate spray: %d/%d", m0, m1)
-		}
-	}
-}
-
-// BenchmarkMonSteer8Q isolates the multi-queue steering hot path: 64 B
-// line-rate capture spread across 8 idealised queues.
-func BenchmarkMonSteer8Q(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if experiments.SteerMicroBench(sim.Millisecond) == 0 {
-			b.Fatal("steering rig delivered nothing")
-		}
-	}
-}
-
-// BenchmarkMonMerge8Q isolates the k-way merge hot path: 64 B line-rate
-// capture dealt round-robin across 8 idealised queues and re-sequenced
-// into global (TS, Queue, Seq) order.
-func BenchmarkMonMerge8Q(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if experiments.MergeMicroBench(sim.Millisecond) == 0 {
-			b.Fatal("merge rig emitted nothing")
-		}
-	}
-}
-
-// BenchmarkFlowTableUpsert isolates the flow-analytics upsert hot path:
-// 2^20 samples over 512 flows into the flow table and both sketches.
-func BenchmarkFlowTableUpsert(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if experiments.FlowTableMicroBench() == 0 {
-			b.Fatal("flow table tracked nothing")
-		}
-	}
-}
-
-// BenchmarkE9Serial is the 1-worker reference for the same sweep: the
-// ratio to BenchmarkE9PortScaling is the parallel runner's speedup.
-func BenchmarkE9Serial(b *testing.B) {
-	b.ReportAllocs()
-	old := experiments.Workers
-	experiments.Workers = 1
-	defer func() { experiments.Workers = old }()
-	for i := 0; i < b.N; i++ {
-		if tbl := experiments.E9PortScaling(benchE9Dur); len(tbl.Rows) == 0 {
-			b.Fatal("no rows")
-		}
+		})
 	}
 }

@@ -1,19 +1,13 @@
-// Command benchgate is the benchmark-regression CI gate: it re-runs the
-// scaling benchmarks in-process (the same drivers BenchmarkE1LineRate,
-// BenchmarkE10TesterMesh, BenchmarkE11Rate40G, BenchmarkE12MixedRateFanIn,
-// BenchmarkE13MultiDUTChain, BenchmarkE14Capture100G,
-// BenchmarkE15Oversubscribed, BenchmarkE16LossAttribution,
-// BenchmarkE17FlowAnalytics, BenchmarkE18TrainSweep,
-// BenchmarkE19FatTreeK4Sharded, BenchmarkE20ShardScaling and the
-// BenchmarkMonSteer8Q / BenchmarkDUTSpray2W / BenchmarkMonMerge8Q /
-// BenchmarkFlowTableUpsert / BenchmarkFabricSynthK8 /
-// BenchmarkPacketChecksum / BenchmarkEngineChurn micro-benchmarks
-// iterate),
-// writes the measured ns/op and
-// allocs/op to a JSON report, and compares the report against a
-// checked-in baseline with per-metric tolerances. CI fails the build when
-// a benchmark regresses past tolerance and uploads the report as an
-// artifact, so the perf trajectory is tracked per commit.
+// Command benchgate is the benchmark-regression CI gate: it times every
+// driver in experiments.Drivers (the registry BenchmarkDrivers runs
+// too) plus three of its own that exercise packages below the
+// experiments, writes the measured ns/op and allocs/op to a JSON
+// report, and compares the report against a checked-in baseline with
+// per-metric tolerances. CI fails the build when a benchmark regresses
+// past tolerance and uploads the report as an artifact, so the perf
+// trajectory is tracked per commit. A driver whose run breaks its
+// checks fails the gate, -write included, naming the driver: a
+// baseline is never taken from a run that stopped conserving loss.
 //
 // Usage:
 //
@@ -27,7 +21,8 @@
 //
 // Each measurement prints its percentage delta against the baseline as
 // it lands, so a CI log shows where the time went without a separate
-// diff step.
+// diff step. Drivers without a baseline entry are listed as not gated;
+// they gate once the baseline is rewritten.
 //
 // Measurements run with Workers=1: serial sweeps keep allocation counts
 // reproducible (parallel workers shuffle sync.Pool hit rates), and the
@@ -42,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,40 +60,13 @@ type result struct {
 // keys, so reports diff cleanly.
 type report map[string]result
 
-// benchmarks are the gated drivers. Durations mirror the repository
-// benchmark harness (bench_test.go) so one iteration costs tens to a few
-// hundred milliseconds while preserving every experiment's shape.
-var benchmarks = []struct {
-	name string
-	run  func()
-}{
-	{"E1LineRate", func() { experiments.E1LineRate(sim.Millisecond) }},
-	{"E10TesterMesh", func() { experiments.E10TesterMesh(sim.Millisecond) }},
-	{"E11Rate40G", func() { experiments.E11Rate40G(sim.Millisecond) }},
-	{"E12MixedRateFanIn", func() { experiments.E12MixedRateFanIn(2 * sim.Millisecond) }},
-	{"E13MultiDUTChain", func() { experiments.E13MultiDUTChain(2 * sim.Millisecond) }},
-	{"E14Capture100G", func() { experiments.E14Capture100G(sim.Millisecond) }},
-	{"E15Oversub", func() { experiments.E15Oversubscribed(sim.Millisecond) }},
-	{"E16LossAttr", func() { experiments.E16LossAttribution(2 * sim.Millisecond) }},
-	{"E17FlowAnalytics", func() { experiments.E17FlowAnalytics(2 * sim.Millisecond) }},
-	{"E18TrainSweep", func() { experiments.E18TrainSpeedup(sim.Millisecond) }},
-	// E19FatTreeK4 is the sharded engine's headline gate: the same nine
-	// (matrix, load) points the pre-sharding driver ran, now on 4
-	// conservative-lookahead shards. CI holds it to ≥1.5× the frozen
-	// serial figure in BENCH_PRESHARD.json via -expect-improve — the
-	// partitioned event heaps alone reclaim most of that on one core,
-	// and every additional core widens the margin.
-	{"E19FatTreeK4", func() { experiments.E19FatTreeK4Sharded(250*sim.Microsecond, 4) }},
-	{"FabricSynthK8", func() { experiments.FabricSynthMicroBench() }},
-	{"MonSteer8Q", func() { experiments.SteerMicroBench(sim.Millisecond) }},
-	{"DUTSpray2W", func() { experiments.SprayMicroBench(sim.Millisecond) }},
-	{"MonMerge8Q", func() { experiments.MergeMicroBench(sim.Millisecond) }},
-	{"FlowTableUpsert", func() { experiments.FlowTableMicroBench() }},
-	{"PacketChecksum", checksumDriver},
-	{"EngineChurn", engineChurnDriver},
-	{"E20ShardScaling", func() { experiments.E20ShardMicroBench() }},
-	{"LintCheckSelf", lintSelfDriver},
-}
+// drivers is everything benchgate times: the experiment drivers plus
+// three micro drivers for packages below the experiments.
+var drivers = append(slices.Clip(experiments.Drivers),
+	experiments.Driver{Name: "PacketChecksum", Run: checksumDriver},
+	experiments.Driver{Name: "EngineChurn", Run: engineChurnDriver},
+	experiments.Driver{Name: "LintCheckSelf", Run: lintSelfDriver},
+)
 
 // checksumSink keeps the checksum loop observable so the compiler cannot
 // elide it.
@@ -106,7 +75,7 @@ var checksumSink uint16
 // checksumDriver is the in-process twin of BenchmarkPacketChecksum: the
 // word-at-a-time Internet checksum over a 1518 B frame, enough rounds
 // that one driver run costs a stable few milliseconds.
-func checksumDriver() {
+func checksumDriver() error {
 	data := make([]byte, 1518)
 	for i := range data {
 		data[i] = byte(i*31 + 7)
@@ -114,13 +83,14 @@ func checksumDriver() {
 	for i := 0; i < 20000; i++ {
 		checksumSink = packet.Checksum(data, uint32(i))
 	}
+	return nil
 }
 
 // engineChurnDriver is the in-process twin of BenchmarkEngineChurn:
 // schedule/fire churn against a one-million-pending event heap, every
 // fired event re-arming itself so the heap depth — and therefore the
 // sift cost the inlined pointer heap is optimising — stays constant.
-func engineChurnDriver() {
+func engineChurnDriver() error {
 	const (
 		pending = 1 << 20
 		churn   = 1 << 20
@@ -136,37 +106,44 @@ func engineChurnDriver() {
 	for n := 0; n < churn; n++ {
 		e.Step()
 	}
+	return nil
 }
 
 // lintSelfDriver runs the internal/analysis suite over the whole module —
 // parse, type-check, four analyzers — so the invariant gate's own cost is
 // tracked: a pathological slowdown in the ownership interpreter would
 // otherwise only surface as mysteriously slower CI.
-func lintSelfDriver() {
+func lintSelfDriver() error {
 	diags, _, err := analysis.SelfCheck(".")
 	if err != nil {
-		panic(fmt.Sprintf("benchgate: lint self-check: %v", err))
+		return fmt.Errorf("lint self-check: %w", err)
 	}
 	if len(diags) != 0 {
-		panic(fmt.Sprintf("benchgate: lint self-check found %d diagnostics; run cmd/lintcheck", len(diags)))
+		return fmt.Errorf("lint self-check found %d diagnostics; run cmd/lintcheck", len(diags))
 	}
+	return nil
 }
 
 // measure runs fn count times and returns the minimum wall time and
-// allocation count per run. A warm-up run first fills the frame pool and
-// code caches; a GC before each sample keeps the allocator in a
-// comparable state.
-func measure(fn func(), count int) result {
-	fn() // warm-up
+// allocation count per run, or the first error a run returns. A warm-up
+// run first fills the frame pool and code caches; a GC before each
+// sample keeps the allocator in a comparable state.
+func measure(fn func() error, count int) (result, error) {
+	if err := fn(); err != nil { // warm-up
+		return result{}, err
+	}
 	var best result
 	for i := 0; i < count; i++ {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		t0 := time.Now()
-		fn()
+		err := fn()
 		ns := float64(time.Since(t0).Nanoseconds())
 		runtime.ReadMemStats(&after)
+		if err != nil {
+			return result{}, err
+		}
 		allocs := float64(after.Mallocs - before.Mallocs)
 		if i == 0 || ns < best.NsPerOp {
 			best.NsPerOp = ns
@@ -175,7 +152,7 @@ func measure(fn func(), count int) result {
 			best.AllocsPerOp = allocs
 		}
 	}
-	return best
+	return best, nil
 }
 
 // violation is one benchmark outside tolerance.
@@ -282,6 +259,19 @@ func checkImprovements(got, fallback report, exp map[string]expectation, load fu
 	return out
 }
 
+// ungated lists, sorted, the measured benchmarks that have no baseline
+// entry and so pass compare unchecked.
+func ungated(got, baseline report) []string {
+	var out []string
+	for name := range got {
+		if _, ok := baseline[name]; !ok {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // compare checks every measured benchmark against the baseline. ns/op may
 // grow by the factor tolNS, allocs/op by tolAllocs (with a small absolute
 // slack so tiny baselines aren't gated at ±1 allocation). Benchmarks
@@ -374,12 +364,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(1)
 	}
-	got := make(report, len(benchmarks))
-	for _, b := range benchmarks {
-		r := measure(b.run, *count)
-		got[b.name] = r
-		fmt.Printf("%-20s %12.0f ns/op %10.0f allocs/op", b.name, r.NsPerOp, r.AllocsPerOp)
-		if base, ok := baseline[b.name]; ok && base.NsPerOp > 0 {
+	got := make(report, len(drivers))
+	var failed []string
+	for _, d := range drivers {
+		r, err := measure(d.Run, *count)
+		if err != nil {
+			fmt.Printf("%-20s FAILED: %v\n", d.Name, err)
+			failed = append(failed, d.Name)
+			continue
+		}
+		got[d.Name] = r
+		fmt.Printf("%-20s %12.0f ns/op %10.0f allocs/op", d.Name, r.NsPerOp, r.AllocsPerOp)
+		if base, ok := baseline[d.Name]; ok && base.NsPerOp > 0 {
 			fmt.Printf("  %+7.1f%% ns/op %+7.1f%% allocs/op vs baseline",
 				pctDelta(r.NsPerOp, base.NsPerOp), pctDelta(r.AllocsPerOp, base.AllocsPerOp))
 		}
@@ -387,6 +383,10 @@ func main() {
 	}
 	if err := stop(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+		os.Exit(1)
+	}
+	if len(failed) > 0 {
+		fmt.Fprintf(os.Stderr, "benchgate: drivers failed their checks: %s\n", strings.Join(failed, ", "))
 		os.Exit(1)
 	}
 	if err := writeJSON(*out, got); err != nil {
@@ -410,6 +410,9 @@ func main() {
 			os.Exit(1)
 		}
 		improveAgainst = frozen
+	}
+	if names := ungated(got, baseline); len(names) > 0 {
+		fmt.Printf("benchgate: not gated (no entry in %s): %s\n", *baselinePath, strings.Join(names, ", "))
 	}
 	violations := compare(got, baseline, *tolNS, *tolAllocs)
 	violations = append(violations, checkImprovements(got, improveAgainst, expectations, loadReport)...)

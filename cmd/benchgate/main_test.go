@@ -2,7 +2,11 @@ package main
 
 import (
 	"fmt"
+	"path/filepath"
+	"slices"
 	"testing"
+
+	"osnt/internal/experiments"
 )
 
 // noLoad is the checkImprovements loader for expectations with no @file
@@ -61,6 +65,56 @@ func TestCompareNewBenchmarkNotGated(t *testing.T) {
 	got := report{"E1": {NsPerOp: 900}, "E99": {NsPerOp: 1e12}}
 	if v := compare(got, base, 1.25, 1.10); len(v) != 0 {
 		t.Fatalf("unexpected violations: %v", v)
+	}
+}
+
+// A measured benchmark without a baseline entry passes compare, so it
+// must at least be named as not gated.
+func TestUngatedNamesNewBenchmarks(t *testing.T) {
+	base := report{"E1": {NsPerOp: 1000}, "E2": {NsPerOp: 1000}}
+	got := report{"E1": {NsPerOp: 900}, "E99": {NsPerOp: 1e12}, "E50": {NsPerOp: 1}}
+	if names := ungated(got, base); !slices.Equal(names, []string{"E50", "E99"}) {
+		t.Fatalf("ungated = %v, want [E50 E99]", names)
+	}
+	if names := ungated(base, base); len(names) != 0 {
+		t.Fatalf("fully gated run listed %v", names)
+	}
+}
+
+// The registry is the single list every runner reads: ids run e1…e20
+// in order, every driver benchgate times has its own name, and every key
+// of every checked-in report names one of those drivers — so renaming
+// or dropping a driver fails here, not only in the benchgate CI job.
+func TestRegistryConsistent(t *testing.T) {
+	if n := len(experiments.Registry); n != 20 {
+		t.Errorf("registry has %d experiments, want 20", n)
+	}
+	for i, x := range experiments.Registry {
+		if want := fmt.Sprintf("e%d", i+1); x.ID != want {
+			t.Errorf("registry entry %d has id %q, want %q", i, x.ID, want)
+		}
+	}
+	names := make(map[string]bool, len(drivers))
+	for _, d := range drivers {
+		if names[d.Name] {
+			t.Errorf("driver name %s is used twice", d.Name)
+		}
+		names[d.Name] = true
+	}
+	files, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no checked-in BENCH_*.json reports found (err %v)", err)
+	}
+	for _, f := range files {
+		r, err := loadReport(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name := range r {
+			if !names[name] {
+				t.Errorf("%s: key %s names no driver benchgate runs", filepath.Base(f), name)
+			}
+		}
 	}
 }
 

@@ -1,17 +1,10 @@
-// Command osnt-bench regenerates the paper's evaluation: every experiment
-// table from DESIGN.md (E1–E8, plus the scaling sweeps E9 multi-port,
-// E10 tester mesh, E11 40G ports, E12 mixed-rate fan-in, E13 multi-DUT
-// chain, E14 100G multi-queue capture, E15 oversubscribed ECMP fabric,
-// E16 per-hop loss attribution, E17 per-flow analytics over merged
-// multi-queue capture, E18 frame-train coalescing, E19 synthesized
-// fat-tree fabrics and E20 sharded conservative-lookahead execution)
-// printed to stdout.
+// Command osnt-bench regenerates the paper's evaluation: every table of
+// experiments.Registry (E1–E8 from the paper, E9–E20 the scaling sweeps
+// beyond it) printed to stdout in registry order; -list names them.
 // Use -e to select a single experiment,
 // -workers to bound sweep parallelism (tables are byte-identical at any
-// worker count), -train to override the frame-train cap of the
-// batching experiments (0 keeps each experiment's own setting) and
-// -shards to cap the shard axis of the sharded experiment (rows that
-// remain are byte-identical at any cap).
+// worker count) and -shards to cap the shard axis of the sharded
+// experiment (rows that remain are byte-identical at any cap).
 //
 // Usage:
 //
@@ -33,40 +26,12 @@ import (
 
 	"osnt/internal/experiments"
 	"osnt/internal/prof"
-	"osnt/internal/stats"
 )
 
-var runners = []struct {
-	id   string
-	desc string
-	run  func() *stats.Table
-}{
-	{"e1", "line-rate generation vs frame size", func() *stats.Table { return experiments.E1LineRate(0) }},
-	{"e2", "GPS clock discipline", func() *stats.Table { return experiments.E2ClockDiscipline(0) }},
-	{"e3", "legacy switch latency vs load (Demo Part I)", func() *stats.Table { return experiments.E3SwitchLatency(0) }},
-	{"e4", "flow_mod control vs data plane latency (Demo Part II)", experiments.E4FlowModLatency},
-	{"e5", "forwarding consistency during updates (Demo Part II)", experiments.E5Consistency},
-	{"e6", "timestamp noise: hardware vs software", func() *stats.Table { return experiments.E6TimestampNoise(0) }},
-	{"e7", "loss-limited capture path", func() *stats.Table { return experiments.E7CapturePath(0) }},
-	{"e8", "control channel under dataplane load", experiments.E8ControlUnderLoad},
-	{"e9", "multi-port scaling: 1/2/4/8 gen→mon pairs at line rate", func() *stats.Table { return experiments.E9PortScaling(0) }},
-	{"e10", "tester mesh: 2/4 cards full-mesh through a DUT", func() *stats.Table { return experiments.E10TesterMesh(0) }},
-	{"e11", "40G ports: gen→mon pairs at 40 Gb/s line rate", func() *stats.Table { return experiments.E11Rate40G(0) }},
-	{"e12", "mixed-rate fan-in: 4×10G into a 40G uplink through a converting DUT", func() *stats.Table { return experiments.E12MixedRateFanIn(0) }},
-	{"e13", "multi-DUT chain: per-hop latency decomposition over 1-4 switches", func() *stats.Table { return experiments.E13MultiDUTChain(0) }},
-	{"e14", "100G capture: 1/2/4/8 DMA queues vs the loss-limited host path", func() *stats.Table { return experiments.E14Capture100G(0) }},
-	{"e15", "oversubscribed fabric: 4×40G leaves ECMP-sprayed over 2×40G uplinks", func() *stats.Table { return experiments.E15Oversubscribed(0) }},
-	{"e16", "per-hop loss attribution through a 4-deep converting chain", func() *stats.Table { return experiments.E16LossAttribution(0) }},
-	{"e17", "per-flow analytics over merged multi-queue capture: elephants and mice through a lossy DUT", func() *stats.Table { return experiments.E17FlowAnalytics(0) }},
-	{"e18", "frame-train coalescing at 100G: events per frame vs train cap, bit-exact across caps", func() *stats.Table { return experiments.E18TrainSpeedup(0) }},
-	{"e19", "synthesized fat-trees: k=8/k=4 under permutation/incast/hot-spot with per-tier loss attribution", func() *stats.Table { return experiments.E19FatTree(0) }},
-	{"e20", "sharded conservative-lookahead execution: k=8 matrices at 1/2/4/8 shards, digests proven identical", func() *stats.Table { return experiments.E20ShardedFabric(0) }},
-}
-
 func validIDs() string {
-	ids := make([]string, len(runners))
-	for i, r := range runners {
-		ids[i] = r.id
+	ids := make([]string, len(experiments.Registry))
+	for i, x := range experiments.Registry {
+		ids[i] = x.ID
 	}
 	return strings.Join(ids, ", ")
 }
@@ -75,7 +40,6 @@ func main() {
 	sel := flag.String("e", "", "experiment id to run (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	workers := flag.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-	train := flag.Int("train", 0, "frame-train cap override for the batching experiments (0 = per-experiment default, 1 = per-frame path)")
 	shards := flag.Int("shards", 0, "cap on the shard axis of the sharded experiment (0 = full 1/2/4/8 sweep; N keeps shard counts ≤ N plus the 1-shard reference)")
 	losses := flag.Bool("losses", false, "print the per-hop/per-reason loss table of the canonical oversubscribed fabric (E15 at 100% load) and exit")
 	writeExp := flag.String("write-experiments", "", "regenerate the generated tables section of the given markdown file (\"\" = off; CI uses EXPERIMENTS.md)")
@@ -83,7 +47,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile, taken after a GC at exit, to this file")
 	flag.Parse()
 	experiments.Workers = *workers
-	experiments.TrainCap = *train
 	experiments.Shards = *shards
 
 	stop, err := prof.Start(*cpuProfile, *memProfile)
@@ -102,8 +65,8 @@ func main() {
 // run does what the flags select and returns the exit status.
 func run(sel string, list, losses bool, writeExp string) int {
 	if list {
-		for _, r := range runners {
-			fmt.Printf("%-4s %s\n", r.id, r.desc)
+		for _, x := range experiments.Registry {
+			fmt.Printf("%-4s %s\n", x.ID, x.Desc)
 		}
 		return 0
 	}
@@ -119,11 +82,11 @@ func run(sel string, list, losses bool, writeExp string) int {
 		return 0
 	}
 	ran := 0
-	for _, r := range runners {
-		if sel != "" && !strings.EqualFold(sel, r.id) {
+	for _, x := range experiments.Registry {
+		if sel != "" && !strings.EqualFold(sel, x.ID) {
 			continue
 		}
-		fmt.Println(r.run().String())
+		fmt.Println(x.Table(0).String())
 		ran++
 	}
 	if ran == 0 {
@@ -159,11 +122,11 @@ func writeExperiments(path string) error {
 	b.WriteString(text[:begin])
 	b.WriteString(tablesBegin)
 	b.WriteString("\n\n```\n")
-	for i, r := range runners {
+	for i, x := range experiments.Registry {
 		if i > 0 {
 			b.WriteString("\n")
 		}
-		b.WriteString(r.run().String())
+		b.WriteString(x.Table(0).String())
 	}
 	b.WriteString("```\n\n")
 	b.WriteString(text[end:])

@@ -71,7 +71,7 @@ func E14Capture100G(duration sim.Duration) *stats.Table {
 			// Frame-train coalescing: at load 1.0 every frame abuts its
 			// predecessor, so the whole hot path batches — same table,
 			// a fraction of the engine events.
-			MaxTrain: trainCap(64),
+			MaxTrain: 64,
 			Until:    sim.Time(duration),
 		})
 		if err != nil {
@@ -136,7 +136,7 @@ func SteerMicroBench(duration sim.Duration) uint64 {
 		Spacing:  gen.CBRForLoad(64, wire.Rate10G, 1.0),
 		Pool:     wire.DefaultPool,
 		Seed:     runner.PointSeed(0xe14, 0x5eed),
-		MaxTrain: trainCap(64),
+		MaxTrain: 64,
 		Until:    sim.Time(duration),
 	})
 	if err != nil {

@@ -268,7 +268,7 @@ func MergeMicroBench(duration sim.Duration) uint64 {
 		Spacing:  gen.CBRForLoad(64, wire.Rate10G, 1.0),
 		Pool:     wire.DefaultPool,
 		Seed:     runner.PointSeed(0xe17, 0x5eed),
-		MaxTrain: trainCap(64),
+		MaxTrain: 64,
 		Until:    sim.Time(duration),
 	})
 	if err != nil {

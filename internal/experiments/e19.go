@@ -161,9 +161,9 @@ func E19FatTree(duration sim.Duration) *stats.Table {
 	return e19Table([]int{8, 4}, duration)
 }
 
-// E19FatTreeK4 is the k=4 slice of E19 at benchmark duration — the
-// shape cmd/benchgate tracks (20 switches and 16 hosts synthesized,
-// driven and torn down per iteration).
+// E19FatTreeK4 is the k=4 slice of E19 — the shape the
+// E19FatTreeK4Serial driver times (20 switches and 16 hosts
+// synthesized, driven and torn down per iteration).
 func E19FatTreeK4(duration sim.Duration) *stats.Table {
 	if duration == 0 {
 		duration = sim.Millisecond

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"osnt/internal/fabric"
@@ -18,10 +19,9 @@ import (
 // (E20): a 2-core box can run `osnt-bench -e e20 -shards 2` and sweep
 // only shards ∈ {1, 2}. The default (0) runs the full 1/2/4/8 axis,
 // which is what the committed EXPERIMENTS.md and the CI drift gate use.
-// Unlike Workers and TrainCap this knob removes rows rather than
-// changing any — every row that remains is byte-identical at any
-// setting, shards=1 included: sharding repartitions the event loop,
-// never the simulation.
+// Unlike Workers this knob removes rows rather than changing any —
+// every row that remains is byte-identical at any setting, shards=1
+// included: sharding repartitions the event loop, never the simulation.
 var Shards int
 
 // e20ShardCounts is the full shard axis of E20.
@@ -243,7 +243,8 @@ const e19ShardedLinkDelay = 5 * sim.Microsecond
 // partitioning, not sweep parallelism). E19FatTreeK4 itself is
 // untouched: its zero-delay fabric cannot be cut (a zero-delay
 // cross-shard edge is a topo build error), and its table must stay
-// byte-identical.
+// byte-identical. As in E19, the conserved column checks sent =
+// delivered + Σ attributed drops exactly per row.
 func E19FatTreeK4Sharded(duration sim.Duration, shards int) *stats.Table {
 	if duration == 0 {
 		duration = sim.Millisecond
@@ -251,7 +252,7 @@ func E19FatTreeK4Sharded(duration sim.Duration, shards int) *stats.Table {
 	tbl := &stats.Table{
 		Title: fmt.Sprintf("E19-class sharded benchmark: k=4, 5µs cables, %d shards", shards),
 		Columns: []string{"k", "matrix", "load(%)", "offered(Mpps)", "delivered(Mpps)",
-			"loss(%)", "p99(µs)", "digest"},
+			"loss(%)", "p99(µs)", "digest", "conserved"},
 	}
 	perK := len(e19Matrices) * len(E19Loads)
 	secs := duration.Seconds()
@@ -268,14 +269,23 @@ func E19FatTreeK4Sharded(duration sim.Duration, shards int) *stats.Table {
 			fmt.Sprintf("%.2f", r.lm.LossFraction()*100),
 			fmt.Sprintf("%.2f", float64(r.lat.Percentile(99))/1e6),
 			fmt.Sprintf("%016x", r.digest),
+			fmt.Sprintf("%v", r.lm.Conserved()),
 		}}
 	})
 	return tbl
 }
 
 // E20ShardMicroBench is the benchgate probe for shard scaling: one
-// k=8 permutation point at 4 shards, returning its stream digest so
-// the work cannot be elided.
-func E20ShardMicroBench() uint64 {
-	return e20Point(100*sim.Microsecond, 8, "permutation", e20Load, e20LinkDelay, 0, 4).digest
+// k=8 permutation point at 4 shards. It fails unless the stream digest
+// is non-degenerate and the point conserves loss exactly.
+func E20ShardMicroBench() error {
+	r := e20Point(100*sim.Microsecond, 8, "permutation", e20Load, e20LinkDelay, 0, 4)
+	if r.digest == 0 {
+		return errors.New("degenerate digest")
+	}
+	if !r.lm.Conserved() {
+		return fmt.Errorf("loss not conserved: sent %d, delivered %d, attributed %d",
+			r.lm.Sent, r.lm.Delivered, r.lm.Attributed())
+	}
+	return nil
 }

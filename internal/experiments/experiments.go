@@ -1,17 +1,13 @@
 // Package experiments regenerates every quantitative claim of the paper
 // (DESIGN.md's per-experiment index, E1–E8) plus the scaling sweeps the
-// testbed enables beyond it (E9 multi-port, E10 tester mesh, E11 40G
-// ports, E12 mixed-rate fan-in, E13 multi-DUT chain decomposition, E14
-// 100G multi-queue capture, E15 oversubscribed ECMP fabric, E16 per-hop
-// loss attribution, E17 per-flow analytics over merged multi-queue
-// capture, E18 frame-train coalescing, E19 synthesized fat-tree
-// fabrics).
-// Each driver declares its rig as an internal/topo scenario
-// graph, runs the workload in virtual time and returns a printable table
-// whose shape can be compared against the paper; the cmd/osnt-bench
-// binary and the repository-level benchmarks are thin wrappers around
-// these functions. Sweep points run on the internal/runner worker pool
-// (see Workers) and draw per-packet frames from a shared wire.Pool, so
+// testbed enables beyond it. Each driver declares its rig as an
+// internal/topo scenario graph, runs the workload in virtual time and
+// returns a printable table whose shape can be compared against the
+// paper. Registry (registry.go) is the one list of experiments and
+// Drivers the one list of timed runs: cmd/osnt-bench, EXPERIMENTS.md,
+// the repository-level BenchmarkDrivers and cmd/benchgate all iterate
+// them. Sweep points run on the internal/runner worker pool (see
+// Workers) and draw per-packet frames from a shared wire.Pool, so
 // regenerating the full evaluation costs neither serial wall time nor
 // per-packet garbage.
 package experiments
@@ -44,24 +40,6 @@ var FrameSizes = []int{64, 128, 256, 512, 1024, 1280, 1518}
 // independent engine with its own seeds and the runner merges rows in
 // canonical order, so tables are byte-identical at any setting.
 var Workers int
-
-// TrainCap, when non-zero, overrides the generator frame-train cap of
-// the experiments that batch (E14 and the steering/merge micro-
-// benchmarks): 1 forces the per-frame reference path, higher values
-// deepen the coalescing. Tables are byte-identical at any setting —
-// trains only coalesce simulator bookkeeping, never frame timing — so
-// the override exists to measure host-side cost, not to change results.
-// E18 sweeps caps explicitly and ignores it.
-var TrainCap int
-
-// trainCap returns the effective frame-train cap: the TrainCap override
-// if set, else the experiment's own default.
-func trainCap(def int) int {
-	if TrainCap > 0 {
-		return TrainCap
-	}
-	return def
-}
 
 func sweeper() *runner.Runner { return runner.New(Workers) }
 
@@ -491,30 +469,4 @@ func E8ControlUnderLoad() *stats.Table {
 		}}
 	})
 	return tbl
-}
-
-// All runs every experiment with default parameters, in paper order.
-func All() []*stats.Table {
-	return []*stats.Table{
-		E1LineRate(0),
-		E2ClockDiscipline(0),
-		E3SwitchLatency(0),
-		E4FlowModLatency(),
-		E5Consistency(),
-		E6TimestampNoise(0),
-		E7CapturePath(0),
-		E8ControlUnderLoad(),
-		E9PortScaling(0),
-		E10TesterMesh(0),
-		E11Rate40G(0),
-		E12MixedRateFanIn(0),
-		E13MultiDUTChain(0),
-		E14Capture100G(0),
-		E15Oversubscribed(0),
-		E16LossAttribution(0),
-		E17FlowAnalytics(0),
-		E18TrainSpeedup(0),
-		E19FatTree(0),
-		E20ShardedFabric(0),
-	}
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // TestAllTablesWellFormed is the harness-level smoke test: every
-// experiment in All() must produce a titled table whose rows all match
-// the header width and carry no empty cells — the shape contract
-// cmd/osnt-bench and EXPERIMENTS.md rely on.
+// Registry experiment's full-length table — the one EXPERIMENTS.md
+// records — must meet the shape contract cmd/osnt-bench relies on and
+// pass the experiment's own Check (line rate, exact loss conservation,
+// digest equality, …).
 func TestAllTablesWellFormed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full E1–E20 evaluation")
@@ -20,32 +21,9 @@ func TestAllTablesWellFormed(t *testing.T) {
 		// suite is the race-certification path for every sweep.
 		t.Skip("full-duration sweep; shape does not depend on -race")
 	}
-	tables := All()
-	if len(tables) != 20 {
-		t.Fatalf("All() returned %d tables, want 20 (E1–E20)", len(tables))
-	}
-	for i, tbl := range tables {
-		if tbl.Title == "" {
-			t.Errorf("table %d has no title", i+1)
-		}
-		if len(tbl.Columns) == 0 {
-			t.Errorf("%s: no columns", tbl.Title)
-		}
-		if len(tbl.Rows) == 0 {
-			t.Errorf("%s: no rows", tbl.Title)
-		}
-		for r, row := range tbl.Rows {
-			if len(row) != len(tbl.Columns) {
-				t.Errorf("%s: row %d has %d cells, header has %d",
-					tbl.Title, r, len(row), len(tbl.Columns))
-				continue
-			}
-			for c, cell := range row {
-				if cell == "" {
-					t.Errorf("%s: empty cell at row %d col %d (%s)",
-						tbl.Title, r, c, tbl.Columns[c])
-				}
-			}
+	for _, x := range Registry {
+		if err := verify(x.Table(0), x.Check); err != nil {
+			t.Errorf("%s: %v", x.ID, err)
 		}
 	}
 }

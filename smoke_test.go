@@ -4,6 +4,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"osnt/internal/experiments"
 )
 
 // goRun builds and runs a main package in-tree, returning its combined
@@ -30,9 +32,15 @@ func TestOSNTBenchListSmoke(t *testing.T) {
 		t.Skip("builds and runs a binary")
 	}
 	out := goRun(t, "./cmd/osnt-bench", "-list")
-	for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"} {
-		if !strings.Contains(out, id+" ") && !strings.Contains(out, id+"\t") && !strings.HasPrefix(out, id) && !strings.Contains(out, "\n"+id) {
-			t.Errorf("-list output missing %s:\n%s", id, out)
+	listed := make(map[string]bool)
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			listed[f[0]] = true
+		}
+	}
+	for _, x := range experiments.Registry {
+		if !listed[x.ID] {
+			t.Errorf("-list output missing %s:\n%s", x.ID, out)
 		}
 	}
 }
