@@ -87,9 +87,9 @@ func checksumDriver() error {
 }
 
 // engineChurnDriver is the in-process twin of BenchmarkEngineChurn:
-// schedule/fire churn against a one-million-pending event heap, every
-// fired event re-arming itself so the heap depth — and therefore the
-// sift cost the inlined pointer heap is optimising — stays constant.
+// arm/fire churn against a one-million-pending event heap, every fired
+// event re-arming itself so the heap depth — and therefore the sift cost
+// the inlined pointer heap is optimising — stays constant.
 func engineChurnDriver() error {
 	const (
 		pending = 1 << 20
@@ -100,7 +100,7 @@ func engineChurnDriver() error {
 	for i := range evs {
 		i := i
 		evs[i] = e.Schedule(sim.Time(1+i), func() {
-			e.RescheduleAfter(evs[i], sim.Duration(1+uint64(i)*2654435761%100000))
+			e.Arm(evs[i], e.Now().Add(sim.Duration(1+uint64(i)*2654435761%100000)))
 		})
 	}
 	for n := 0; n < churn; n++ {

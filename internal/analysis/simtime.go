@@ -13,9 +13,10 @@ import (
 //     instants combine with durations through Time.Add / Time.Sub, which
 //     keep instants and spans distinct (t+t, t*2 and untyped-constant
 //     mixing like t+800 are all meaningless or unit-unsafe);
-//   - Engine.Schedule / Reschedule / ScheduleEvery time arguments built
-//     from a subtraction or a negated Add offset are flagged: a time that
-//     can precede the engine's now is the statically visible half of the
+//   - time arguments of every call that queues an event — Engine.Schedule,
+//     Engine.Arm, Engine.ScheduleEvery and Ticker.Reset — built from a
+//     subtraction or a negated Add offset are flagged: a time that can
+//     precede the engine's now is the statically visible half of the
 //     causality-violation panic.
 var SimTime = &Analyzer{
 	Name: "simtime",
@@ -49,11 +50,19 @@ func runSimTime(pass *Pass) error {
 					return true
 				}
 				sig, ok := fn.Type().(*types.Signature)
-				if !ok || sig.Recv() == nil || !isNamedFrom(sig.Recv().Type(), "sim", "Engine") {
+				if !ok || sig.Recv() == nil {
 					return true
 				}
+				recv := sig.Recv().Type()
 				switch fn.Name() {
-				case "Schedule", "ScheduleAt", "Reschedule", "ScheduleEvery":
+				case "Schedule", "Arm", "ScheduleEvery":
+					if !isNamedFrom(recv, "sim", "Engine") {
+						return true
+					}
+				case "Reset":
+					if !isNamedFrom(recv, "sim", "Ticker") {
+						return true
+					}
 				default:
 					return true
 				}

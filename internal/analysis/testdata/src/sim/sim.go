@@ -16,8 +16,11 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Event is a scheduled callback.
+// Event is a callback on the engine's timeline.
 type Event struct{}
+
+// NewEvent returns an unqueued event that runs fn.
+func NewEvent(fn func()) Event { return Event{} }
 
 // Engine is the discrete-event scheduler.
 type Engine struct{ now Time }
@@ -28,8 +31,14 @@ func (e *Engine) Now() Time { return e.now }
 // Schedule runs fn at instant at.
 func (e *Engine) Schedule(at Time, fn func()) *Event { return &Event{} }
 
-// Reschedule re-arms ev for instant at.
-func (e *Engine) Reschedule(ev *Event, at Time) {}
+// Arm queues ev to fire at instant at.
+func (e *Engine) Arm(ev *Event, at Time) {}
 
 // ScheduleEvery runs fn every period starting at t0.
-func (e *Engine) ScheduleEvery(t0 Time, period Duration, fn func()) {}
+func (e *Engine) ScheduleEvery(t0 Time, period Duration, fn func()) *Ticker { return &Ticker{} }
+
+// Ticker fires a callback at a fixed period.
+type Ticker struct{}
+
+// Reset re-arms the ticker to fire at t0 and every period after.
+func (t *Ticker) Reset(t0 Time) {}

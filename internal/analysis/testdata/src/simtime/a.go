@@ -56,9 +56,25 @@ func scheduleNegAdd(e *sim.Engine, d sim.Duration) {
 	e.Schedule(e.Now().Add(-d), func() {}) // want "Schedule time argument adds a negated duration"
 }
 
-// rescheduleBackward re-arms an event before now.
-func rescheduleBackward(e *sim.Engine, ev *sim.Event, d sim.Duration) {
-	e.Reschedule(ev, e.Now()-sim.Time(d)) // want "raw - arithmetic on sim.Time" "Reschedule time argument is a subtraction"
+// armBackward re-arms an event before now.
+func armBackward(e *sim.Engine, ev *sim.Event, epoch sim.Time) {
+	e.Arm(ev, sim.Time(e.Now().Sub(epoch))) // want "Arm time argument is built from Time.Sub"
+}
+
+// armForward is clean.
+func armForward(e *sim.Engine, d sim.Duration) {
+	ev := sim.NewEvent(func() {})
+	e.Arm(&ev, e.Now().Add(d))
+}
+
+// tickerResetBackward moves a ticker's next firing before now.
+func tickerResetBackward(e *sim.Engine, tk *sim.Ticker, d sim.Duration) {
+	tk.Reset(e.Now().Add(-d)) // want "Reset time argument adds a negated duration"
+}
+
+// scheduleEveryBackward starts a ticker before now.
+func scheduleEveryBackward(e *sim.Engine, d sim.Duration) {
+	e.ScheduleEvery(e.Now().Add(-d), d, func() {}) // want "ScheduleEvery time argument adds a negated duration"
 }
 
 // scheduleForward is clean.
@@ -66,9 +82,9 @@ func scheduleForward(e *sim.Engine, d sim.Duration) {
 	e.Schedule(e.Now().Add(d), func() {})
 }
 
-// scheduleIgnored carries a proven-monotone exception: the negated offset
+// armIgnored carries a proven-monotone exception: the negated offset
 // would be flagged, the directive suppresses it.
-func scheduleIgnored(e *sim.Engine, ev *sim.Event, last sim.Time, d sim.Duration) {
+func armIgnored(e *sim.Engine, ev *sim.Event, last sim.Time, d sim.Duration) {
 	//lint:ignore simtime last+(-d) is the previous emission instant, always <= now here
-	e.Reschedule(ev, last.Add(-d))
+	e.Arm(ev, last.Add(-d))
 }

@@ -343,7 +343,7 @@ type Generator struct {
 	dropped uint64
 	running bool
 	done    func()
-	next    *sim.Event
+	next    sim.Event
 }
 
 // New builds a generator for the port. The configuration must include a
@@ -359,6 +359,7 @@ func New(port *netfpga.Port, cfg Config) (*Generator, error) {
 		cfg.TimestampOffset = DefaultTimestampOffset
 	}
 	g := &Generator{port: port, cfg: cfg, rand: sim.NewRand(cfg.Seed ^ 0x05170)}
+	g.next = sim.NewEvent(g.emit)
 	if cfg.Pool != nil {
 		if ps, ok := cfg.Source.(PooledSource); ok {
 			g.pooled = ps
@@ -382,15 +383,13 @@ func (g *Generator) Start(at sim.Time) {
 			EmbedTimestamp(f.Data, off, ts)
 		}
 	}
-	g.next = e.Schedule(at, g.emit)
+	e.Arm(&g.next, at)
 }
 
 // Stop halts the generator after the current packet.
 func (g *Generator) Stop() {
 	g.running = false
-	if g.next != nil {
-		g.next.Cancel()
-	}
+	g.next.Cancel()
 }
 
 // emit pulls one frame from the source and hands it to the MAC, then
@@ -441,7 +440,8 @@ func (g *Generator) emit() {
 	}
 	// emit is the callback of g.next itself, which has just fired:
 	// re-arming it reuses the one Event for the generator's lifetime.
-	g.port.Card().Engine.RescheduleAfter(g.next, gap)
+	e := g.port.Card().Engine
+	e.Arm(&g.next, e.Now().Add(gap))
 }
 
 // emitTrain coalesces the longest run of frames that depart back to back
@@ -521,7 +521,7 @@ func (g *Generator) emitTrain() {
 	// t is the departure instant of the first frame NOT in this run: the
 	// next emission event, which finishes the generator if it lies past
 	// the Until deadline.
-	e.Reschedule(g.next, t)
+	e.Arm(&g.next, t)
 }
 
 func (g *Generator) finish() {

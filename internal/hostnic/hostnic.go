@@ -56,7 +56,7 @@ type NIC struct {
 	rand   *sim.Rand
 
 	batch      []pending
-	timeoutEv  *sim.Event
+	timeoutEv  sim.Event // the coalescing timer, armed by a batch's first frame
 	interrupts uint64
 	captured   stats.Counter
 }
@@ -69,7 +69,9 @@ type pending struct {
 // New builds a NIC on the engine.
 func New(e *sim.Engine, cfg Config) *NIC {
 	cfg.fill()
-	return &NIC{engine: e, cfg: cfg, rand: sim.NewRand(cfg.Seed ^ 0x501c)}
+	n := &NIC{engine: e, cfg: cfg, rand: sim.NewRand(cfg.Seed ^ 0x501c)}
+	n.timeoutEv = sim.NewEvent(n.fire)
+	return n
 }
 
 // Interrupts returns how many interrupts fired.
@@ -84,13 +86,10 @@ func (n *NIC) Receive(f *wire.Frame, _ sim.Time, at sim.Time) {
 	copy(data, f.Data)
 	n.batch = append(n.batch, pending{data: data, arrival: at})
 	if len(n.batch) == 1 {
-		n.timeoutEv = n.engine.ScheduleAfter(n.cfg.CoalesceTimeout, n.fire)
+		n.engine.Arm(&n.timeoutEv, n.engine.Now().Add(n.cfg.CoalesceTimeout))
 	}
 	if len(n.batch) >= n.cfg.CoalesceCount {
-		if n.timeoutEv != nil {
-			n.timeoutEv.Cancel()
-			n.timeoutEv = nil
-		}
+		n.timeoutEv.Cancel()
 		n.fire()
 	}
 }
@@ -104,7 +103,6 @@ func (n *NIC) fire() {
 	}
 	batch := n.batch
 	n.batch = nil
-	n.timeoutEv = nil
 	n.interrupts++
 	delay := n.cfg.IRQOverhead +
 		sim.Duration(float64(n.cfg.SchedJitterMean)*n.rand.ExpFloat64())

@@ -188,7 +188,6 @@ func sprayScenario(rng *rand.Rand) func(cap int) string {
 func filterScenario(rng *rand.Rand) func(cap int) string {
 	fs := []int{64, 128, 512}[rng.Intn(3)]
 	nflows := []int{8, 64}[rng.Intn(2)]
-	thinFirst := rng.Intn(2) == 1
 	return func(cap int) string {
 		e := sim.NewEngine()
 		top := topo.New().
@@ -213,12 +212,11 @@ func filterScenario(rng *rand.Rand) func(cap int) string {
 		}
 		queues, digests := equivQueues(4)
 		m := top.AttachMonitor("osnt:1", mon.Config{
-			SnapLen:          64,
-			HashBytes:        packet.HeaderDigestBytes,
-			Filters:          filters,
-			ThinBeforeFilter: thinFirst,
-			Steer:            mon.SteerHash,
-			Queues:           queues,
+			SnapLen:   64,
+			HashBytes: packet.HeaderDigestBytes,
+			Filters:   filters,
+			Steer:     mon.SteerHash,
+			Queues:    queues,
 		})
 		g := equivGen(top, "osnt:0", fs, nflows, wire.Rate10G, cap)
 		g.Start(0)

@@ -18,11 +18,6 @@
 // When capture demand exceeds what a queue's host core can drain, that
 // ring overflows and its drops are counted — exactly the behaviour
 // hardware filtering, thinning and now multi-queue DMA exist to avoid.
-//
-// The single-ring configuration of earlier revisions remains the
-// shorthand: a Config without Queues behaves as one queue built from the
-// top-level RingSize/HostPerPacket/HostPerByte/Sink fields, bit-identical
-// to the old API.
 package mon
 
 import (
@@ -97,16 +92,23 @@ const (
 const SteerHashBytes = 64
 
 // QueueConfig parameterises one capture queue: a DMA descriptor ring
-// drained by its own host core. Zero-valued fields inherit the Config's
-// top-level single-queue values (which in turn default as documented
-// there), so []QueueConfig{{}, {}} declares two default queues.
+// drained by its own host core. Zero-valued fields take the defaults
+// documented on each, so []QueueConfig{{}, {}} declares two default
+// queues.
 type QueueConfig struct {
-	// RingSize is the queue's descriptor ring capacity in packets.
+	// RingSize is the queue's descriptor ring capacity in packets
+	// (default 1024).
 	RingSize int
-	// HostPerPacket is this queue's fixed host cost per record.
+	// HostPerPacket is the host-side fixed cost to consume one record:
+	// DMA completion, ring bookkeeping, syscall amortisation (default
+	// 120 ns).
 	HostPerPacket sim.Duration
-	// HostPerByte is this queue's per-byte DMA/copy cost. A negative
-	// value selects zero cost (an idealised infinitely fast host).
+	// HostPerByte is the per-byte DMA/copy cost (default 0.8 ns/B,
+	// ≈1.25 GB/s effective host path — the reason 10 Gb/s line-rate
+	// capture needs thinning, and one host core tops out near 6 Mpps
+	// even on thinned packets). A negative value selects zero cost (an
+	// idealised infinitely fast host, used when a test wants to count at
+	// the MAC rather than model the host).
 	HostPerByte sim.Duration
 	// Sink receives this queue's records in delivery order; nil falls
 	// back to the Config-level Sink.
@@ -125,31 +127,9 @@ type Config struct {
 	// HashBytes computes a digest over the first n bytes of each
 	// accepted packet (0 disables hashing).
 	HashBytes int
-	// ThinBeforeFilter applies thinning before the filter stage. The
-	// hardware pipeline filters first (ablation: thinning first breaks
-	// rules that need bytes beyond the snap length).
-	ThinBeforeFilter bool
 
-	// RingSize is the DMA descriptor ring capacity in packets (default
-	// 1024). With Queues set it is the per-queue default instead.
-	RingSize int
-	// HostPerPacket is the host-side fixed cost to consume one record:
-	// DMA completion, ring bookkeeping, syscall amortisation (default
-	// 120 ns). With Queues set it is the per-queue default instead.
-	HostPerPacket sim.Duration
-	// HostPerByte is the per-byte DMA/copy cost (default 0.8 ns/B,
-	// ≈1.25 GB/s effective host path — the reason 10 Gb/s line-rate
-	// capture needs thinning, and one host core tops out near 6 Mpps
-	// even on thinned packets). A negative value selects zero cost (an
-	// idealised infinitely fast host, used when a test wants to count at
-	// the MAC rather than model the host). With Queues set it is the
-	// per-queue default instead.
-	HostPerByte sim.Duration
-
-	// Queues, when non-empty, declares one capture queue per entry and
-	// turns the three fields above into per-queue defaults. Leaving it
-	// nil is the single-queue shorthand: one queue built from the
-	// top-level fields, the exact behaviour of the old single-ring API.
+	// Queues declares one capture queue per entry; nil means one default
+	// queue.
 	Queues []QueueConfig
 	// Steer picks the steering policy across queues (default SteerHash).
 	// Irrelevant with a single queue.
@@ -168,21 +148,15 @@ type Config struct {
 	RecycleRecords bool
 }
 
-// Validate reports configuration errors: negative ring or host-cost
-// parameters (top-level or per-queue) and an explicitly empty Queues
-// slice. A negative HostPerByte is legal (it means zero cost).
+// Validate reports configuration errors: an unknown Steer policy, an
+// explicitly empty Queues slice, and negative per-queue ring or host-cost
+// parameters. A negative HostPerByte is legal (it means zero cost).
 func (c *Config) Validate() error {
-	if c.RingSize < 0 {
-		return fmt.Errorf("mon: negative RingSize %d", c.RingSize)
-	}
-	if c.HostPerPacket < 0 {
-		return fmt.Errorf("mon: negative HostPerPacket %v", c.HostPerPacket)
-	}
 	if c.Steer > SteerRoundRobin {
 		return fmt.Errorf("mon: unknown Steer policy %d", c.Steer)
 	}
 	if c.Queues != nil && len(c.Queues) == 0 {
-		return fmt.Errorf("mon: Queues set but empty (omit it for the single-queue shorthand)")
+		return fmt.Errorf("mon: Queues set but empty (omit it for one default queue)")
 	}
 	for i, q := range c.Queues {
 		if q.RingSize < 0 {
@@ -219,7 +193,7 @@ type queue struct {
 	head     int
 	merged   int
 	draining bool
-	drainEv  *sim.Event // reusable: at most one DMA completion in flight
+	drainEv  sim.Event // reusable: at most one DMA completion in flight
 	// nextFinish is the instant the in-flight DMA completes (valid while
 	// draining). The train admission path runs ahead of the engine clock
 	// and uses it to apply completions virtually, between two frame
@@ -305,10 +279,11 @@ func New(port *netfpga.Port, cfg Config) (*Monitor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nq := len(cfg.Queues)
-	if nq == 0 {
-		nq = 1
+	qcfgs := cfg.Queues
+	if qcfgs == nil {
+		qcfgs = []QueueConfig{{}}
 	}
+	nq := len(qcfgs)
 	if budget := port.Card().CaptureQueues(); nq > budget {
 		return nil, fmt.Errorf("mon: %d capture queues exceed the card's per-port DMA budget of %d", nq, budget)
 	}
@@ -321,41 +296,21 @@ func New(port *netfpga.Port, cfg Config) (*Monitor, error) {
 	}
 
 	m := &Monitor{port: port, cfg: cfg, eng: port.Card().Engine}
-
-	// Resolve the per-queue defaults once: top-level fields fill from
-	// the documented single-queue defaults, then each queue inherits
-	// whatever it leaves zero.
-	ringDef := cfg.RingSize
-	if ringDef == 0 {
-		ringDef = 1024
-	}
-	ppDef := cfg.HostPerPacket
-	if ppDef == 0 {
-		ppDef = 120 * sim.Nanosecond
-	}
-	pbDef := cfg.HostPerByte
-	if pbDef == 0 {
-		pbDef = sim.Picoseconds(800)
-	}
-	qcfgs := cfg.Queues
-	if len(qcfgs) == 0 {
-		qcfgs = []QueueConfig{{}}
-	}
-	m.queues = make([]queue, len(qcfgs))
+	m.queues = make([]queue, nq)
 	for i, qc := range qcfgs {
 		q := &m.queues[i]
 		q.m, q.idx = m, i
 		q.ringSize = qc.RingSize
 		if q.ringSize == 0 {
-			q.ringSize = ringDef
+			q.ringSize = 1024
 		}
 		q.perPacket = qc.HostPerPacket
 		if q.perPacket == 0 {
-			q.perPacket = ppDef
+			q.perPacket = 120 * sim.Nanosecond
 		}
 		q.perByte = qc.HostPerByte
 		if q.perByte == 0 {
-			q.perByte = pbDef
+			q.perByte = sim.Picoseconds(800)
 		}
 		if q.perByte < 0 {
 			q.perByte = 0 // negative selects the idealised zero-cost host
@@ -365,6 +320,7 @@ func New(port *netfpga.Port, cfg Config) (*Monitor, error) {
 			q.sink = cfg.Sink
 		}
 		q.recycle = cfg.RecycleRecords || q.sink == nil
+		q.drainEv = sim.NewEvent(q.drainDone)
 	}
 
 	port.OnReceive = m.onReceive
@@ -373,9 +329,8 @@ func New(port *netfpga.Port, cfg Config) (*Monitor, error) {
 }
 
 // Attach is New panicking on configuration errors — the spelling for
-// rigs whose capture configuration is static, and the package's original
-// constructor: Attach(port, Config{}) still builds the default
-// single-ring monitor.
+// rigs whose capture configuration is static. Attach(port, Config{})
+// builds a monitor with one default queue.
 func Attach(port *netfpga.Port, cfg Config) *Monitor {
 	m, err := New(port, cfg)
 	if err != nil {
@@ -390,33 +345,11 @@ func (m *Monitor) onReceive(f *wire.Frame, at sim.Time, ts timing.Timestamp) {
 		m.maxTS = ts
 	}
 
-	data := f.Data
-	snap := m.cfg.SnapLen
-
-	if m.cfg.ThinBeforeFilter && snap > 0 && len(data) > snap {
-		data = data[:snap]
-	}
-
-	ruleIdx := -1
-	if m.cfg.Filters != nil {
-		act, idx, ruleSnap := m.cfg.Filters.Match(data)
-		ruleIdx = idx
-		if act == filter.Drop {
-			m.filtered++
-			m.ledger.Report(m.hop, wire.DropFilterReject, 1)
-			return
-		}
-		if ruleSnap > 0 {
-			snap = ruleSnap
-		}
-	}
-	if !m.cfg.ThinBeforeFilter && snap > 0 && len(data) > snap {
-		data = data[:snap]
-	}
-
-	var hash uint64
-	if m.cfg.HashBytes > 0 {
-		hash = packet.PacketDigest(data, m.cfg.HashBytes)
+	data, ruleIdx, hash, drop := m.classify(f.Data)
+	if drop {
+		m.filtered++
+		m.ledger.Report(m.hop, wire.DropFilterReject, 1)
+		return
 	}
 
 	wb := wire.WireBytes(f.Size)
@@ -427,6 +360,34 @@ func (m *Monitor) onReceive(f *wire.Frame, at sim.Time, ts timing.Timestamp) {
 	if q.admit(f, data, at, ts, ruleIdx, hash) {
 		q.drain()
 	}
+}
+
+// classify runs one frame's bytes through the hardware stages that
+// precede steering: the filter verdict, thinning to the effective snap
+// length (a matching rule's SnapLen overrides the Config's), and the
+// digest over the captured bytes. It returns the captured bytes, the
+// index of the accepting rule (-1 for the default action), the digest,
+// and whether the filter dropped the frame.
+func (m *Monitor) classify(data []byte) (capture []byte, rule int, hash uint64, drop bool) {
+	snap := m.cfg.SnapLen
+	rule = -1
+	if m.cfg.Filters != nil {
+		act, idx, ruleSnap := m.cfg.Filters.Match(data)
+		rule = idx
+		if act == filter.Drop {
+			return data, rule, 0, true
+		}
+		if ruleSnap > 0 {
+			snap = ruleSnap
+		}
+	}
+	if snap > 0 && len(data) > snap {
+		data = data[:snap]
+	}
+	if m.cfg.HashBytes > 0 {
+		hash = packet.PacketDigest(data, m.cfg.HashBytes)
+	}
+	return data, rule, hash, false
 }
 
 // onReceiveTrain is the batched admission path: the port hands a whole
@@ -474,49 +435,21 @@ func (m *Monitor) onReceiveTrain(t *wire.Train, at sim.Time) {
 			data    []byte
 			ruleIdx int
 			hash    uint64
+			drop    bool
 		)
 		if hoisted {
-			if hDrop {
-				m.filtered++
-				m.ledger.Report(m.hop, wire.DropFilterReject, 1)
-				continue
-			}
-			data, ruleIdx, hash = f.Data[:hLen], hRule, hHash
+			data, ruleIdx, hash, drop = f.Data[:hLen], hRule, hHash, hDrop
 		} else {
-			// Full classification, mirroring onReceive stage for stage.
-			data = f.Data
-			snap := m.cfg.SnapLen
-			ruleIdx = -1
-			if m.cfg.ThinBeforeFilter && snap > 0 && len(data) > snap {
-				data = data[:snap]
-			}
-			drop := false
-			if m.cfg.Filters != nil {
-				act, idx, ruleSnap := m.cfg.Filters.Match(data)
-				ruleIdx = idx
-				if act == filter.Drop {
-					drop = true
-				} else if ruleSnap > 0 {
-					snap = ruleSnap
-				}
-			}
-			if !drop {
-				if !m.cfg.ThinBeforeFilter && snap > 0 && len(data) > snap {
-					data = data[:snap]
-				}
-				if m.cfg.HashBytes > 0 {
-					hash = packet.PacketDigest(data, m.cfg.HashBytes)
-				}
-			}
+			data, ruleIdx, hash, drop = m.classify(f.Data)
 			if hoist {
 				hoisted = true
 				hDrop, hRule, hLen, hHash = drop, ruleIdx, len(data), hash
 			}
-			if drop {
-				m.filtered++
-				m.ledger.Report(m.hop, wire.DropFilterReject, 1)
-				continue
-			}
+		}
+		if drop {
+			m.filtered++
+			m.ledger.Report(m.hop, wire.DropFilterReject, 1)
+			continue
 		}
 
 		m.accepted.Add(wb)
@@ -557,12 +490,8 @@ func (m *Monitor) onReceiveTrain(t *wire.Train, at sim.Time) {
 	for _, q := range touched {
 		q.touched = false
 		if q.draining {
-			if q.drainEv == nil {
-				q.drainEv = m.eng.Schedule(q.nextFinish, q.drainDone)
-			} else {
-				m.eng.Reprogram(q.drainEv, q.nextFinish)
-			}
-		} else if q.drainEv != nil && q.drainEv.Pending() {
+			m.eng.Arm(&q.drainEv, q.nextFinish)
+		} else {
 			q.drainEv.Cancel()
 		}
 	}
@@ -589,7 +518,7 @@ func (q *queue) advanceTo(t sim.Time) {
 
 // steer picks the capture queue for one accepted packet: rule pins win,
 // then the configured policy. Single-queue monitors skip the stage
-// entirely, so the shorthand path computes nothing the old API did not.
+// entirely.
 func (m *Monitor) steer(data []byte, ruleIdx int, hash uint64) *queue {
 	nq := len(m.queues)
 	if nq == 1 {
@@ -659,15 +588,9 @@ func (q *queue) drain() {
 	q.draining = true
 	cost := q.perPacket + sim.Duration(len(q.ring[q.head].Data))*q.perByte
 	q.nextFinish = q.m.eng.Now().Add(cost)
-	if q.drainEv == nil {
-		//lint:ignore hotpathalloc one-time event creation per queue; steady state reprograms
-		q.drainEv = q.m.eng.Schedule(q.nextFinish, q.drainDone)
-	} else {
-		// Reprogram rather than Reschedule: a train admission may have
-		// left the event cancelled-but-queued, and Reprogram re-keys that
-		// in place.
-		q.m.eng.Reprogram(q.drainEv, q.nextFinish)
-	}
+	// A train admission may have left the event cancelled but queued;
+	// Arm re-keys it in place.
+	q.m.eng.Arm(&q.drainEv, q.nextFinish)
 }
 
 // deliverHead completes the in-flight DMA for the record at the ring

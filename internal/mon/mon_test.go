@@ -169,7 +169,7 @@ func TestHashing(t *testing.T) {
 func TestLossLimitedPathOverflows(t *testing.T) {
 	// E7 in miniature: full-size frames at line rate far exceed the host
 	// drain (~1.25GB/s effective) → ring overflow.
-	r, g := newRig(t, Config{RingSize: 64}, 1518, 1.0)
+	r, g := newRig(t, Config{Queues: []QueueConfig{{RingSize: 64}}}, 1518, 1.0)
 	g.Start(0)
 	r.e.RunUntil(5 * sim.Time(sim.Millisecond))
 	g.Stop()
@@ -185,7 +185,7 @@ func TestLossLimitedPathOverflows(t *testing.T) {
 func TestThinningRestoresLosslessness(t *testing.T) {
 	// Same offered load, thinned to 64B: per-packet host cost dominates
 	// but at 812kpps (1518B frames) the host keeps up.
-	r, g := newRig(t, Config{RingSize: 64, SnapLen: 64}, 1518, 1.0)
+	r, g := newRig(t, Config{Queues: []QueueConfig{{RingSize: 64}}, SnapLen: 64}, 1518, 1.0)
 	g.Start(0)
 	r.e.RunUntil(5 * sim.Time(sim.Millisecond))
 	g.Stop()
@@ -195,34 +195,32 @@ func TestThinningRestoresLosslessness(t *testing.T) {
 	}
 }
 
-func TestThinBeforeFilterAblation(t *testing.T) {
-	// A filter that needs the UDP header fails when thinning to 20 bytes
-	// happens first — the documented pipeline-order ablation.
-	mk := func(thinFirst bool) uint64 {
-		tbl := filter.NewTable(filter.Drop)
-		_ = tbl.Append(&filter.Rule{
-			Action: filter.Capture, Proto: packet.ProtoUDP,
-			DstPortMin: 7000, DstPortMax: 7000,
-		})
-		r, g := newRig(t, Config{Filters: tbl, SnapLen: 20, ThinBeforeFilter: thinFirst}, 256, 0.01)
-		g.Start(0)
-		r.e.RunUntil(100 * sim.Time(sim.Microsecond))
-		g.Stop()
-		r.e.Run()
-		return r.mon.Accepted().Packets
+func TestFilterBeforeThinning(t *testing.T) {
+	// The filter stage sees the whole packet: a rule on the UDP
+	// destination port matches even when the snap length cuts the
+	// capture to 20 bytes, short of the UDP header.
+	tbl := filter.NewTable(filter.Drop)
+	_ = tbl.Append(&filter.Rule{
+		Action: filter.Capture, Proto: packet.ProtoUDP,
+		DstPortMin: 7000, DstPortMax: 7000,
+	})
+	r, g := newRig(t, Config{Filters: tbl, SnapLen: 20}, 256, 0.01)
+	g.Start(0)
+	r.e.RunUntil(100 * sim.Time(sim.Microsecond))
+	g.Stop()
+	r.e.Run()
+	if r.mon.Accepted().Packets == 0 || len(r.recs) == 0 {
+		t.Fatal("a port rule did not match behind a 20-byte snap length")
 	}
-	filterFirst := mk(false)
-	thinFirst := mk(true)
-	if filterFirst == 0 {
-		t.Fatal("filter-first pipeline captured nothing")
-	}
-	if thinFirst != 0 {
-		t.Fatalf("thin-first pipeline should break the port match, got %d", thinFirst)
+	for _, rec := range r.recs {
+		if len(rec.Data) != 20 || rec.Rule != 0 {
+			t.Fatalf("record len %d rule %d, want 20 bytes from rule 0", len(rec.Data), rec.Rule)
+		}
 	}
 }
 
 func TestRingDepthBounded(t *testing.T) {
-	r, g := newRig(t, Config{RingSize: 16}, 1518, 1.0)
+	r, g := newRig(t, Config{Queues: []QueueConfig{{RingSize: 16}}}, 1518, 1.0)
 	maxDepth := 0
 	r.e.ScheduleEvery(0, 10*sim.Microsecond, func() {
 		if d := r.mon.RingDepth(); d > maxDepth {
@@ -282,9 +280,6 @@ func TestConfigValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"zero config", Config{}, true},
-		{"negative ring", Config{RingSize: -1}, false},
-		{"negative host per packet", Config{HostPerPacket: -sim.Nanosecond}, false},
-		{"negative host per byte is zero-cost", Config{HostPerByte: -1}, true},
 		{"empty queues slice", Config{Queues: []QueueConfig{}}, false},
 		{"one default queue", Config{Queues: []QueueConfig{{}}}, true},
 		{"queue negative ring", Config{Queues: []QueueConfig{{}, {RingSize: -5}}}, false},
@@ -346,7 +341,7 @@ func TestAttachPanicsOnInvalidConfig(t *testing.T) {
 			t.Fatal("Attach accepted a negative ring size")
 		}
 	}()
-	Attach(card.Port(0), Config{RingSize: -1})
+	Attach(card.Port(0), Config{Queues: []QueueConfig{{RingSize: -1}}})
 }
 
 // multiQueueRig wires the gen→mon loopback with an N-queue monitor and a
@@ -370,53 +365,6 @@ func multiQueueRig(t *testing.T, cfg Config, flows, frameSize int, load float64)
 		t.Fatal(err)
 	}
 	return r, g, &byQueue
-}
-
-func TestSingleQueueShorthandEquivalence(t *testing.T) {
-	// The explicit one-entry Queues config and the legacy shorthand must
-	// produce bit-identical captures: same records, same delivery
-	// instants, same counters.
-	run := func(cfg Config) (recs []Record, drops uint64) {
-		r := &rig{e: sim.NewEngine()}
-		r.tx = netfpga.New(r.e, netfpga.Config{})
-		r.rx = netfpga.New(r.e, netfpga.Config{})
-		r.tx.Port(0).SetLink(wire.NewLink(r.e, wire.Rate10G, 0, r.rx.Port(0)))
-		cfg.Sink = func(rec Record) {
-			rec.Data = append([]byte(nil), rec.Data...)
-			recs = append(recs, rec)
-		}
-		m := Attach(r.rx.Port(0), cfg)
-		g, err := gen.New(r.tx.Port(0), gen.Config{
-			Source:  &gen.UDPFlowSource{Spec: spec, NumFlows: 4, FrameSize: 1518},
-			Spacing: gen.CBRForLoad(1518, wire.Rate10G, 1.0),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Start(0)
-		r.e.RunUntil(2 * sim.Time(sim.Millisecond))
-		g.Stop()
-		r.e.Run()
-		return recs, m.RingDrops()
-	}
-	oldShape, oldDrops := run(Config{RingSize: 64})
-	newShape, newDrops := run(Config{Queues: []QueueConfig{{RingSize: 64}}})
-	if oldDrops == 0 {
-		t.Fatal("rig under-loaded: want ring overflow in both shapes")
-	}
-	if oldDrops != newDrops {
-		t.Fatalf("drops diverge: shorthand %d, Queues %d", oldDrops, newDrops)
-	}
-	if len(oldShape) != len(newShape) {
-		t.Fatalf("record counts diverge: %d vs %d", len(oldShape), len(newShape))
-	}
-	for i := range oldShape {
-		a, b := oldShape[i], newShape[i]
-		if a.Delivered != b.Delivered || a.TS != b.TS || a.WireSize != b.WireSize ||
-			a.Queue != b.Queue || string(a.Data) != string(b.Data) {
-			t.Fatalf("record %d diverges:\n%+v\nvs\n%+v", i, a, b)
-		}
-	}
 }
 
 func TestHashSteeringPerFlowAffinity(t *testing.T) {
@@ -603,7 +551,7 @@ func TestRingCompactionAcrossThreshold(t *testing.T) {
 	// must neither lose nor corrupt records, and the backing array must
 	// stay proportional to the ring capacity instead of the packet
 	// count.
-	r, g := newRig(t, Config{RingSize: 512}, 1518, 1.0)
+	r, g := newRig(t, Config{Queues: []QueueConfig{{RingSize: 512}}}, 1518, 1.0)
 	g.Start(0)
 	r.e.RunUntil(20 * sim.Time(sim.Millisecond))
 	g.Stop()
@@ -747,7 +695,7 @@ func TestMonitorReportsIntoDropLedger(t *testing.T) {
 	r.tx = netfpga.New(r.e, netfpga.Config{})
 	r.rx = netfpga.New(r.e, netfpga.Config{})
 	r.tx.Port(0).SetLink(wire.NewLink(r.e, wire.Rate10G, 0, r.rx.Port(0)))
-	r.mon = Attach(r.rx.Port(0), Config{Filters: filters, RingSize: 4})
+	r.mon = Attach(r.rx.Port(0), Config{Filters: filters, Queues: []QueueConfig{{RingSize: 4}}})
 	ledger := &wire.DropLedger{}
 	hop := ledger.Add("mon")
 	r.mon.SetDropSite(ledger, hop)
@@ -778,7 +726,7 @@ func TestMonitorReportsIntoDropLedger(t *testing.T) {
 // Ring overflow reports ring-full per lost packet, per queue, summed at
 // the monitor's hop.
 func TestRingOverflowReportsIntoLedger(t *testing.T) {
-	r, g := newRig(t, Config{RingSize: 4, Sink: func(Record) {}}, 1518, 1.0)
+	r, g := newRig(t, Config{Queues: []QueueConfig{{RingSize: 4}}, Sink: func(Record) {}}, 1518, 1.0)
 	ledger := &wire.DropLedger{}
 	hop := ledger.Add("mon")
 	r.mon.SetDropSite(ledger, hop)

@@ -80,6 +80,7 @@ func New(e *sim.Engine, cfg Config) *Card {
 	c := &Card{Engine: e, Clock: cfg.Clock, Regs: NewRegisters(), cfg: cfg}
 	for i := 0; i < cfg.Ports; i++ {
 		p := &Port{card: c, index: i}
+		p.txDoneEv = sim.NewEvent(p.txDone)
 		// Register indices are resolved once here: the TX/RX paths bump
 		// these counters per packet and must pay neither a fmt.Sprintf
 		// nor a map probe there.
@@ -140,7 +141,7 @@ type Port struct {
 
 	// txDoneEv is the reusable MAC-idle event: at most one transmission
 	// is in flight per port, so one Event serves every frame.
-	txDoneEv *sim.Event
+	txDoneEv sim.Event
 
 	// Pre-resolved register indices (see New) keep the per-packet counter
 	// updates allocation-free and map-free.
@@ -221,12 +222,7 @@ func (p *Port) EnqueueTrain(t *wire.Train) {
 	p.card.Regs.AddAt(p.regTxBytes, sizes)
 	end := p.txLink.TransmitTrain(t, e.Now())
 	p.txBusy = true
-	if p.txDoneEv == nil {
-		//lint:ignore hotpathalloc one-time event creation per port; steady state reschedules
-		p.txDoneEv = e.Schedule(end, p.txDone)
-	} else {
-		e.Reschedule(p.txDoneEv, end)
-	}
+	e.Arm(&p.txDoneEv, end)
 }
 
 // trySend latches and serialises the head of the TX queue when the MAC
@@ -249,12 +245,7 @@ func (p *Port) trySend() {
 	p.txStats.Add(wire.WireBytes(f.Size))
 	p.card.Regs.AddAt(p.regTxPackets, 1)
 	p.card.Regs.AddAt(p.regTxBytes, uint64(f.Size))
-	if p.txDoneEv == nil {
-		//lint:ignore hotpathalloc one-time event creation per port; steady state reschedules
-		p.txDoneEv = p.card.Engine.Schedule(end, p.txDone)
-	} else {
-		p.card.Engine.Reschedule(p.txDoneEv, end)
-	}
+	p.card.Engine.Arm(&p.txDoneEv, end)
 }
 
 func (p *Port) txDone() {
@@ -281,14 +272,20 @@ func (p *Port) Receive(f *wire.Frame, _ sim.Time, at sim.Time) {
 }
 
 // ReceiveTrain implements wire.TrainEndpoint: one delivery event covers
-// the whole back-to-back run. Register and stat counters update in bulk;
-// timestamp latching stays strictly per frame in arrival order — by the
-// consumer when an OnReceiveTrain hook is attached, or by the unbundling
-// loop below — so a stateful clock observes exactly the per-frame
-// sequence of latch calls.
+// the whole back-to-back run. With an OnReceiveTrain hook attached, the
+// register and stat counters update in bulk and the hook latches the
+// per-frame timestamps itself, in arrival order. Without one, the run
+// unbundles (wire.Unbundle) into per-frame Receive calls, which count,
+// latch, call OnReceive and release exactly as per-frame delivery does —
+// so a stateful clock observes the per-frame sequence of latch calls
+// either way.
 //
 //lint:hotpath
 func (p *Port) ReceiveTrain(t *wire.Train, start, at sim.Time) {
+	if p.OnReceiveTrain == nil {
+		wire.Unbundle(p, t, start, at)
+		return
+	}
 	var sizes uint64
 	for _, f := range t.Frames {
 		p.rxStats.Add(wire.WireBytes(f.Size))
@@ -296,27 +293,8 @@ func (p *Port) ReceiveTrain(t *wire.Train, start, at sim.Time) {
 	}
 	p.card.Regs.AddAt(p.regRxPackets, uint64(len(t.Frames)))
 	p.card.Regs.AddAt(p.regRxBytes, sizes)
-	if p.OnReceiveTrain != nil {
-		p.OnReceiveTrain(t, at)
-		t.Release()
-		return
-	}
-	// Unbundle: recover each frame's last-bit instant arithmetically and
-	// replay the per-frame receive path.
-	lb := at
-	for i, f := range t.Frames {
-		t.Frames[i] = nil
-		ts := p.card.Clock.Now(lb)
-		if p.OnReceive != nil {
-			p.OnReceive(f, lb, ts)
-		}
-		if i+1 < len(t.Frames) {
-			lb = lb.Add(wire.SerializationTime(t.Frames[i+1].Size, t.Rate))
-		}
-		f.Release()
-	}
-	t.Frames = t.Frames[:0]
-	t.Recycle()
+	p.OnReceiveTrain(t, at)
+	t.Release()
 }
 
 // TxStats returns cumulative transmit counters (wire bytes).

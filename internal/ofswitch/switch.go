@@ -161,7 +161,9 @@ func New(e *sim.Engine, cfg Config) *Switch {
 		table:  NewFlowTable(cfg.TableCap, cfg.ExactFastPath),
 	}
 	for i := 0; i < cfg.Ports; i++ {
-		s.ports = append(s.ports, &Port{sw: s, index: i})
+		p := &Port{sw: s, index: i}
+		p.txEv = sim.NewEvent(p.txDone)
+		s.ports = append(s.ports, p)
 	}
 	return s
 }
@@ -276,7 +278,7 @@ type Port struct {
 	// egress queueing allocates nothing per packet.
 	queue ring.FIFO[*wire.Frame]
 	busy  bool
-	txEv  *sim.Event // reusable: at most one transmission in flight
+	txEv  sim.Event // reusable: at most one transmission in flight
 	drops uint64
 
 	rx stats.Counter
@@ -365,17 +367,7 @@ func (p *Port) ReceiveTrain(t *wire.Train, start, at sim.Time) {
 	if p.sw.receiveTrainFast(p, t, at) {
 		return
 	}
-	fb, lb := start, at
-	for i, f := range t.Frames {
-		t.Frames[i] = nil
-		p.Receive(f, fb, lb)
-		if i+1 < len(t.Frames) {
-			fb = lb
-			lb = fb.Add(wire.SerializationTime(t.Frames[i+1].Size, t.Rate))
-		}
-	}
-	t.Frames = t.Frames[:0]
-	t.Recycle()
+	wire.Unbundle(p, t, start, at)
 }
 
 // receiveTrainFast attempts the coalesced dataplane pass, reporting
@@ -433,11 +425,7 @@ func (s *Switch) receiveTrainFast(p *Port, t *wire.Train, at sim.Time) bool {
 	if now := s.Engine.Now(); eventAt < now {
 		eventAt = now
 	}
-	if out.txEv == nil {
-		out.txEv = s.Engine.Schedule(eventAt, out.txDone)
-	} else {
-		s.Engine.Reschedule(out.txEv, eventAt)
-	}
+	s.Engine.Arm(&out.txEv, eventAt)
 	return true
 }
 
@@ -588,11 +576,7 @@ func (p *Port) sendFrom(earliest sim.Time) {
 	if now := p.sw.Engine.Now(); eventAt < now {
 		eventAt = now
 	}
-	if p.txEv == nil {
-		p.txEv = p.sw.Engine.Schedule(eventAt, p.txDone)
-	} else {
-		p.sw.Engine.Reschedule(p.txEv, eventAt)
-	}
+	p.sw.Engine.Arm(&p.txEv, eventAt)
 }
 
 func (p *Port) txDone() {

@@ -25,9 +25,9 @@
 // orders every hand-off. The destination sorts its records by (arrival
 // instant, delivery key, source shard, export sequence) — a
 // deterministic total order, independent of which shard finished its
-// window first — and schedules the deliveries into its engine with the
+// window first — and arms the deliveries in its engine with the
 // boundary link's delivery key as the same-instant priority
-// (sim.Engine.SchedulePrio). The topology builder gives every
+// (sim.Event.SetPrio). The topology builder gives every
 // positive-delay link a unique key in build order, so simultaneous
 // arrivals at a device fire in cable order — a property of the wiring,
 // identical at every shard count — and a replayed arrival that collides
@@ -163,7 +163,7 @@ func (b *boundary) ExportTrain(t *wire.Train, firstBit, lastBit sim.Time, key ui
 // freelist. Steady state, boundary deliveries allocate nothing.
 type slot struct {
 	m   *member
-	ev  *sim.Event
+	ev  sim.Event
 	rec record
 }
 
@@ -266,13 +266,11 @@ func (m *member) replay(p int) {
 			m.free = m.free[:n-1]
 		} else {
 			s = &slot{m: m}
+			s.ev = sim.NewEvent(s.fire)
 		}
 		s.rec = recs[i]
-		if s.ev == nil {
-			s.ev = e.SchedulePrio(at, recs[i].key, s.fire)
-		} else {
-			e.ReschedulePrio(s.ev, at, recs[i].key)
-		}
+		s.ev.SetPrio(recs[i].key)
+		e.Arm(&s.ev, at)
 	}
 	clear(recs)
 	m.inbox = recs[:0]

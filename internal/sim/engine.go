@@ -4,29 +4,54 @@ import (
 	"fmt"
 )
 
-// Event is a scheduled callback. It is returned by the Schedule family so
-// callers can cancel pending work (for example a retransmit timer).
+// Event is a callback on the engine's timeline. NewEvent builds one and
+// Engine.Arm queues it; an Event that has fired, or was cancelled and
+// popped, can be armed again, and one still queued is re-keyed in place.
+// Components that fire the same work repeatedly keep one Event in their
+// own struct for their lifetime; Schedule builds a fresh one for one-off
+// work. Cancel stops a queued event from firing (for example a
+// retransmit timer).
 type Event struct {
 	at Time
-	// prio orders events scheduled for the same instant: lower fires
-	// first, and PrioDefault — what the plain Schedule family assigns —
-	// sorts last, leaving those events in the familiar FIFO (seq) order.
-	// Explicit priorities exist for events whose same-instant order must
-	// be a structural property of the scenario rather than an accident of
-	// scheduling history: wire link deliveries on delayed cables use the
-	// link's topology-assigned key here, which is what lets the sharded
-	// runtime (internal/shard) replay cross-shard arrivals byte-exactly.
+	// prio orders events due at the same instant: lower fires first, and
+	// PrioDefault — what NewEvent assigns — sorts last, leaving those
+	// events in FIFO (seq) order. Explicit priorities (SetPrio) exist for
+	// events whose same-instant order must be a structural property of
+	// the scenario rather than an accident of arming history: wire link
+	// deliveries on delayed cables carry the link's topology-assigned key
+	// here, which is what lets the sharded runtime (internal/shard)
+	// replay cross-shard arrivals byte-exactly.
 	prio   uint64
 	seq    uint64 // tie-break: FIFO among events at the same (at, prio)
 	fn     func()
-	index  int // heap index, -1 once popped or cancelled
+	index  int // heap index, -1 while not queued
 	cancel bool
 }
 
-// PrioDefault is the scheduling priority of the plain Schedule family:
-// it sorts after every explicit priority, so same-instant events without
-// one fire in FIFO order exactly as before priorities existed.
+// PrioDefault is the priority NewEvent assigns: it sorts after every
+// explicit priority, so same-instant events without one fire in the
+// order they were armed.
 const PrioDefault = ^uint64(0)
+
+// NewEvent returns an unqueued event that runs fn when it fires, with
+// priority PrioDefault. It returns the Event by value so the component
+// that owns it can keep it in its own struct, built with the component
+// at no allocation of its own, and arm it through its address. Arm
+// queues it; an armed Event must not be copied.
+func NewEvent(fn func()) Event {
+	return Event{prio: PrioDefault, fn: fn, index: -1}
+}
+
+// SetPrio sets the event's same-instant priority: among events due at one
+// instant, lower prio fires first and PrioDefault fires last. Setting it
+// on a queued event panics, since changing the key of a queued event
+// would corrupt the heap.
+func (ev *Event) SetPrio(p uint64) {
+	if ev.index != -1 {
+		panic("sim: SetPrio on a queued event")
+	}
+	ev.prio = p
+}
 
 // At returns the instant the event is scheduled for.
 func (ev *Event) At() Time { return ev.at }
@@ -43,19 +68,19 @@ func (ev *Event) Cancelled() bool { return ev.cancel }
 func (ev *Event) Pending() bool { return ev.index != -1 }
 
 // The event queue is a 4-ary min-heap over (at, prio, seq): time first,
-// then explicit priority, then insertion sequence. Events scheduled
-// without a priority carry PrioDefault, so among themselves they fire in
+// then explicit priority, then arming sequence. Events without an
+// explicit priority carry PrioDefault, so among themselves they fire in
 // FIFO order — deterministic ordering is essential: experiment results
 // must not depend on map or heap tie-breaking accidents. Explicit
 // priorities order same-instant events by a structural key of the
-// scenario (a delayed link's topology ordinal) instead of scheduling
+// scenario (a delayed link's topology ordinal) instead of arming
 // history, which is what makes a partitioned run (internal/shard)
 // reproduce a single-engine run to the byte.
 //
 // The heap is hand-inlined rather than built on container/heap: that
 // package moves every element through `any` and dispatches every
 // comparison through an interface table, which costs real time on a path
-// crossed once per scheduled event. Each heap entry additionally carries
+// crossed once per armed event. Each heap entry additionally carries
 // the event's instant inline, so the sift loops decide the common
 // earlier/later case from contiguous slice memory and only dereference
 // two scattered Events on an exact-instant tie — at fat-tree queue
@@ -71,8 +96,8 @@ func (ev *Event) Pending() bool { return ev.index != -1 }
 // alongside the pointer: the sift loops and the RunUntil horizon check
 // read contiguous slice memory for the common earlier/later verdict and
 // only dereference the Events on an exact-instant tie (broken by prio,
-// then seq). The instant is authoritative while queued: Reprogram
-// rewrites the Event's fields and then re-keys the entry via fix.
+// then seq). The instant is authoritative while queued: Arm rewrites a
+// queued Event's fields and then re-keys its entry via fix.
 type heapEntry struct {
 	at Time
 	ev *Event
@@ -193,11 +218,10 @@ func (e *Engine) fix(ev *Event) {
 // pipelines are modelled as a causal sequence of events, and determinism is
 // a design requirement (see DESIGN.md).
 type Engine struct {
-	now     Time
-	queue   []heapEntry
-	seq     uint64
-	running bool
-	fired   uint64
+	now   Time
+	queue []heapEntry
+	seq   uint64
+	fired uint64
 }
 
 // NewEngine returns an engine with its clock at instant 0 and an empty
@@ -216,106 +240,40 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // workload accounting in benchmarks.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Schedule queues fn to run at instant at. Scheduling in the past panics:
-// it would mean a component violated causality, which is always a bug.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
+// Arm queues ev to fire at instant at. It is the only way an event
+// enters the queue. A fired or popped event is pushed; a queued one,
+// cancelled or not, is re-keyed in place. Either way the cancel flag
+// clears and the event takes the next sequence number, so it fires after
+// everything already armed for the same (at, prio) — where a fresh event
+// would land. Arming in the past panics: it would mean a component
+// violated causality, which is always a bug.
+func (e *Engine) Arm(ev *Event, at Time) {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+		panic(fmt.Sprintf("sim: arm at %v before now %v", at, e.now))
 	}
-	ev := &Event{at: at, prio: PrioDefault, seq: e.seq, fn: fn}
+	ev.at = at
+	ev.seq = e.seq
+	ev.cancel = false
 	e.seq++
-	e.push(ev)
-	return ev
+	if ev.index == -1 {
+		e.push(ev)
+	} else {
+		e.fix(ev)
+	}
 }
 
-// SchedulePrio queues fn to run at instant at with an explicit
-// same-instant priority: among events at one instant, lower prio fires
-// first and PrioDefault fires last (in FIFO order). Wire links use a
-// delayed cable's topology key here so simultaneous arrivals on
-// different cables are served in a structural order rather than whatever
-// order their delivery events happened to be armed in.
-func (e *Engine) SchedulePrio(at Time, prio uint64, fn func()) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	ev := &Event{at: at, prio: prio, seq: e.seq, fn: fn}
-	e.seq++
-	e.push(ev)
-	return ev
+// Schedule queues fn to run at instant at, on a fresh event: NewEvent
+// followed by Arm.
+func (e *Engine) Schedule(at Time, fn func()) *Event {
+	ev := NewEvent(fn)
+	e.Arm(&ev, at)
+	return &ev
 }
 
 // ScheduleAfter queues fn to run d after the current instant. A negative d
 // panics.
 func (e *Engine) ScheduleAfter(d Duration, fn func()) *Event {
 	return e.Schedule(e.now.Add(d), fn)
-}
-
-// Reschedule re-arms an event that has already fired (or been popped as
-// cancelled), reusing its allocation and callback instead of building a
-// fresh Event. This is the zero-allocation path for self-rescheduling
-// work: a component that fires once per packet keeps a single Event alive
-// for its whole lifetime rather than pushing one heap allocation per
-// packet through the garbage collector. Rescheduling an event that is
-// still queued panics — that would corrupt the heap.
-func (e *Engine) Reschedule(ev *Event, at Time) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, e.now))
-	}
-	if ev.index != -1 {
-		panic("sim: reschedule of an event still in the queue")
-	}
-	ev.at = at
-	ev.prio = PrioDefault
-	ev.seq = e.seq
-	ev.cancel = false
-	e.seq++
-	e.push(ev)
-}
-
-// ReschedulePrio is Reschedule with an explicit same-instant priority,
-// the reusable-event spelling of SchedulePrio.
-func (e *Engine) ReschedulePrio(ev *Event, at Time, prio uint64) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, e.now))
-	}
-	if ev.index != -1 {
-		panic("sim: reschedule of an event still in the queue")
-	}
-	ev.at = at
-	ev.prio = prio
-	ev.seq = e.seq
-	ev.cancel = false
-	e.seq++
-	e.push(ev)
-}
-
-// RescheduleAfter re-arms a fired event d after the current instant.
-func (e *Engine) RescheduleAfter(ev *Event, d Duration) {
-	e.Reschedule(ev, e.now.Add(d))
-}
-
-// Reprogram moves an event to a new instant whether or not it is still
-// queued: a pending event is re-keyed in place (heap.Fix, no pop/push
-// churn) and a fired or cancelled-and-popped one is re-armed exactly like
-// Reschedule. Either way the event takes a fresh sequence number, so it
-// orders after everything already scheduled for the same instant — the
-// same FIFO position a freshly scheduled event would get. Batch consumers
-// use this to slide an in-flight completion event (a DMA drain, a
-// retransmit timer) forward or backward without cancel/re-create pairs.
-func (e *Engine) Reprogram(ev *Event, at Time) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: reprogram at %v before now %v", at, e.now))
-	}
-	if ev.index == -1 {
-		e.Reschedule(ev, at)
-		return
-	}
-	ev.at = at
-	ev.prio = PrioDefault
-	ev.seq = e.seq
-	ev.cancel = false
-	e.seq++
-	e.fix(ev)
 }
 
 // Step executes the next pending event, advancing the clock to its instant.
@@ -337,31 +295,22 @@ func (e *Engine) Step() bool {
 
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	e.running = true
-	for e.running && e.Step() {
+	for e.Step() {
 	}
-	e.running = false
 }
 
 // RunUntil executes events up to and including instant t, then sets the
 // clock to t. Events scheduled after t remain queued.
 func (e *Engine) RunUntil(t Time) {
-	e.running = true
-	for e.running && len(e.queue) > 0 {
-		if e.queue[0].at > t {
-			break
-		}
-		head := e.queue[0].ev
-		if head.cancel {
-			e.pop()
+	for len(e.queue) > 0 && e.queue[0].at <= t {
+		ev := e.pop()
+		if ev.cancel {
 			continue
 		}
-		e.pop()
-		e.now = head.at
+		e.now = ev.at
 		e.fired++
-		head.fn()
+		ev.fn()
 	}
-	e.running = false
 	if e.now < t {
 		e.now = t
 	}
@@ -370,10 +319,6 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor executes events for a span d of virtual time from the current
 // instant.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
-
-// Stop makes a Run/RunUntil in progress return after the current event.
-// Calling Stop outside an event callback has no effect.
-func (e *Engine) Stop() { e.running = false }
 
 // Peek returns the instant of the next pending event without executing
 // it.
@@ -401,7 +346,8 @@ func (e *Engine) ScheduleEvery(t0 Time, period Duration, fn func()) *Ticker {
 		panic("sim: non-positive ticker period")
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
-	t.ev = e.Schedule(t0, t.fire)
+	t.ev = NewEvent(t.fire)
+	e.Arm(&t.ev, t0)
 	return t
 }
 
@@ -411,7 +357,7 @@ type Ticker struct {
 	engine  *Engine
 	period  Duration
 	fn      func()
-	ev      *Event
+	ev      Event
 	stopped bool
 }
 
@@ -421,27 +367,22 @@ func (t *Ticker) fire() {
 	}
 	t.fn()
 	if !t.stopped { // fn may have stopped the ticker
-		t.engine.RescheduleAfter(t.ev, t.period)
+		t.engine.Arm(&t.ev, t.engine.now.Add(t.period))
 	}
 }
 
 // Stop cancels future firings.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.ev != nil {
-		t.ev.Cancel()
-	}
+	t.ev.Cancel()
 }
 
 // Reset re-arms a stopped ticker to fire at t0 (and every period after),
-// reusing the ticker's event. It is the sanctioned stop-then-reuse path:
-// Stop leaves the event cancel-flagged — possibly still sitting in the
-// queue — and a bare Reschedule of it would panic on the pending case
-// and silently keep the cancel flag on the popped one. Reprogram handles
-// both: a still-queued event is re-keyed in place and a popped one is
-// re-armed, and either way the cancel flag clears. Resetting a running
-// ticker simply moves its next firing to t0.
+// reusing the ticker's event. Stop leaves the event cancel-flagged,
+// possibly still queued; Arm re-keys a queued event in place and pushes a
+// popped one, clearing the flag either way. Resetting a running ticker
+// simply moves its next firing to t0.
 func (t *Ticker) Reset(t0 Time) {
 	t.stopped = false
-	t.engine.Reprogram(t.ev, t0)
+	t.engine.Arm(&t.ev, t0)
 }

@@ -135,21 +135,6 @@ func TestRunFor(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.Schedule(10, func() { n++; e.Stop() })
-	e.Schedule(20, func() { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("Stop did not halt Run: %d events fired", n)
-	}
-	e.Run()
-	if n != 2 {
-		t.Fatalf("Run after Stop did not resume: %d events fired", n)
-	}
-}
-
 func TestTickerStop(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -358,7 +343,7 @@ func BenchmarkHeapQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineChurn is schedule/fire churn against a one-million-
+// BenchmarkEngineChurn is arm/fire churn against a one-million-
 // pending event heap: every step fires the head event, which immediately
 // re-arms itself a pseudo-random span ahead, so the heap stays at 1M
 // entries and every operation pays a full-depth sift. This is the shape
@@ -373,7 +358,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 	for i := range evs {
 		i := i
 		evs[i] = e.Schedule(Time(1+i), func() {
-			e.RescheduleAfter(evs[i], Duration(1+uint64(i)*2654435761%100000))
+			e.Arm(evs[i], e.Now().Add(Duration(1+uint64(i)*2654435761%100000)))
 		})
 	}
 	b.ReportAllocs()
@@ -407,7 +392,7 @@ func BenchmarkPendingEvents1M(b *testing.B) {
 		// stays at `pending` entries with zero per-op allocations.
 		var ev *Event
 		ev = e.Schedule(at, func() {
-			e.Reschedule(ev, e.Now().Add(inc(rnd)))
+			e.Arm(ev, e.Now().Add(inc(rnd)))
 		})
 	}
 	b.ReportAllocs()

@@ -6,6 +6,16 @@
 // time is virtual, a 10 Gb/s data path can be modelled exactly: no garbage
 // collection pause or scheduler hiccup can distort a measurement, and every
 // run is deterministic and repeatable.
+//
+// Events fire in (instant, priority, sequence) order. Engine.Arm is the one
+// way an event enters the queue, and the one place causality is checked:
+// it stamps the event with the engine's next sequence number, so among
+// events of equal instant and priority the one armed first fires first.
+// Schedule is NewEvent followed by Arm, for one-off work. A component that
+// fires the same work over and over (a MAC's transmit-done, a link's
+// delivery, a DMA drain) builds its Event once with NewEvent when the
+// component is built and re-arms it with Arm, so the per-packet path
+// allocates nothing.
 package sim
 
 import (

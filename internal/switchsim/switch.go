@@ -188,7 +188,10 @@ func New(e *sim.Engine, cfg Config) *Switch {
 		groupOf: make([]int, cfg.Ports),
 	}
 	for i := 0; i < cfg.Ports; i++ {
-		s.ports = append(s.ports, &Port{sw: s, index: i})
+		p := &Port{sw: s, index: i}
+		p.txEv = sim.NewEvent(p.txDone)
+		p.lookupEv = sim.NewEvent(p.lookupDone)
+		s.ports = append(s.ports, p)
 	}
 	return s
 }
@@ -481,12 +484,7 @@ func (p *Port) armLookup(ready sim.Time) {
 	if now := p.sw.Engine.Now(); eventAt < now {
 		eventAt = now
 	}
-	if p.lookupEv == nil {
-		//lint:ignore hotpathalloc one-time event creation per port; steady state reschedules
-		p.lookupEv = p.sw.Engine.Schedule(eventAt, p.lookupDone)
-	} else {
-		p.sw.Engine.Reschedule(p.lookupEv, eventAt)
-	}
+	p.sw.Engine.Arm(&p.lookupEv, eventAt)
 }
 
 // lookupDone pops the head pending lookup, re-arms for the next one, and
@@ -708,7 +706,7 @@ type Port struct {
 	// allocates nothing.
 	queue  ring.FIFO[queued]
 	busy   bool
-	txEv   *sim.Event // reusable: at most one transmission in flight
+	txEv   sim.Event // reusable: at most one transmission in flight
 	drops  uint64
 	egress stats.Counter
 
@@ -721,7 +719,7 @@ type Port struct {
 	// flight, drained by one reusable event (see lookupDone).
 	lookupFreeAt sim.Time
 	lookupQ      ring.FIFO[pendingLookup]
-	lookupEv     *sim.Event
+	lookupEv     sim.Event
 	// lookupFrames counts frames pending in lookupQ (train entries carry
 	// many); the LookupQueueCap check is against frames, as on hardware.
 	lookupFrames int
@@ -754,17 +752,7 @@ func (p *Port) ReceiveTrain(t *wire.Train, start, at sim.Time) {
 		p.sw.receiveTrain(p, t, at)
 		return
 	}
-	fb, lb := start, at
-	for i, f := range t.Frames {
-		t.Frames[i] = nil
-		p.sw.receive(p, f, fb, lb)
-		if i+1 < len(t.Frames) {
-			fb = lb
-			lb = fb.Add(wire.SerializationTime(t.Frames[i+1].Size, t.Rate))
-		}
-	}
-	t.Frames = t.Frames[:0]
-	t.Recycle()
+	wire.Unbundle(p, t, start, at)
 }
 
 // Drops returns frames lost to egress queue overflow.
@@ -822,12 +810,7 @@ func (p *Port) trySend() {
 	if now := p.sw.Engine.Now(); eventAt < now {
 		eventAt = now
 	}
-	if p.txEv == nil {
-		//lint:ignore hotpathalloc one-time event creation per port; steady state reschedules
-		p.txEv = p.sw.Engine.Schedule(eventAt, p.txDone)
-	} else {
-		p.sw.Engine.Reschedule(p.txEv, eventAt)
-	}
+	p.sw.Engine.Arm(&p.txEv, eventAt)
 }
 
 // sendTrain transmits a coalesced uniform run back-to-back in one MAC
@@ -859,12 +842,7 @@ func (p *Port) sendTrain(t *wire.Train, earliest sim.Time) {
 	if now := p.sw.Engine.Now(); eventAt < now {
 		eventAt = now
 	}
-	if p.txEv == nil {
-		//lint:ignore hotpathalloc one-time event creation per port; steady state reschedules
-		p.txEv = p.sw.Engine.Schedule(eventAt, p.txDone)
-	} else {
-		p.sw.Engine.Reschedule(p.txEv, eventAt)
-	}
+	p.sw.Engine.Arm(&p.txEv, eventAt)
 }
 
 func (p *Port) txDone() {

@@ -216,7 +216,7 @@ func TestAttachMonitorValidatesQueues(t *testing.T) {
 			tp.AttachMonitor("osnt:1", mon.Config{Queues: make([]mon.QueueConfig, 5)})
 		},
 		"negative ring": func() {
-			tp.AttachMonitor("osnt:1", mon.Config{RingSize: -1})
+			tp.AttachMonitor("osnt:1", mon.Config{Queues: []mon.QueueConfig{{RingSize: -1}}})
 		},
 		"unknown node": func() {
 			tp.AttachMonitor("nope:0", mon.Config{})

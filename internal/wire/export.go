@@ -51,16 +51,24 @@ func NewExportLink(e *sim.Engine, r Rate, d sim.Duration, exp Exporter) *Link {
 
 // DeliverTrain hands a train to an endpoint the way a link delivery event
 // would: batch-aware peers get the whole run in one call, and everyone
-// else gets per-frame Receive calls whose boundary instants are recovered
-// arithmetically from the train (frames abut, so frame k's first bit
-// arrives the instant frame k-1's last bit did). start and at are the
-// first frame's first-bit and last-bit arrival instants. The train
-// container is consumed either way.
+// else gets it through Unbundle. start and at are the first frame's
+// first-bit and last-bit arrival instants. The train container is
+// consumed either way.
 func DeliverTrain(peer Endpoint, t *Train, start, at sim.Time) {
 	if tep, ok := peer.(TrainEndpoint); ok {
 		tep.ReceiveTrain(t, start, at)
 		return
 	}
+	Unbundle(peer, t, start, at)
+}
+
+// Unbundle replays a train as per-frame Receive calls on peer, in order,
+// recovering each frame's boundary instants arithmetically (frames abut,
+// so frame k's first bit arrives the instant frame k-1's last bit did).
+// start and at are the first frame's first-bit and last-bit arrival
+// instants. It consumes the train container; each frame passes to peer.
+// It is the fallback of every device that cannot take a run whole.
+func Unbundle(peer Endpoint, t *Train, start, at sim.Time) {
 	fb, lb := start, at
 	for i, f := range t.Frames {
 		t.Frames[i] = nil

@@ -150,12 +150,7 @@ func (l *Link) TransmitTrain(t *Train, earliest sim.Time) sim.Time {
 		if now := l.Engine.Now(); eventAt < now {
 			eventAt = now
 		}
-		if l.deliverEv == nil {
-			//lint:ignore hotpathalloc one-time event creation per link; steady state reschedules
-			l.deliverEv = l.Engine.SchedulePrio(eventAt, l.deliverPrio, l.deliver)
-		} else {
-			l.Engine.ReschedulePrio(l.deliverEv, eventAt, l.deliverPrio)
-		}
+		l.Engine.Arm(&l.deliverEv, eventAt)
 	}
 	return end
 }

@@ -216,21 +216,23 @@ type Link struct {
 	// happens here, delivery happens in another shard (see NewExportLink).
 	exporter Exporter
 
-	// deliverPrio is the same-instant scheduling priority of this link's
-	// delivery events. It defaults to sim.PrioDefault (plain FIFO among
-	// same-instant events, the historical behaviour); topo assigns every
-	// positive-delay link a unique structural key (SetDeliveryKey), which
-	// makes simultaneous arrivals on different cables at one device fire
-	// in cable order — a property of the topology, not of scheduling
-	// history, and therefore identical at every shard count.
+	// deliverPrio is the link's delivery key: the same-instant priority
+	// of its delivery event, and of the records an export link hands
+	// over. It defaults to sim.PrioDefault (plain FIFO among same-instant
+	// events); topo assigns every positive-delay link a unique structural
+	// key (SetDeliveryKey), which makes simultaneous arrivals on different
+	// cables at one device fire in cable order — a property of the
+	// topology, not of arming history, and therefore identical at every
+	// shard count.
 	deliverPrio uint64
 
 	// pending is the in-flight FIFO: frames serialised but not yet
 	// delivered, in departure (= arrival) order. One reusable event —
 	// armed at the head's arrival instant — drains it, so a burst of N
 	// back-to-back frames occupies a single event-heap slot instead of N.
+	// Export links deliver nowhere locally: their event is never built.
 	pending   ring.FIFO[inflight]
-	deliverEv *sim.Event
+	deliverEv sim.Event
 }
 
 // inflight is one frame — or one whole frame train — in flight on the
@@ -258,7 +260,7 @@ func (l *Link) deliver() {
 		if now := l.Engine.Now(); eventAt < now {
 			eventAt = now
 		}
-		l.Engine.ReschedulePrio(l.deliverEv, eventAt, l.deliverPrio)
+		l.Engine.Arm(&l.deliverEv, eventAt)
 	}
 	if d.train == nil {
 		l.Peer.Receive(d.f, d.firstBit, d.lastBit)
@@ -270,7 +272,9 @@ func (l *Link) deliver() {
 // NewLink builds a link on engine e at rate r with propagation delay d,
 // delivering into peer.
 func NewLink(e *sim.Engine, r Rate, d sim.Duration, peer Endpoint) *Link {
-	return &Link{Engine: e, Rate: r, Delay: d, Peer: peer, deliverPrio: sim.PrioDefault}
+	l := &Link{Engine: e, Rate: r, Delay: d, Peer: peer, deliverPrio: sim.PrioDefault}
+	l.deliverEv = sim.NewEvent(l.deliver)
+	return l
 }
 
 // Transmit queues the frame for serialisation at the earliest instant the
@@ -325,23 +329,24 @@ func (l *Link) TransmitAt(f *Frame, earliest sim.Time) sim.Time {
 		if now := l.Engine.Now(); eventAt < now {
 			eventAt = now
 		}
-		if l.deliverEv == nil {
-			//lint:ignore hotpathalloc one-time event creation per link; steady state reschedules
-			l.deliverEv = l.Engine.SchedulePrio(eventAt, l.deliverPrio, l.deliver)
-		} else {
-			l.Engine.ReschedulePrio(l.deliverEv, eventAt, l.deliverPrio)
-		}
+		l.Engine.Arm(&l.deliverEv, eventAt)
 	}
 	return end
 }
 
 // SetDeliveryKey assigns the link's structural delivery key: the
-// same-instant priority of its delivery events. Topology builders assign
-// a unique key per positive-delay link in build order, which totally
-// orders simultaneous arrivals at a device by cable rather than by
-// scheduling history (see sim.SchedulePrio). Links without a key keep
-// sim.PrioDefault — plain FIFO, the historical behaviour.
-func (l *Link) SetDeliveryKey(key uint64) { l.deliverPrio = key }
+// same-instant priority of its delivery event (sim.Event.SetPrio), or of
+// the records an export link hands over. Topology builders assign a
+// unique key per positive-delay link in build order, before any traffic,
+// which totally orders simultaneous arrivals at a device by cable rather
+// than by arming history. Links without a key keep sim.PrioDefault —
+// plain FIFO.
+func (l *Link) SetDeliveryKey(key uint64) {
+	l.deliverPrio = key
+	if l.exporter == nil {
+		l.deliverEv.SetPrio(key)
+	}
+}
 
 // DeliveryKey returns the link's structural delivery key.
 func (l *Link) DeliveryKey() uint64 { return l.deliverPrio }
