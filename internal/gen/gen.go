@@ -432,7 +432,6 @@ func (g *Generator) emit() {
 		g.sent.Add(wire.WireBytes(size))
 	} else {
 		g.dropped++
-		f.Release()
 	}
 	gap := g.cfg.Spacing.Next(g.rand)
 	if gap < 0 {
@@ -507,7 +506,6 @@ func (g *Generator) emitTrain() {
 			g.sent.Add(wire.WireBytes(size))
 		} else {
 			g.dropped++
-			f.Release()
 		}
 	} else {
 		// Timestamp embedding mutates each frame at MAC latch time, so an

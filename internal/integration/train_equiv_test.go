@@ -37,9 +37,9 @@ func equivFold(h, v uint64) uint64 {
 }
 
 // equivSink returns a per-queue record sink folding every delivered
-// record — timestamp, hardware digest, wire size and the full (possibly
-// thinned) bytes — into *h. Any retimed, reordered, re-thinned or
-// corrupted record changes the digest.
+// record — timestamp, hardware digest, wire size, the full (possibly
+// thinned) bytes and the hop trace — into *h. Any retimed, reordered,
+// re-thinned, corrupted or differently stamped record changes the digest.
 func equivSink(h *uint64) func(mon.Record) {
 	const prime = 1099511628211
 	return func(rec mon.Record) {
@@ -48,6 +48,11 @@ func equivSink(h *uint64) func(mon.Record) {
 		d = equivFold(d, uint64(rec.WireSize))
 		for _, b := range rec.Data {
 			d = (d ^ uint64(b)) * prime
+		}
+		d = equivFold(d, uint64(rec.Trace.Len()))
+		for i := 0; i < rec.Trace.Len(); i++ {
+			hop := rec.Trace.At(i)
+			d = equivFold(equivFold(d, uint64(hop.Node)), uint64(hop.At))
 		}
 		*h = d
 	}

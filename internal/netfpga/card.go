@@ -8,7 +8,6 @@ package netfpga
 import (
 	"fmt"
 
-	"osnt/internal/ring"
 	"osnt/internal/sim"
 	"osnt/internal/stats"
 	"osnt/internal/timing"
@@ -61,17 +60,14 @@ type Card struct {
 
 	cfg   Config
 	ports []*Port
-
-	// Loss attribution: TX queue overflows report (dropHop, reason)
-	// into the scenario ledger when one is attached (topo threads it).
-	ledger  *wire.DropLedger
-	dropHop int
 }
 
 // SetDropSite attaches the scenario's loss-attribution ledger; TX queue
 // overflows on any port report at the given hop ID.
 func (c *Card) SetDropSite(ledger *wire.DropLedger, hop int) {
-	c.ledger, c.dropHop = ledger, hop
+	for _, p := range c.ports {
+		p.mac.SetDropSite(ledger, hop)
+	}
 }
 
 // New builds a card on the given engine.
@@ -80,7 +76,7 @@ func New(e *sim.Engine, cfg Config) *Card {
 	c := &Card{Engine: e, Clock: cfg.Clock, Regs: NewRegisters(), cfg: cfg}
 	for i := 0; i < cfg.Ports; i++ {
 		p := &Port{card: c, index: i}
-		p.txDoneEv = sim.NewEvent(p.txDone)
+		p.mac.Init(e, cfg.TxQueueCap, p)
 		// Register indices are resolved once here: the TX/RX paths bump
 		// these counters per packet and must pay neither a fmt.Sprintf
 		// nor a map probe there.
@@ -114,10 +110,8 @@ type Port struct {
 	card  *Card
 	index int
 
-	// TX side.
-	txLink *wire.Link
-	txq    ring.FIFO[*wire.Frame]
-	txBusy bool
+	// TX side: the queue and MAC in front of the egress link.
+	mac wire.Egress
 	// OnTransmit fires when a frame is latched into the MAC, just before
 	// serialisation begins — the point where OSNT's generator embeds the
 	// departure timestamp. The callback may modify the frame bytes.
@@ -137,11 +131,6 @@ type Port struct {
 
 	txStats stats.Counter
 	rxStats stats.Counter
-	txDrops uint64
-
-	// txDoneEv is the reusable MAC-idle event: at most one transmission
-	// is in flight per port, so one Event serves every frame.
-	txDoneEv sim.Event
 
 	// Pre-resolved register indices (see New) keep the per-packet counter
 	// updates allocation-free and map-free.
@@ -156,28 +145,25 @@ func (p *Port) Index() int { return p.index }
 func (p *Port) Card() *Card { return p.card }
 
 // SetLink attaches the egress link (towards the device under test).
-func (p *Port) SetLink(l *wire.Link) { p.txLink = l }
+func (p *Port) SetLink(l *wire.Link) { p.mac.SetLink(l) }
 
 // Link returns the attached egress link.
-func (p *Port) Link() *wire.Link { return p.txLink }
+func (p *Port) Link() *wire.Link { return p.mac.Link() }
 
-// Enqueue places a frame on the TX queue. It reports false (and counts a
-// drop) when the queue is full — software offered more than line rate for
-// longer than the queue can absorb.
+// Enqueue places a frame on the TX queue and reports whether it was
+// accepted. The port owns the frame from here: when the queue is full —
+// software offered more than line rate for longer than the queue can
+// absorb — it counts the drop and releases the frame.
 //
 //lint:hotpath
 func (p *Port) Enqueue(f *wire.Frame) bool {
-	if p.txLink == nil {
+	if p.mac.Link() == nil {
 		panic(fmt.Sprintf("netfpga: port %d transmit with no link attached", p.index))
 	}
-	if p.txq.Len() >= p.card.cfg.TxQueueCap {
-		p.txDrops++
+	if !p.mac.Push(f, p.card.Engine.Now(), wire.DropTxOverflow) {
 		p.card.Regs.AddAt(p.regTxDrops, 1)
-		p.card.ledger.Report(p.card.dropHop, wire.DropTxOverflow, 1)
 		return false
 	}
-	p.txq.Push(f)
-	p.trySend()
 	return true
 }
 
@@ -185,72 +171,37 @@ func (p *Port) Enqueue(f *wire.Frame) bool {
 // TX queue — the precondition for handing it a coalesced frame train.
 // It holds at every emission instant as long as offered load stays at or
 // below line rate.
-func (p *Port) TxIdle() bool { return !p.txBusy && p.txq.Len() == 0 }
+func (p *Port) TxIdle() bool { return p.mac.Idle() }
 
 // EnqueueTrain transmits a whole back-to-back run in one MAC pass: one
-// transmit event, one register/stat update batch, per-frame OnTransmit
-// hooks at each frame's exact latch instant. The caller must have
-// checked TxIdle — coalescing a run through a busy MAC would reorder it
-// against queued frames, so that is a contract violation, not a
-// recoverable condition.
+// transmit event, per-frame OnTransmit hooks at each frame's exact latch
+// instant. The caller must have checked TxIdle — coalescing a run through
+// a busy MAC would reorder it against queued frames, so that is a
+// contract violation, not a recoverable condition.
 //
 //lint:hotpath
 func (p *Port) EnqueueTrain(t *wire.Train) {
-	if p.txLink == nil {
+	if p.mac.Link() == nil {
 		panic(fmt.Sprintf("netfpga: port %d transmit with no link attached", p.index))
 	}
 	if !p.TxIdle() {
 		panic(fmt.Sprintf("netfpga: port %d EnqueueTrain on a busy MAC", p.index))
 	}
-	e := p.card.Engine
-	rate := p.txLink.Rate
-	start := e.Now()
-	var sizes uint64
-	for _, f := range t.Frames {
-		// Latch instant and timestamp per frame, exactly as N trySend
-		// passes would have produced them: frame k is latched the moment
-		// frame k-1's last bit leaves.
-		ts := p.card.Clock.Now(start)
-		if p.OnTransmit != nil {
-			p.OnTransmit(f, start, ts)
-		}
-		p.txStats.Add(wire.WireBytes(f.Size))
-		sizes += uint64(f.Size)
-		start = start.Add(wire.SerializationTime(f.Size, rate))
-	}
-	p.card.Regs.AddAt(p.regTxPackets, uint64(len(t.Frames)))
-	p.card.Regs.AddAt(p.regTxBytes, sizes)
-	end := p.txLink.TransmitTrain(t, e.Now())
-	p.txBusy = true
-	e.Arm(&p.txDoneEv, end)
+	p.mac.PushTrain(t, p.card.Engine.Now())
 }
 
-// trySend latches and serialises the head of the TX queue when the MAC
-// is free.
-//
-//lint:hotpath
-func (p *Port) trySend() {
-	if p.txBusy || p.txq.Len() == 0 {
-		return
-	}
-	f := p.txq.Pop()
-
-	now := p.card.Engine.Now()
-	ts := p.card.Clock.Now(now)
+// Latch implements wire.Latcher: the MAC latches the TX timestamp the
+// instant serialisation starts, runs OnTransmit, and counts the frame.
+// The clock is read for every frame, hook or not, so a stateful clock
+// steps exactly once per frame.
+func (p *Port) Latch(f *wire.Frame, start, _ sim.Time) {
+	ts := p.card.Clock.Now(start)
 	if p.OnTransmit != nil {
-		p.OnTransmit(f, now, ts)
+		p.OnTransmit(f, start, ts)
 	}
-	p.txBusy = true
-	end := p.txLink.Transmit(f)
 	p.txStats.Add(wire.WireBytes(f.Size))
 	p.card.Regs.AddAt(p.regTxPackets, 1)
 	p.card.Regs.AddAt(p.regTxBytes, uint64(f.Size))
-	p.card.Engine.Arm(&p.txDoneEv, end)
-}
-
-func (p *Port) txDone() {
-	p.txBusy = false
-	p.trySend()
 }
 
 // Receive implements wire.Endpoint: the RX MAC latches a timestamp the
@@ -304,10 +255,10 @@ func (p *Port) TxStats() stats.Counter { return p.txStats }
 func (p *Port) RxStats() stats.Counter { return p.rxStats }
 
 // TxDrops returns frames dropped at the TX queue.
-func (p *Port) TxDrops() uint64 { return p.txDrops }
+func (p *Port) TxDrops() uint64 { return p.mac.Drops() }
 
 // TxQueueDepth returns the instantaneous TX queue occupancy.
-func (p *Port) TxQueueDepth() int { return p.txq.Len() }
+func (p *Port) TxQueueDepth() int { return p.mac.Frames() }
 
 func (p *Port) regName(suffix string) string {
 	return fmt.Sprintf("port%d.%s", p.index, suffix)

@@ -240,7 +240,7 @@ func (s *Switch) buildStatsReply(req *openflow.StatsRequest) *openflow.StatsRepl
 				PortNo:    p.OFPort(),
 				RxPackets: p.rx.Packets, TxPackets: p.tx.Packets,
 				RxBytes: p.rx.Bytes, TxBytes: p.tx.Bytes,
-				TxDropped: p.drops,
+				TxDropped: p.mac.Drops(),
 			})
 		}
 	}

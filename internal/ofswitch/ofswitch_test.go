@@ -98,6 +98,32 @@ func TestFlowInstallAndForward(t *testing.T) {
 	}
 }
 
+// A frame queued behind a busy egress leaves at its own ready instant
+// (arrival + pipeline latency), not when the frame ahead of it finishes:
+// at 50% load every frame through one rule takes pipeline latency plus
+// serialisation, however long the frame ahead held the MAC.
+func TestQueuedFrameWaitsForItsOwnPipeline(t *testing.T) {
+	r := newRig(t, Config{})
+	r.addFlow(t, 80, 2)
+	slot := wire.SerializationTime(128, wire.Rate10G)
+	var arrived []sim.Time
+	for i := 0; i < 6; i++ {
+		at := r.e.Now().Add(sim.Duration(2*i) * slot) // two slots apart
+		arrived = append(arrived, at.Add(slot))       // last bit at the switch
+		r.e.Schedule(at, func() { r.in.Transmit(wire.NewFrame(probe(80, 128))) })
+	}
+	r.e.Run()
+	if len(r.rx) != len(arrived) {
+		t.Fatalf("delivered %d of %d", len(r.rx), len(arrived))
+	}
+	want := 600*sim.Nanosecond + slot // default PipelineLatency + egress serialisation
+	for i, at := range r.rx {
+		if got := at.Sub(arrived[i]); got != want {
+			t.Errorf("frame %d took %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestTableMissGeneratesPacketIn(t *testing.T) {
 	r := newRig(t, Config{})
 	r.in.Transmit(wire.NewFrame(probe(9999, 512)))
@@ -126,11 +152,14 @@ func TestTableMissGeneratesPacketIn(t *testing.T) {
 func TestMissWithoutControllerDrops(t *testing.T) {
 	e := sim.NewEngine()
 	sw := New(e, Config{})
+	ledger := &wire.DropLedger{}
+	hop := ledger.Add("of")
+	sw.SetDropSite(ledger, hop)
 	in := wire.NewLink(e, wire.Rate10G, 0, sw.Port(0))
 	in.Transmit(wire.NewFrame(probe(1, 64)))
 	e.Run()
-	if sw.DropsNoRule() != 1 {
-		t.Fatalf("drops %d", sw.DropsNoRule())
+	if got := ledger.Count(hop, wire.DropNoRule); got != 1 || ledger.Total() != 1 {
+		t.Fatalf("ledger no-rule drops %d of %d total, want 1 of 1", got, ledger.Total())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"osnt/internal/openflow"
-	"osnt/internal/ring"
 	"osnt/internal/sim"
 	"osnt/internal/stats"
 	"osnt/internal/wire"
@@ -135,13 +134,12 @@ type Switch struct {
 
 	misses         uint64
 	forwarded      stats.Counter
-	dropsNoRule    uint64
-	runtDrops      uint64
-	unconnDrops    uint64
 	sweepScheduled bool
 
 	// Loss attribution: drop paths report (dropHop, reason) into the
-	// scenario ledger when one is attached (topo threads it).
+	// scenario ledger when one is attached (topo threads it). Egress
+	// overflows report through each port's Egress, which carries the
+	// same site.
 	ledger  *wire.DropLedger
 	dropHop int
 }
@@ -150,6 +148,9 @@ type Switch struct {
 // dataplane drop path reports at the given hop ID.
 func (s *Switch) SetDropSite(ledger *wire.DropLedger, hop int) {
 	s.ledger, s.dropHop = ledger, hop
+	for _, p := range s.ports {
+		p.mac.SetDropSite(ledger, hop)
+	}
 }
 
 // New builds a switch on the engine.
@@ -162,7 +163,7 @@ func New(e *sim.Engine, cfg Config) *Switch {
 	}
 	for i := 0; i < cfg.Ports; i++ {
 		p := &Port{sw: s, index: i}
-		p.txEv = sim.NewEvent(p.txDone)
+		p.mac.Init(e, cfg.EgressQueueCap, p)
 		s.ports = append(s.ports, p)
 	}
 	return s
@@ -186,17 +187,6 @@ func (s *Switch) Misses() uint64 { return s.misses }
 
 // Forwarded returns counters over frames forwarded by the dataplane.
 func (s *Switch) Forwarded() stats.Counter { return s.forwarded }
-
-// DropsNoRule returns packets dropped because a miss could not be sent
-// to a controller (no channel attached).
-func (s *Switch) DropsNoRule() uint64 { return s.dropsNoRule }
-
-// RuntDrops returns unparseable frames discarded at the dataplane
-// parser.
-func (s *Switch) RuntDrops() uint64 { return s.runtDrops }
-
-// UnconnectedDrops returns frames output toward ports with no link.
-func (s *Switch) UnconnectedDrops() uint64 { return s.unconnDrops }
 
 // cpuRun enqueues cost on the serial management CPU and invokes fn when
 // that work completes. It returns the completion instant.
@@ -272,14 +262,8 @@ type Port struct {
 	sw    *Switch
 	index int
 
-	link *wire.Link
-	// queue is the egress FIFO: head-indexed with a recycled backing
-	// array, drained by one reusable event per port, so steady-state
-	// egress queueing allocates nothing per packet.
-	queue ring.FIFO[*wire.Frame]
-	busy  bool
-	txEv  sim.Event // reusable: at most one transmission in flight
-	drops uint64
+	// mac is the egress FIFO and the MAC draining it onto the link.
+	mac wire.Egress
 
 	rx stats.Counter
 	tx stats.Counter
@@ -292,10 +276,10 @@ func (p *Port) Index() int { return p.index }
 func (p *Port) OFPort() uint16 { return uint16(p.index + 1) }
 
 // SetLink attaches the egress link.
-func (p *Port) SetLink(l *wire.Link) { p.link = l }
+func (p *Port) SetLink(l *wire.Link) { p.mac.SetLink(l) }
 
 // Drops returns egress queue overflow drops.
-func (p *Port) Drops() uint64 { return p.drops }
+func (p *Port) Drops() uint64 { return p.mac.Drops() }
 
 // RxStats and TxStats return the port counters (frame sizes, FCS
 // inclusive).
@@ -314,7 +298,6 @@ func (p *Port) Receive(f *wire.Frame, _ sim.Time, at sim.Time) {
 	s := p.sw
 	key, err := openflow.KeyFromPacket(f.Data, p.OFPort())
 	if err != nil {
-		s.runtDrops++
 		s.ledger.Report(s.dropHop, wire.DropRunt, 1)
 		f.Release()
 		return // unparseable runt: dropped
@@ -326,7 +309,6 @@ func (p *Port) Receive(f *wire.Frame, _ sim.Time, at sim.Time) {
 	if entry == nil {
 		s.misses++
 		if s.ctl == nil {
-			s.dropsNoRule++
 			s.ledger.Report(s.dropHop, wire.DropNoRule, 1)
 			f.Release()
 			return
@@ -373,10 +355,9 @@ func (p *Port) ReceiveTrain(t *wire.Train, start, at sim.Time) {
 // receiveTrainFast attempts the coalesced dataplane pass, reporting
 // whether it consumed the train. The guards guarantee per-frame
 // equivalence: byte-identical frames share one flow key and verdict; an
-// idle, empty egress whose wire is no faster than the arrival spacing
-// serialises the run back-to-back exactly as N chained TransmitAt calls
-// would; and a zero CPU tax means no per-frame management-CPU state to
-// advance.
+// idle egress whose wire is no faster than the arrival spacing
+// serialises the run back-to-back exactly as N per-frame pushes would;
+// and a zero CPU tax means no per-frame management-CPU state to advance.
 func (s *Switch) receiveTrainFast(p *Port, t *wire.Train, at sim.Time) bool {
 	n := len(t.Frames)
 	if !t.Uniform || n < 2 || s.cfg.DataplaneCPUTax > 0 {
@@ -400,7 +381,7 @@ func (s *Switch) receiveTrainFast(p *Port, t *wire.Train, at sim.Time) bool {
 		return false
 	}
 	out := s.ports[act.Port-1]
-	if out.link == nil || out.busy || out.queue.Len() > 0 {
+	if out.mac.Link() == nil || !out.mac.Idle() {
 		return false
 	}
 
@@ -411,21 +392,7 @@ func (s *Switch) receiveTrainFast(p *Port, t *wire.Train, at sim.Time) bool {
 	entry.Packets += uint64(n)
 	entry.Bytes += uint64(n) * uint64(size)
 	entry.LastUsed = at.Add(sim.Duration(n-1) * slot) // last frame's arrival
-	for _, f := range t.Frames {
-		f.SrcPort = out.index
-	}
-	ready := at.Add(s.cfg.PipelineLatency)
-	out.busy = true
-	end := out.link.TransmitTrain(t, ready)
-	for i := 0; i < n; i++ {
-		out.tx.Add(size)
-		s.forwarded.Add(size)
-	}
-	eventAt := end
-	if now := s.Engine.Now(); eventAt < now {
-		eventAt = now
-	}
-	s.Engine.Arm(&out.txEv, eventAt)
+	out.mac.PushTrain(t, at.Add(s.cfg.PipelineLatency))
 	return true
 }
 
@@ -470,7 +437,7 @@ func (s *Switch) applyActions(actions []openflow.Action, f *wire.Frame, in *Port
 func (s *Switch) lastFloodEligible(in *Port) int {
 	last := -1
 	for i, p := range s.ports {
-		if p != in && p.link != nil {
+		if p != in && p.mac.Link() != nil {
 			last = i
 		}
 	}
@@ -524,7 +491,7 @@ func (s *Switch) output(act *openflow.ActionOutput, f *wire.Frame, in *Port, rea
 	case act.Port == openflow.PortFlood || act.Port == openflow.PortAll:
 		lastEligible := s.lastFloodEligible(in)
 		for i, p := range s.ports {
-			if p == in || p.link == nil {
+			if p == in || p.mac.Link() == nil {
 				continue
 			}
 			if i == lastEligible {
@@ -544,44 +511,22 @@ func (s *Switch) output(act *openflow.ActionOutput, f *wire.Frame, in *Port, rea
 }
 
 func (p *Port) enqueue(f *wire.Frame, earliest sim.Time) {
-	if p.link == nil {
+	if p.mac.Link() == nil {
 		// Unconnected port: black hole, as hardware would — but the
 		// ledger still attributes the loss.
-		p.sw.unconnDrops++
 		p.sw.ledger.Report(p.sw.dropHop, wire.DropUnconnected, 1)
 		f.Release()
 		return
 	}
-	if p.queue.Len() >= p.sw.cfg.EgressQueueCap {
-		p.drops++
-		p.sw.ledger.Report(p.sw.dropHop, wire.DropEgressOverflow, 1)
-		f.Release()
-		return
-	}
-	f.SrcPort = p.index
-	p.queue.Push(f)
-	p.sendFrom(earliest)
+	p.mac.Push(f, earliest, wire.DropEgressOverflow)
 }
 
-func (p *Port) sendFrom(earliest sim.Time) {
-	if p.busy || p.queue.Len() == 0 {
-		return
-	}
-	f := p.queue.Pop()
-	p.busy = true
-	end := p.link.TransmitAt(f, earliest)
+// Latch implements wire.Latcher: the frame is tagged with its egress
+// port and counted as it leaves.
+func (p *Port) Latch(f *wire.Frame, _, _ sim.Time) {
+	f.SrcPort = p.index
 	p.tx.Add(f.Size)
 	p.sw.forwarded.Add(f.Size)
-	eventAt := end
-	if now := p.sw.Engine.Now(); eventAt < now {
-		eventAt = now
-	}
-	p.sw.Engine.Arm(&p.txEv, eventAt)
-}
-
-func (p *Port) txDone() {
-	p.busy = false
-	p.sendFrom(p.sw.Engine.Now())
 }
 
 // String describes the switch.

@@ -34,39 +34,10 @@ func (r *FIFO[T]) Pop() T {
 	v := r.buf[r.head]
 	r.buf[r.head] = zero
 	r.head++
-	r.maybeCompact()
-	return v
-}
-
-// PushN appends every element of vs to the tail in one grow-check: the
-// bulk-enqueue path batch producers (frame trains) use instead of N
-// single Pushes.
-func (r *FIFO[T]) PushN(vs []T) { r.buf = append(r.buf, vs...) }
-
-// PopN removes the first n elements, copying them into dst (which must
-// have room for n), and runs the dead-prefix accounting once instead of
-// once per element. It must not be called with n exceeding Len.
-func (r *FIFO[T]) PopN(dst []T, n int) {
-	if n == 0 {
-		return
-	}
-	var zero T
-	copy(dst[:n], r.buf[r.head:r.head+n])
-	for i := 0; i < n; i++ {
-		r.buf[r.head+i] = zero
-	}
-	r.head += n
-	r.maybeCompact()
-}
-
-// maybeCompact is Pop's tail bookkeeping: rewind when empty, compact when
-// the dead prefix dominates.
-func (r *FIFO[T]) maybeCompact() {
 	if r.head == len(r.buf) {
 		r.buf = r.buf[:0]
 		r.head = 0
 	} else if r.head >= 64 && r.head*2 >= len(r.buf) {
-		var zero T
 		n := copy(r.buf, r.buf[r.head:])
 		for i := n; i < len(r.buf); i++ {
 			r.buf[i] = zero
@@ -74,4 +45,5 @@ func (r *FIFO[T]) maybeCompact() {
 		r.buf = r.buf[:n]
 		r.head = 0
 	}
+	return v
 }

@@ -77,116 +77,6 @@ func TestFIFOSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// Bulk and single operations must interleave freely and preserve FIFO
-// order: PushN/PopN are batched bookkeeping, not a separate queue.
-func TestFIFOBulkOrder(t *testing.T) {
-	var r FIFO[int]
-	next, want := 0, 0
-	batch := make([]int, 64)
-	pop := func(n int) {
-		got := make([]int, n)
-		r.PopN(got, n)
-		for _, v := range got {
-			if v != want {
-				t.Fatalf("PopN = %d, want %d", v, want)
-			}
-			want++
-		}
-	}
-	for round := 0; round < 100; round++ {
-		n := 1 + round%len(batch)
-		for i := 0; i < n; i++ {
-			batch[i] = next
-			next++
-		}
-		r.PushN(batch[:n])
-		r.Push(next)
-		next++
-		if got := r.Pop(); got != want {
-			t.Fatalf("round %d: Pop = %d, want %d", round, got, want)
-		}
-		want++
-		pop(n / 2)
-	}
-	pop(r.Len())
-	if want != next {
-		t.Fatalf("popped %d values, pushed %d", want, next)
-	}
-}
-
-// PopN must zero vacated slots and compact exactly like N single Pops.
-func TestFIFOBulkClearsAndCompacts(t *testing.T) {
-	var r FIFO[*int]
-	v := 7
-	vs := []*int{&v, &v, &v, &v}
-	r.PushN(vs)
-	dst := make([]*int, 3)
-	r.PopN(dst, 3)
-	for i := 0; i < 3; i++ {
-		if r.buf[i] != nil {
-			t.Fatalf("bulk-popped slot %d still holds the pointer", i)
-		}
-	}
-	if r.Len() != 1 || r.Pop() != &v {
-		t.Fatal("tail element lost after PopN")
-	}
-
-	// A PopN that drains a ≥64-slot dead prefix must compact, same as Pop.
-	var q FIFO[int]
-	big := make([]int, 200)
-	for i := range big {
-		big[i] = i
-	}
-	q.PushN(big)
-	q.PopN(make([]int, 100), 100)
-	if q.head != 0 {
-		t.Fatalf("PopN left head at %d, want compacted to 0", q.head)
-	}
-	if got := q.Pop(); got != 100 {
-		t.Fatalf("post-compaction Pop = %d, want 100", got)
-	}
-}
-
-// PopN with n = 0 must be a no-op even on an empty FIFO.
-func TestFIFOBulkPopZero(t *testing.T) {
-	var r FIFO[int]
-	r.PopN(nil, 0)
-	if r.Len() != 0 {
-		t.Fatalf("Len = %d after PopN(nil, 0)", r.Len())
-	}
-}
-
-// BenchmarkFIFOBulk pits PushN/PopN of 64-element trains against the
-// same traffic moved one element at a time: the bulk path amortises the
-// grow-check and the dead-prefix accounting across the batch.
-func BenchmarkFIFOBulk(b *testing.B) {
-	batch := make([]int, 64)
-	for i := range batch {
-		batch[i] = i
-	}
-	dst := make([]int, 64)
-	b.Run("singles", func(b *testing.B) {
-		var r FIFO[int]
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, v := range batch {
-				r.Push(v)
-			}
-			for j := 0; j < len(batch); j++ {
-				dst[j] = r.Pop()
-			}
-		}
-	})
-	b.Run("bulk", func(b *testing.B) {
-		var r FIFO[int]
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.PushN(batch)
-			r.PopN(dst, len(batch))
-		}
-	})
-}
-
 // Pop must zero vacated slots so popped pointers are not retained by the
 // backing array.
 func TestFIFOClearsSlots(t *testing.T) {

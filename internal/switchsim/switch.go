@@ -145,16 +145,14 @@ type Switch struct {
 	groupOf []int
 	sprays  uint64
 
-	lookupDrops  uint64
-	runtDrops    uint64
-	hairpinDrops uint64
-	floods       uint64
-	forwarded    stats.Counter
+	lookupDrops uint64
+	floods      uint64
+	forwarded   stats.Counter
 
 	// Loss attribution: every drop path reports (dropHop, reason) into
 	// the scenario ledger when one is attached (topo threads it with
-	// the same hop ID that stamps the HopTrace). The per-device
-	// counters above remain the local views.
+	// the same hop ID that stamps the HopTrace). Egress overflows report
+	// through each port's Egress, which carries the same site.
 	ledger  *wire.DropLedger
 	dropHop int
 }
@@ -189,7 +187,7 @@ func New(e *sim.Engine, cfg Config) *Switch {
 	}
 	for i := 0; i < cfg.Ports; i++ {
 		p := &Port{sw: s, index: i}
-		p.txEv = sim.NewEvent(p.txDone)
+		p.mac.Init(e, cfg.EgressQueueCap, p)
 		p.lookupEv = sim.NewEvent(p.lookupDone)
 		s.ports = append(s.ports, p)
 	}
@@ -202,6 +200,9 @@ func New(e *sim.Engine, cfg Config) *Switch {
 // decomposition share a namespace).
 func (s *Switch) SetDropSite(ledger *wire.DropLedger, hop int) {
 	s.ledger, s.dropHop = ledger, hop
+	for _, p := range s.ports {
+		p.mac.SetDropSite(ledger, hop)
+	}
 }
 
 // AddGroup registers an ECMP group over the given egress ports and
@@ -301,14 +302,6 @@ func (s *Switch) Mode() ForwardingMode { return s.cfg.Mode }
 // LookupDrops returns packets dropped at saturated ingress lookup
 // pipelines.
 func (s *Switch) LookupDrops() uint64 { return s.lookupDrops }
-
-// RuntDrops returns frames discarded because they were too short to
-// carry a parseable Ethernet header.
-func (s *Switch) RuntDrops() uint64 { return s.runtDrops }
-
-// HairpinDrops returns frames discarded because their destination was
-// learned on the ingress port.
-func (s *Switch) HairpinDrops() uint64 { return s.hairpinDrops }
 
 // Sprays returns the number of ECMP member selections performed.
 func (s *Switch) Sprays() uint64 { return s.sprays }
@@ -443,14 +436,14 @@ func (s *Switch) trainViable(p *Port, t *wire.Train, at sim.Time) bool {
 		return false
 	}
 	op := s.ports[out]
-	if op.link == nil {
+	if op.mac.Link() == nil {
 		return false
 	}
 	if wire.SerializationTime(size, s.PortRate(out)) != wire.SerializationTime(size, t.Rate) {
 		return false
 	}
 	ecap := s.cfg.EgressQueueCap
-	return op.queueFrames+n <= ecap/2 && n <= ecap/4
+	return op.mac.Frames()+n <= ecap/2 && n <= ecap/4
 }
 
 // receiveTrain admits a guard-checked uniform run as one lookup-FIFO
@@ -518,7 +511,6 @@ func (s *Switch) decideTrain(d pendingLookup) {
 	n := uint64(t.Len())
 	var eth packet.Ethernet
 	if err := eth.DecodeFromBytes(t.Frames[0].Data); err != nil {
-		s.runtDrops += n
 		s.ledger.Report(s.dropHop, wire.DropRunt, n)
 		t.Release()
 		return
@@ -538,7 +530,6 @@ func (s *Switch) decideTrain(d pendingLookup) {
 	}
 	if out < 0 {
 		if g := -out; s.groupOf[d.inPort] == g {
-			s.hairpinDrops += n
 			s.ledger.Report(s.dropHop, wire.DropHairpin, n)
 			t.Release()
 			return
@@ -547,7 +538,6 @@ func (s *Switch) decideTrain(d pendingLookup) {
 		s.sprays += n - 1 // sprayMember counted one selection; per-frame counts n
 	}
 	if out == d.inPort {
-		s.hairpinDrops += n
 		s.ledger.Report(s.dropHop, wire.DropHairpin, n)
 		t.Release()
 		return
@@ -585,7 +575,7 @@ func (s *Switch) dispatchTrain(d pendingLookup, out int) {
 	boundary := serOut != d.span
 	n := t.Len()
 	qcap := s.cfg.EgressQueueCap
-	if serOut < d.span || p.link == nil || p.queueFrames+n > qcap/2 || n > qcap/4 {
+	if serOut < d.span || p.mac.Link() == nil || p.mac.Frames()+n > qcap/2 || n > qcap/4 {
 		// Per-frame egress. In store-and-forward mode readyAt_k is
 		// always past lastBit_k (service + pipeline are positive), so
 		// dispatch()'s boundary clamp can never fire; earliest is the
@@ -600,9 +590,7 @@ func (s *Switch) dispatchTrain(d pendingLookup, out int) {
 		t.Recycle()
 		return
 	}
-	p.queue.Push(queued{train: t, earliest: d.readyAt})
-	p.queueFrames += n
-	p.trySend()
+	p.mac.PushTrain(t, d.readyAt)
 }
 
 // decide learns the source, looks up the destination, and hands the frame
@@ -613,7 +601,6 @@ func (s *Switch) decide(p pendingLookup) {
 		// Runt frame: too short for a forwarding decision. Hardware
 		// discards these at the parser; the ledger attributes them like
 		// every other loss (this used to be a silent, uncounted drop).
-		s.runtDrops++
 		s.ledger.Report(s.dropHop, wire.DropRunt, 1)
 		p.f.Release()
 		return
@@ -634,7 +621,6 @@ func (s *Switch) decide(p pendingLookup) {
 			// the group is one logical port, so this is a hairpin even
 			// when the hash would pick a sibling member.
 			if g := -out; s.groupOf[p.inPort] == g {
-				s.hairpinDrops++
 				s.ledger.Report(s.dropHop, wire.DropHairpin, 1)
 				p.f.Release()
 				return
@@ -645,7 +631,6 @@ func (s *Switch) decide(p pendingLookup) {
 			s.dispatch(p, out, p.f)
 		} else {
 			// Never hairpin out the ingress port.
-			s.hairpinDrops++
 			s.ledger.Report(s.dropHop, wire.DropHairpin, 1)
 			p.f.Release()
 		}
@@ -656,7 +641,7 @@ func (s *Switch) decide(p pendingLookup) {
 	// queues take clones, so the ingress frame goes back to its pool.
 	s.floods++
 	for i, port := range s.ports {
-		if i == p.inPort || port.link == nil {
+		if i == p.inPort || port.mac.Link() == nil {
 			continue
 		}
 		if g := s.groupOf[i]; g != 0 {
@@ -700,20 +685,9 @@ type Port struct {
 	sw    *Switch
 	index int
 
-	link *wire.Link
-	// queue is the egress FIFO; entries are held by value and the backing
-	// array is recycled across packets, so steady-state egress queueing
-	// allocates nothing.
-	queue  ring.FIFO[queued]
-	busy   bool
-	txEv   sim.Event // reusable: at most one transmission in flight
-	drops  uint64
+	// mac is the egress FIFO and the MAC draining it onto the link.
+	mac    wire.Egress
 	egress stats.Counter
-
-	// queueFrames counts frames (not FIFO entries) pending in the egress
-	// queue: a train entry carries many, so the cap check needs the frame
-	// count. Equal to queue.Len() when no trains are queued.
-	queueFrames int
 
 	// Ingress lookup pipeline state: a FIFO of frames whose lookup is in
 	// flight, drained by one reusable event (see lookupDone).
@@ -725,17 +699,11 @@ type Port struct {
 	lookupFrames int
 }
 
-type queued struct {
-	f        *wire.Frame
-	train    *wire.Train // non-nil: a coalesced run transmitted in one pass
-	earliest sim.Time
-}
-
 // Index returns the port number.
 func (p *Port) Index() int { return p.index }
 
 // SetLink attaches the egress link.
-func (p *Port) SetLink(l *wire.Link) { p.link = l }
+func (p *Port) SetLink(l *wire.Link) { p.mac.SetLink(l) }
 
 // Receive implements wire.Endpoint.
 func (p *Port) Receive(f *wire.Frame, firstBit, lastBit sim.Time) {
@@ -756,96 +724,30 @@ func (p *Port) ReceiveTrain(t *wire.Train, start, at sim.Time) {
 }
 
 // Drops returns frames lost to egress queue overflow.
-func (p *Port) Drops() uint64 { return p.drops }
+func (p *Port) Drops() uint64 { return p.mac.Drops() }
 
 // Egress returns counters over frames transmitted out of this port.
 func (p *Port) Egress() stats.Counter { return p.egress }
 
-// QueueDepth returns the instantaneous egress queue occupancy.
-func (p *Port) QueueDepth() int { return p.queue.Len() }
-
 func (p *Port) enqueue(f *wire.Frame, earliest sim.Time, boundary bool) {
-	if p.link == nil {
+	if p.mac.Link() == nil {
 		panic(fmt.Sprintf("switchsim: egress port %d has no link", p.index))
 	}
-	if p.queueFrames >= p.sw.cfg.EgressQueueCap {
-		p.drops++
-		reason := wire.DropEgressOverflow
-		if boundary {
-			reason = wire.DropRateBoundary
-		}
-		p.sw.ledger.Report(p.sw.dropHop, reason, 1)
-		f.Release()
-		return
+	reason := wire.DropEgressOverflow
+	if boundary {
+		reason = wire.DropRateBoundary
 	}
-	p.queue.Push(queued{f: f, earliest: earliest})
-	p.queueFrames++
-	p.trySend()
+	p.mac.Push(f, earliest, reason)
 }
 
-// trySend starts serialising the head of the egress queue when the MAC
-// is free.
-//
-//lint:hotpath
-func (p *Port) trySend() {
-	if p.busy || p.queue.Len() == 0 {
-		return
-	}
-	q := p.queue.Pop()
-	if q.train != nil {
-		p.queueFrames -= q.train.Len()
-		p.sendTrain(q.train, q.earliest)
-		return
-	}
-	p.queueFrames--
-
-	p.busy = true
-	end := p.link.TransmitAt(q.f, q.earliest)
+// Latch implements wire.Latcher: the frame's hop trace is stamped with
+// the instant its last bit leaves, before the link takes it (so the
+// stamp survives a shard cut), and the egress counters count it.
+func (p *Port) Latch(f *wire.Frame, _, end sim.Time) {
 	if id := p.sw.cfg.HopID; id != 0 {
-		q.f.Trace.Stamp(id, end)
+		f.Trace.Stamp(id, end)
 	}
-	p.egress.Add(wire.WireBytes(q.f.Size))
-	p.sw.forwarded.Add(wire.WireBytes(q.f.Size))
-	eventAt := end
-	if now := p.sw.Engine.Now(); eventAt < now {
-		eventAt = now
-	}
-	p.sw.Engine.Arm(&p.txEv, eventAt)
-}
-
-// sendTrain transmits a coalesced uniform run back-to-back in one MAC
-// pass: one link call, one completion event, bulk counters, and
-// arithmetic per-frame hop stamps.
-func (p *Port) sendTrain(t *wire.Train, earliest sim.Time) {
-	n := t.Len()
-	wb := wire.WireBytes(t.Frames[0].Size)
-	ser := wire.SerializationTime(t.Frames[0].Size, p.link.Rate)
-	p.busy = true
-	end := p.link.TransmitTrain(t, earliest)
-	if id := p.sw.cfg.HopID; id != 0 && p.link.Peer != nil {
-		// The frames now belong to the link's in-flight entry, but this
-		// runs synchronously before the delivery event, so stamping their
-		// egress instants here matches the per-frame path (which also
-		// stamps after handing the frame to the link). Frame k's last bit
-		// leaves (n-1-k) slots before the train's end.
-		at := end.Add(-sim.Duration(n-1) * ser)
-		for _, f := range t.Frames {
-			f.Trace.Stamp(id, at)
-			at = at.Add(ser)
-		}
-	}
-	for i := 0; i < n; i++ {
-		p.egress.Add(wb)
-		p.sw.forwarded.Add(wb)
-	}
-	eventAt := end
-	if now := p.sw.Engine.Now(); eventAt < now {
-		eventAt = now
-	}
-	p.sw.Engine.Arm(&p.txEv, eventAt)
-}
-
-func (p *Port) txDone() {
-	p.busy = false
-	p.trySend()
+	wb := wire.WireBytes(f.Size)
+	p.egress.Add(wb)
+	p.sw.forwarded.Add(wb)
 }

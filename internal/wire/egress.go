@@ -1,0 +1,155 @@
+package wire
+
+import (
+	"osnt/internal/ring"
+	"osnt/internal/sim"
+)
+
+// Latcher is the device side of an Egress: the per-frame work a port does
+// at the instant its MAC takes a frame (latch a TX timestamp, stamp the
+// hop trace, count). The port implements it, so attaching it to an Egress
+// stores a pointer in an interface and allocates nothing.
+type Latcher interface {
+	// Latch is called once per frame, in wire order, before the link
+	// takes the frame: start is the instant its first bit starts
+	// serialising and end the instant its last bit leaves. The frame
+	// still belongs to the device here; once Latch returns the link owns
+	// it. Latch must not arm events or transmit on the Egress's link.
+	Latch(f *Frame, start, end sim.Time)
+}
+
+// Egress is a port's transmit side: a FIFO bounded in frames whose
+// entries — one frame, or one whole train — each keep their own earliest
+// departure instant, drained onto one Link by a MAC that serialises one
+// entry at a time. An entry leaves at the later of its earliest instant
+// and the end of the previous transmission; a train entry goes out
+// back-to-back in one MAC pass. The MAC re-arms one reusable
+// transmit-done event, so at most one transmission is in flight and
+// steady-state transmission allocates nothing.
+//
+// A device port holds one by value. The Egress embeds its event, so it
+// must be initialised in place with Init and not copied afterwards.
+type Egress struct {
+	link   *Link
+	engine *sim.Engine
+	owner  Latcher
+
+	queue  ring.FIFO[egressEntry]
+	frames int // frames queued; a train entry carries many
+	cap    int
+	busy   bool
+
+	drops  uint64
+	ledger *DropLedger
+	hop    int
+
+	txDoneEv sim.Event
+}
+
+// egressEntry is one queued frame or train, held by value.
+type egressEntry struct {
+	f        *Frame
+	train    *Train // non-nil: a whole run sent in one MAC pass, f unused
+	earliest sim.Time
+}
+
+// Init prepares e in place: capFrames bounds the queue in frames, owner
+// latches every frame, and the transmit-done event is built on engine
+// en. Call it once, from the owning device's constructor.
+func (e *Egress) Init(en *sim.Engine, capFrames int, owner Latcher) {
+	e.engine, e.cap, e.owner = en, capFrames, owner
+	e.txDoneEv = sim.NewEvent(e.txDone)
+}
+
+// SetLink attaches the link the MAC drains onto.
+func (e *Egress) SetLink(l *Link) { e.link = l }
+
+// Link returns the attached link (nil until SetLink).
+func (e *Egress) Link() *Link { return e.link }
+
+// SetDropSite attaches the scenario's loss-attribution ledger: queue
+// overflows report as (hop, reason) into it.
+func (e *Egress) SetDropSite(ledger *DropLedger, hop int) {
+	e.ledger, e.hop = ledger, hop
+}
+
+// Idle reports whether the MAC is between transmissions with an empty
+// queue: a train pushed now leaves at once, in order.
+func (e *Egress) Idle() bool { return !e.busy && e.queue.Len() == 0 }
+
+// Frames returns the frames waiting in the queue (not the one on the
+// wire).
+func (e *Egress) Frames() int { return e.frames }
+
+// Drops returns frames lost to queue overflow.
+func (e *Egress) Drops() uint64 { return e.drops }
+
+// Push queues f to leave no earlier than earliest, which may lie in the
+// past (cut-through). The Egress owns f from here: on overflow it counts
+// the drop, reports (hop, reason) to its drop site, releases f and
+// returns false.
+//
+//lint:hotpath
+func (e *Egress) Push(f *Frame, earliest sim.Time, reason DropReason) bool {
+	if e.frames >= e.cap {
+		e.drops++
+		e.ledger.Report(e.hop, reason, 1)
+		f.Release()
+		return false
+	}
+	e.queue.Push(egressEntry{f: f, earliest: earliest})
+	e.frames++
+	e.send()
+	return true
+}
+
+// PushTrain queues a whole run as one entry, sent back-to-back in one MAC
+// pass starting no earlier than earliest. It does not check the capacity:
+// callers coalesce only inside a margin that keeps per-frame drop
+// decisions out of reach (an idle MAC, or a bound on Frames).
+//
+//lint:hotpath
+func (e *Egress) PushTrain(t *Train, earliest sim.Time) {
+	e.queue.Push(egressEntry{train: t, earliest: earliest})
+	e.frames += t.Len()
+	e.send()
+}
+
+// send starts the head entry when the MAC is free: it latches every frame
+// at its serialisation instants, hands the entry to the link (which arms
+// its delivery), then arms the transmit-done event at the end of the
+// entry, clamped to the present.
+//
+//lint:hotpath
+func (e *Egress) send() {
+	if e.busy || e.queue.Len() == 0 {
+		return
+	}
+	q := e.queue.Pop()
+	e.busy = true
+	l := e.link
+	start := l.startAt(q.earliest)
+	var end sim.Time
+	if q.train == nil {
+		e.frames--
+		e.owner.Latch(q.f, start, start.Add(SerializationTime(q.f.Size, l.Rate)))
+		end = l.TransmitAt(q.f, q.earliest)
+	} else {
+		e.frames -= q.train.Len()
+		for _, f := range q.train.Frames {
+			next := start.Add(SerializationTime(f.Size, l.Rate))
+			e.owner.Latch(f, start, next)
+			start = next
+		}
+		end = l.TransmitTrain(q.train, q.earliest)
+	}
+	if now := e.engine.Now(); end < now {
+		end = now
+	}
+	e.engine.Arm(&e.txDoneEv, end)
+}
+
+func (e *Egress) txDone() {
+	e.busy = false
+	e.send()
+}

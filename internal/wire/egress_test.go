@@ -1,0 +1,188 @@
+package wire
+
+import (
+	"testing"
+
+	"osnt/internal/race"
+	"osnt/internal/sim"
+)
+
+// latch is one observed Latch call.
+type latch struct {
+	size       int
+	start, end sim.Time
+}
+
+// latchLog is a Latcher that records every call.
+type latchLog struct{ got []latch }
+
+func (l *latchLog) Latch(f *Frame, start, end sim.Time) {
+	l.got = append(l.got, latch{f.Size, start, end})
+}
+
+// newEgress builds an Egress of capacity capFrames draining onto a
+// zero-delay 10G link into peer.
+func newEgress(e *sim.Engine, capFrames int, owner Latcher, peer Endpoint) *Egress {
+	eg := &Egress{}
+	eg.Init(e, capFrames, owner)
+	eg.SetLink(NewLink(e, Rate10G, 0, peer))
+	return eg
+}
+
+// An entry queued behind a busy MAC leaves at the later of its own
+// earliest instant and the end of the transmission ahead of it.
+func TestEgressEntryLeavesAtOwnEarliestOrPreviousEnd(t *testing.T) {
+	e := sim.NewEngine()
+	var log latchLog
+	eg := newEgress(e, 8, &log, EndpointFunc(func(*Frame, sim.Time, sim.Time) {}))
+	big := SerializationTime(1518, Rate10G)
+	small := SerializationTime(64, Rate10G)
+
+	eg.Push(NewFrame(make([]byte, 1514)), 0, DropEgressOverflow)
+	eg.Push(NewFrame(make([]byte, 60)), 100, DropEgressOverflow)                     // ready mid-transmission: waits
+	eg.Push(NewFrame(make([]byte, 60)), sim.Time(0).Add(10*big), DropEgressOverflow) // ready after: leaves then
+	e.Run()
+
+	second := sim.Time(0).Add(big)
+	third := sim.Time(0).Add(10 * big)
+	want := []latch{
+		{1518, 0, second},
+		{64, second, second.Add(small)},
+		{64, third, third.Add(small)},
+	}
+	if len(log.got) != len(want) {
+		t.Fatalf("latched %d frames, want %d", len(log.got), len(want))
+	}
+	for i := range want {
+		if log.got[i] != want[i] {
+			t.Errorf("frame %d latched %+v, want %+v", i, log.got[i], want[i])
+		}
+	}
+	if !eg.Idle() || eg.Link().BusyUntil() != third.Add(small) {
+		t.Fatalf("idle %v, link busy until %v", eg.Idle(), eg.Link().BusyUntil())
+	}
+}
+
+// Overflow consumes the frame: the drop is counted, attributed to the
+// drop site under the caller's reason, and the pooled frame goes home.
+func TestEgressOverflowCountsReportsAndReleases(t *testing.T) {
+	e := sim.NewEngine()
+	eg := newEgress(e, 1, &latchLog{}, EndpointFunc(func(*Frame, sim.Time, sim.Time) {}))
+	ledger := &DropLedger{}
+	hop := ledger.Add("port")
+	eg.SetDropSite(ledger, hop)
+	pool := NewPool()
+
+	// The first frame goes straight onto the wire, the second fills the
+	// one queue slot, the third overflows.
+	for i, wantOK := range []bool{true, true, false} {
+		if ok := eg.Push(pool.Get(60), 0, DropRateBoundary); ok != wantOK {
+			t.Fatalf("push %d accepted = %v, want %v", i, ok, wantOK)
+		}
+	}
+	if eg.Drops() != 1 || eg.Frames() != 1 {
+		t.Fatalf("drops %d frames %d, want 1 and 1", eg.Drops(), eg.Frames())
+	}
+	if got := ledger.Count(hop, DropRateBoundary); got != 1 || ledger.Total() != 1 {
+		t.Fatalf("ledger rate-boundary %d of %d total, want 1 of 1", got, ledger.Total())
+	}
+	if _, puts, _ := pool.Stats(); puts != 1 {
+		t.Fatalf("overflowed frame not released to its pool (puts=%d)", puts)
+	}
+}
+
+// A train entry latches every frame at exactly the instants N single
+// pushes would, and leaves the link in the same state.
+func TestEgressTrainMatchesSinglePushes(t *testing.T) {
+	lens := []int{60, 1514, 124, 508}
+	run := func(asTrain bool) ([]latch, *Link) {
+		e := sim.NewEngine()
+		var log latchLog
+		delivered := 0
+		eg := newEgress(e, 8, &log, EndpointFunc(func(*Frame, sim.Time, sim.Time) { delivered++ }))
+		const earliest = sim.Time(5000)
+		if asTrain {
+			eg.PushTrain(&Train{Frames: trainFrames(lens...)}, earliest)
+		} else {
+			for _, f := range trainFrames(lens...) {
+				eg.Push(f, earliest, DropEgressOverflow)
+			}
+		}
+		e.Run()
+		if delivered != len(lens) {
+			t.Fatalf("train=%v delivered %d, want %d", asTrain, delivered, len(lens))
+		}
+		return log.got, eg.Link()
+	}
+	ref, refLink := run(false)
+	got, link := run(true)
+	if len(got) != len(lens) || len(ref) != len(lens) {
+		t.Fatalf("latches: train %d, single %d, want %d", len(got), len(ref), len(lens))
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Errorf("frame %d: train latch %+v, single %+v", i, got[i], ref[i])
+		}
+	}
+	if link.TxFrames() != refLink.TxFrames() || link.TxWireBytes() != refLink.TxWireBytes() ||
+		link.BusyUntil() != refLink.BusyUntil() {
+		t.Fatalf("link after train: %d frames %d B busy to %v; after singles: %d frames %d B busy to %v",
+			link.TxFrames(), link.TxWireBytes(), link.BusyUntil(),
+			refLink.TxFrames(), refLink.TxWireBytes(), refLink.BusyUntil())
+	}
+}
+
+// Idle and Frames count a train by its frames and clear once it leaves.
+func TestEgressIdleAndFramesAroundTrain(t *testing.T) {
+	e := sim.NewEngine()
+	eg := newEgress(e, 16, &latchLog{}, EndpointFunc(func(*Frame, sim.Time, sim.Time) {}))
+	if !eg.Idle() || eg.Frames() != 0 {
+		t.Fatal("fresh egress not idle and empty")
+	}
+	eg.PushTrain(&Train{Frames: trainFrames(60, 60, 60)}, 0)
+	if eg.Idle() || eg.Frames() != 0 {
+		t.Fatalf("train on the wire: idle %v frames %d, want busy with 0 queued", eg.Idle(), eg.Frames())
+	}
+	eg.Push(NewFrame(make([]byte, 60)), 0, DropEgressOverflow)
+	eg.PushTrain(&Train{Frames: trainFrames(60, 60)}, 0)
+	if eg.Frames() != 3 {
+		t.Fatalf("queued frames %d, want 3 (a train counts by its frames)", eg.Frames())
+	}
+	e.Run()
+	if !eg.Idle() || eg.Frames() != 0 {
+		t.Fatalf("drained egress: idle %v frames %d", eg.Idle(), eg.Frames())
+	}
+	if got := eg.Link().TxFrames(); got != 6 {
+		t.Fatalf("link carried %d frames, want 6", got)
+	}
+}
+
+// countLatch is a Latcher that only counts, so it allocates nothing.
+type countLatch int
+
+func (c *countLatch) Latch(*Frame, sim.Time, sim.Time) { *c++ }
+
+// The steady-state push → send → transmit-done → deliver cycle allocates
+// nothing.
+func TestEgressSteadyStateZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under -race; strict alloc bound only holds in normal builds")
+	}
+	e := sim.NewEngine()
+	pool := NewPool()
+	var n countLatch
+	eg := newEgress(e, 64, &n, EndpointFunc(func(f *Frame, _, _ sim.Time) { f.Release() }))
+	cycle := func() {
+		for i := 0; i < 32; i++ {
+			eg.Push(pool.Get(60), e.Now(), DropEgressOverflow)
+		}
+		e.Run()
+	}
+	cycle() // warm the pool and the FIFOs
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Fatalf("steady-state egress cycle allocates %.1f per 32 frames", avg)
+	}
+	if n != 32*22 {
+		t.Fatalf("latched %d frames, want %d", n, 32*22)
+	}
+}

@@ -113,10 +113,7 @@ func (l *Link) TransmitTrain(t *Train, earliest sim.Time) sim.Time {
 		t.Recycle()
 		return l.TransmitAt(f, earliest)
 	}
-	start := earliest
-	if l.busyUntil > start {
-		start = l.busyUntil
-	}
+	start := l.startAt(earliest)
 	end := start
 	for _, f := range t.Frames {
 		end = end.Add(SerializationTime(f.Size, l.Rate))

@@ -1,6 +1,7 @@
 // Package wire defines the physical-layer vocabulary shared by every
-// simulated device: Ethernet frames, port endpoints, and point-to-point
-// links with serialization and propagation delay. The arithmetic here is
+// simulated device: Ethernet frames, port endpoints, point-to-point links
+// with serialization and propagation delay, and the Egress every port
+// transmits through (the MAC in front of a link). The arithmetic here is
 // what makes "full line-rate regardless of packet size" a checkable
 // property rather than a claim: a 10GBASE-R MAC can emit one 64-byte frame
 // every 67.2 ns and no simulated component is allowed to beat that.
@@ -191,10 +192,11 @@ type EndpointFunc func(f *Frame, start, at sim.Time)
 func (fn EndpointFunc) Receive(f *Frame, start, at sim.Time) { fn(f, start, at) }
 
 // Link is a unidirectional point-to-point fibre at a fixed rate with a
-// propagation delay. Transmit models the sending MAC: it serialises the
-// frame (busying the link) and schedules delivery at the far end. Frames
-// submitted while the link is busy depart back-to-back, exactly like a MAC
-// with a queue, so offered load beyond line rate is clipped to line rate.
+// propagation delay. It models the wire: Transmit serialises a frame
+// (busying the link) and schedules delivery at the far end, and a frame
+// offered while the link is busy starts when it frees, so offered load
+// beyond line rate is clipped to line rate. The sending MAC — its queue,
+// its drop decision and the per-frame work at latch time — is Egress.
 type Link struct {
 	Engine *sim.Engine
 	Rate   Rate
@@ -286,19 +288,26 @@ func (l *Link) Transmit(f *Frame) sim.Time {
 	return l.TransmitAt(f, l.Engine.Now())
 }
 
+// startAt returns the instant a frame offered at earliest starts
+// serialising: earliest, or the end of the transmission in progress if
+// that is later.
+func (l *Link) startAt(earliest sim.Time) sim.Time {
+	if l.busyUntil > earliest {
+		return l.busyUntil
+	}
+	return earliest
+}
+
 // TransmitAt is Transmit with an explicit earliest start instant, which
-// may lie in the past relative to the engine clock. Cut-through devices
-// use this to model serialisation that conceptually began while the frame
-// was still arriving: the returned last-bit time is exact, and the
-// delivery event is clamped to the present so causality in the event
+// may lie in the past relative to the engine clock. An Egress uses this to
+// model a cut-through device's serialisation that conceptually began while
+// the frame was still arriving: the returned last-bit time is exact, and
+// the delivery event is clamped to the present so causality in the event
 // queue is preserved.
 //
 //lint:hotpath
 func (l *Link) TransmitAt(f *Frame, earliest sim.Time) sim.Time {
-	start := earliest
-	if l.busyUntil > start {
-		start = l.busyUntil
-	}
+	start := l.startAt(earliest)
 	end := start.Add(SerializationTime(f.Size, l.Rate))
 	l.busyUntil = end
 	l.txFrames++
