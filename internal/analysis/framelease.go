@@ -12,11 +12,12 @@ import (
 // FrameLease enforces the pooled-buffer ownership contract: every value
 // acquired from wire.Pool.Get / wire.Pool.GetTrain / wire.NewPooledFrame /
 // Frame.Clone must, on every control-flow path, either be released
-// (Release/Recycle), transferred to another component (passed to any call:
-// Transmit, TransmitTrain, Enqueue, Deliver, ring pushes, ledger drops, …),
-// or escape the function (returned, stored into a field/slice/map/channel,
-// captured by a closure). The analysis is a path-sensitive abstract
-// interpretation of each function body; it reports
+// (Release/Recycle), transferred to another component (passed to any
+// call — wire.One, Transmit, Push, Enqueue, Receive, ring pushes, ledger
+// drops, … — or handed over as a wire.Run by Train.Run), or escape the
+// function (returned, stored into a field/slice/map/channel, captured by
+// a closure). The analysis is a path-sensitive abstract interpretation of
+// each function body; it reports
 //
 //   - leaks: an owned frame still held at a return (the PR 5 silent-leak
 //     class — cold error paths that forget Release),
@@ -250,6 +251,23 @@ func (it *fnInterp) releaseTarget(call *ast.CallExpr, st *absState) types.Object
 	return nil
 }
 
+// runTarget returns the tracked train a call hands over as a wire.Run
+// (t.Run()), or nil.
+func (it *fnInterp) runTarget(call *ast.CallExpr, st *absState) types.Object {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Run" {
+		return nil
+	}
+	fn := calleeFunc(it.info, call)
+	if fn == nil {
+		return nil
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv == nil || !isNamedFrom(recv.Type(), "wire", "Train") {
+		return nil
+	}
+	return it.trackedIdent(sel.X, st)
+}
+
 // trackedIdent resolves e to a tracked object in st, or nil.
 func (it *fnInterp) trackedIdent(e ast.Expr, st *absState) types.Object {
 	id, ok := ast.Unparen(e).(*ast.Ident)
@@ -286,6 +304,12 @@ func (it *fnInterp) evalExpr(e ast.Expr, st *absState) {
 			if st.vars[o] != markEscaped {
 				st.vars[o] = markReleased
 			}
+			return
+		}
+		// t.Run() hands a train over as a wire.Run value: the obligation
+		// moves with the value, exactly as passing t to a call would.
+		if o := it.runTarget(x, st); o != nil {
+			st.vars[o] = markEscaped
 			return
 		}
 		// A nested acquisition flows straight into the enclosing expression

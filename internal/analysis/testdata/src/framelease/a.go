@@ -14,7 +14,7 @@ func leakOnErrorPath(p *wire.Pool, l *wire.Link) {
 	if errFail {
 		return // want "pooled f acquired at .* is not released or transferred"
 	}
-	l.Transmit(f)
+	l.Transmit(wire.One(f), 0)
 }
 
 // releasedOnAllPaths is clean: both paths consume.
@@ -24,7 +24,7 @@ func releasedOnAllPaths(p *wire.Pool, l *wire.Link) {
 		f.Release()
 		return
 	}
-	l.Transmit(f)
+	l.Transmit(wire.One(f), 0)
 }
 
 // doubleRelease releases twice on the same path.
@@ -46,13 +46,14 @@ func conditionalDouble(p *wire.Pool) {
 // transferSink hands the frame to a sink: ownership moves, no report.
 func transferSink(p *wire.Pool, l *wire.Link) {
 	f := p.Get(128)
-	l.Transmit(f)
+	l.Transmit(wire.One(f), 0)
 }
 
-// trainTransfer moves a pooled train through TransmitTrain.
+// trainTransfer moves a pooled train through the one transmit: Run hands
+// the container over as a wire.Run.
 func trainTransfer(p *wire.Pool, l *wire.Link) {
 	t := p.GetTrain()
-	l.TransmitTrain(t)
+	l.Transmit(t.Run(), 0)
 }
 
 // trainLeak forgets the container on the empty path.
@@ -116,7 +117,7 @@ func overwrittenWhileOwned(p *wire.Pool) {
 func loopReacquire(p *wire.Pool, l *wire.Link) {
 	for i := 0; i < 4; i++ {
 		f := p.Get(64)
-		l.Transmit(f)
+		l.Transmit(wire.One(f), 0)
 	}
 }
 
@@ -127,7 +128,7 @@ func loopLeak(p *wire.Pool, l *wire.Link) {
 		if errFail {
 			break
 		}
-		l.Transmit(f)
+		l.Transmit(wire.One(f), 0)
 	}
 } // want "pooled f acquired at .* is not released or transferred"
 
@@ -162,7 +163,7 @@ func switchPaths(p *wire.Pool, l *wire.Link, mode int) {
 	case 0:
 		f.Release()
 	case 1:
-		l.Transmit(f)
+		l.Transmit(wire.One(f), 0)
 	default:
 		return // want "pooled f acquired at .* is not released or transferred"
 	}

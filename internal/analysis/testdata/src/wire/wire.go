@@ -1,6 +1,6 @@
 // Package wire is a miniature stand-in for osnt/internal/wire: just enough
-// surface (Pool.Get/GetTrain, Frame.Release/Clone, Train.Recycle, transfer
-// sinks) for the framelease corpus. The analyzers match these by package
+// surface (Pool.Get/GetTrain, Frame.Release/Clone, Train.Recycle/Run,
+// One, transfer sinks) for the framelease corpus. The analyzers match these by package
 // name + type name, exactly as they match the real package.
 package wire
 
@@ -41,11 +41,20 @@ func (p *Pool) Get(n int) *Frame { return &Frame{Data: make([]byte, n), pool: p}
 // GetTrain returns a pooled train container.
 func (p *Pool) GetTrain() *Train { return &Train{pool: p} }
 
+// Run is one frame or one train, held by value.
+type Run struct {
+	f *Frame
+	t *Train
+}
+
+// One is the run of a single frame.
+func One(f *Frame) Run { return Run{f: f} }
+
+// Run hands the train over as a Run.
+func (t *Train) Run() Run { return Run{t: t} }
+
 // Link is a transfer sink.
 type Link struct{}
 
-// Transmit takes ownership of f.
-func (l *Link) Transmit(f *Frame) {}
-
-// TransmitTrain takes ownership of t.
-func (l *Link) TransmitTrain(t *Train) {}
+// Transmit takes ownership of r.
+func (l *Link) Transmit(r Run, earliest int64) int64 { return earliest }

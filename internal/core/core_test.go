@@ -37,11 +37,11 @@ func demoTopology(e *sim.Engine, swCfg switchsim.Config) (*Device, *switchsim.Sw
 	dev.Card.Port(1).SetLink(capOut)
 
 	// Teach the switch both stations.
-	dev.Card.Port(1).Enqueue(wire.NewFrame(packet.UDPSpec{
+	dev.Card.Port(1).Enqueue(wire.One(wire.NewFrame(packet.UDPSpec{
 		SrcMAC: macCap, DstMAC: macGen,
 		SrcIP: packet.IP4{10, 0, 0, 2}, DstIP: packet.IP4{10, 0, 0, 1},
 		SrcPort: 1, DstPort: 1, FrameSize: 64,
-	}.Build()))
+	}.Build())))
 	e.Run()
 	return dev, sw
 }

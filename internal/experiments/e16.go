@@ -115,8 +115,8 @@ func E16LossAttribution(duration sim.Duration) *stats.Table {
 		step := sim.Duration(int64(duration) / e16Injections)
 		for k := 0; k < e16Injections; k++ {
 			at := sim.After(step * sim.Duration(k))
-			e.Schedule(at, func() { txPort.Enqueue(wire.NewFrame(make([]byte, 8))) })
-			e.Schedule(at.Add(step/2), func() { txPort.Enqueue(wire.NewFrame(hairpinData)) })
+			e.Schedule(at, func() { txPort.Enqueue(wire.One(wire.NewFrame(make([]byte, 8)))) })
+			e.Schedule(at.Add(step/2), func() { txPort.Enqueue(wire.One(wire.NewFrame(hairpinData))) })
 		}
 
 		e.RunUntil(sim.Time(duration))

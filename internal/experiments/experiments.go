@@ -212,7 +212,7 @@ func E3Topology(e *sim.Engine, swCfg switchsim.Config) (*core.Device, *switchsim
 	teach := probeSpec
 	teach.SrcMAC, teach.DstMAC = probeSpec.DstMAC, probeSpec.SrcMAC
 	teach.FrameSize = 64
-	dev.Card.Port(1).Enqueue(wire.NewFrame(teach.Build()))
+	dev.Card.Port(1).Enqueue(wire.One(wire.NewFrame(teach.Build())))
 	e.Run()
 	return dev, sw
 }
@@ -380,7 +380,7 @@ func feedProbes(e *sim.Engine, l *wire.Link, n int) {
 	at := sim.Time(0)
 	for i := 0; i < n; i++ {
 		at = at.Add(sim.Duration(rnd.Intn(int(20 * sim.Microsecond))))
-		e.Schedule(at, func() { l.Transmit(wire.NewFrame(data)) })
+		e.Schedule(at, func() { l.Transmit(wire.One(wire.NewFrame(data)), e.Now()) })
 	}
 }
 

@@ -392,134 +392,107 @@ func (g *Generator) Stop() {
 	g.next.Cancel()
 }
 
-// emit pulls one frame from the source and hands it to the MAC, then
-// re-arms itself — the per-packet steady state of the generator.
+// emit pulls the next run from the source and hands it to the MAC, then
+// re-arms itself at the departure instant of the first frame not in the
+// run — the generator's steady state. A run starts as one frame and grows
+// into a wire.Train only when coalescing is on (MaxTrain > 1 and a pooled
+// source) and the MAC is idle: frames join while they depart back to back
+// from the current instant, bounded by MaxTrain, the Until deadline and
+// the Count budget. Source frames and spacing draws are consumed in one
+// order (frame, then its gap) whatever the run's length, so a run is bit-
+// and time-identical to what one emission per frame produces; only the
+// event count differs.
 //
 //lint:hotpath
 func (g *Generator) emit() {
 	if !g.running {
 		return
 	}
-	if until := g.cfg.Until; until != 0 && g.port.Card().Engine.Now() > until {
-		g.finish()
-		return
-	}
-	if g.cfg.MaxTrain > 1 && g.pooled != nil && g.port.TxIdle() {
-		g.emitTrain()
-		return
-	}
-	if g.cfg.Count > 0 && g.sent.Packets+g.dropped >= g.cfg.Count {
-		g.finish()
-		return
-	}
-	var f *wire.Frame
-	if g.pooled != nil {
-		f = g.cfg.Pool.Get(0)
-		if !g.pooled.NextInto(f) {
-			f.Release()
-			g.finish()
-			return
-		}
-	} else {
-		f = g.cfg.Source.Next()
-		if f == nil {
-			g.finish()
-			return
-		}
-	}
-	size := f.Size
-	if g.port.Enqueue(f) {
-		g.sent.Add(wire.WireBytes(size))
-	} else {
-		g.dropped++
-	}
-	gap := g.cfg.Spacing.Next(g.rand)
-	if gap < 0 {
-		gap = 0
-	}
-	// emit is the callback of g.next itself, which has just fired:
-	// re-arming it reuses the one Event for the generator's lifetime.
 	e := g.port.Card().Engine
-	e.Arm(&g.next, e.Now().Add(gap))
-}
-
-// emitTrain coalesces the longest run of frames that depart back to back
-// from the current instant — bounded by MaxTrain, the Until deadline,
-// the Count budget and the first non-abutting gap — and hands it to the
-// MAC as one wire.Train. The consumption order of source frames and
-// spacing draws is exactly the per-frame path's (frame, then its gap),
-// so a run formed here is bit- and time-identical to what N per-frame
-// emissions would have produced; only the event count differs.
-//
-//lint:hotpath
-func (g *Generator) emitTrain() {
-	e := g.port.Card().Engine
+	t := e.Now() // departure instant of the frame being pulled
 	until := g.cfg.Until
 	if until == 0 {
 		until = sim.Time(math.MaxInt64)
+	} else if t > until {
+		g.finish()
+		return
 	}
-	rate := g.port.Link().Rate
-	pool := g.cfg.Pool
-	tr := pool.GetTrain()
-	limit := g.cfg.MaxTrain
-	t := e.Now()    // departure instant of the frame being pulled
-	trainEnd := t   // serialization end of the run so far
-	uniform := true // all frames byte-identical so far
-	for {
-		if g.cfg.Count > 0 && g.sent.Packets+g.dropped+uint64(len(tr.Frames)) >= g.cfg.Count {
+	limit := 1
+	var rate wire.Rate
+	if g.cfg.MaxTrain > 1 && g.pooled != nil && g.port.TxIdle() {
+		limit, rate = g.cfg.MaxTrain, g.port.Link().Rate
+	}
+	var (
+		first   *wire.Frame
+		tr      *wire.Train // holds the run once a second frame joins
+		n, wb   int
+		uniform = true // all frames byte-identical so far
+	)
+	for g.cfg.Count == 0 || g.sent.Packets+g.dropped+uint64(n) < g.cfg.Count {
+		var f *wire.Frame
+		if g.pooled != nil {
+			f = g.cfg.Pool.Get(0)
+			if !g.pooled.NextInto(f) {
+				f.Release()
+				break
+			}
+		} else if f = g.cfg.Source.Next(); f == nil {
 			break
 		}
-		f := pool.Get(0)
-		if !g.pooled.NextInto(f) {
-			f.Release()
-			break
+		switch {
+		case n == 0:
+			first = f
+		case tr == nil:
+			tr = g.train(first, f)
+		default:
+			tr.Frames = append(tr.Frames, f)
 		}
-		if uniform && len(tr.Frames) > 0 {
-			first := tr.Frames[0]
-			uniform = f.Size == first.Size && bytes.Equal(f.Data, first.Data)
+		if n > 0 {
+			uniform = uniform && f.Size == first.Size && bytes.Equal(f.Data, first.Data)
 		}
-		tr.Frames = append(tr.Frames, f)
-		trainEnd = t.Add(wire.SerializationTime(f.Size, rate))
+		n++
+		wb += wire.WireBytes(f.Size)
+		departs := t
 		gap := g.cfg.Spacing.Next(g.rand)
 		if gap < 0 {
 			gap = 0
 		}
 		t = t.Add(gap)
-		if len(tr.Frames) >= limit || t != trainEnd || t > until {
+		if n >= limit || t > until || t != departs.Add(wire.SerializationTime(f.Size, rate)) {
 			break
 		}
 	}
-	if len(tr.Frames) == 0 {
-		// Count exhausted or source dry before the first frame: the
-		// per-frame path would finish at this instant too.
-		tr.Recycle()
+	if n == 0 {
+		// Count exhausted or source dry: the generator finishes here.
 		g.finish()
 		return
 	}
-	if len(tr.Frames) == 1 {
-		f := tr.Frames[0]
-		tr.Frames[0] = nil
-		tr.Frames = tr.Frames[:0]
-		tr.Recycle()
-		size := f.Size
-		if g.port.Enqueue(f) {
-			g.sent.Add(wire.WireBytes(size))
-		} else {
-			g.dropped++
-		}
-	} else {
+	r := wire.One(first)
+	if tr != nil {
 		// Timestamp embedding mutates each frame at MAC latch time, so an
 		// OnTransmit hook voids byte-uniformity even for a one-flow run.
 		tr.Uniform = uniform && g.port.OnTransmit == nil
-		for _, f := range tr.Frames {
-			g.sent.Add(wire.WireBytes(f.Size))
-		}
-		g.port.EnqueueTrain(tr)
+		r = tr.Run()
+	}
+	if g.port.Enqueue(r) {
+		g.sent.Packets += uint64(n)
+		g.sent.Bytes += uint64(wb)
+	} else {
+		g.dropped += uint64(n)
 	}
 	// t is the departure instant of the first frame NOT in this run: the
-	// next emission event, which finishes the generator if it lies past
-	// the Until deadline.
+	// next emission, which finishes the generator if it lies past the
+	// Until deadline. emit is the callback of g.next itself, which has
+	// just fired: re-arming it reuses the one Event for the generator's
+	// lifetime.
 	e.Arm(&g.next, t)
+}
+
+// train starts a pooled train with the run's first two frames.
+func (g *Generator) train(first, second *wire.Frame) *wire.Train {
+	t := g.cfg.Pool.GetTrain()
+	t.Frames = append(t.Frames, first, second)
+	return t
 }
 
 func (g *Generator) finish() {

@@ -25,9 +25,11 @@ type rxCollector struct {
 	times  []sim.Time
 }
 
-func (r *rxCollector) Receive(f *wire.Frame, _, at sim.Time) {
-	r.frames = append(r.frames, f)
-	r.times = append(r.times, at)
+func (r *rxCollector) Receive(run wire.Run, start, at sim.Time) {
+	for w := run.Walk(start, at); w.Next(); {
+		r.frames = append(r.frames, w.Frame)
+		r.times = append(r.times, w.LastBit)
+	}
 }
 
 func testRig(t *testing.T) (*sim.Engine, *netfpga.Card, *rxCollector) {

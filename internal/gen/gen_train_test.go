@@ -8,8 +8,8 @@ import (
 	"osnt/internal/wire"
 )
 
-// trainCollector observes the wire as a batch-aware endpoint: whole
-// trains arrive via ReceiveTrain, everything else per frame.
+// trainCollector observes the wire as a whole-run endpoint: trains and
+// bare frames each arrive in one delivery.
 type trainCollector struct {
 	trainLens []int
 	uniforms  []bool
@@ -17,17 +17,15 @@ type trainCollector struct {
 	frames    uint64
 }
 
-func (c *trainCollector) Receive(f *wire.Frame, _, _ sim.Time) {
-	c.singles++
-	c.frames++
-	f.Release()
-}
-
-func (c *trainCollector) ReceiveTrain(t *wire.Train, _, _ sim.Time) {
-	c.trainLens = append(c.trainLens, t.Len())
-	c.uniforms = append(c.uniforms, t.Uniform)
-	c.frames += uint64(t.Len())
-	t.Release()
+func (c *trainCollector) Receive(r wire.Run, _, _ sim.Time) {
+	c.frames += uint64(r.Len())
+	if t := r.Train(); t != nil {
+		c.trainLens = append(c.trainLens, t.Len())
+		c.uniforms = append(c.uniforms, t.Uniform)
+	} else {
+		c.singles++
+	}
+	r.Release()
 }
 
 // trainRig builds a one-port card wired into a batch-aware collector.

@@ -80,17 +80,20 @@ func (n *NIC) Interrupts() uint64 { return n.interrupts }
 // Captured returns counters over delivered packets.
 func (n *NIC) Captured() stats.Counter { return n.captured }
 
-// Receive implements wire.Endpoint.
-func (n *NIC) Receive(f *wire.Frame, _ sim.Time, at sim.Time) {
-	data := make([]byte, len(f.Data))
-	copy(data, f.Data)
-	n.batch = append(n.batch, pending{data: data, arrival: at})
-	if len(n.batch) == 1 {
-		n.engine.Arm(&n.timeoutEv, n.engine.Now().Add(n.cfg.CoalesceTimeout))
-	}
-	if len(n.batch) >= n.cfg.CoalesceCount {
-		n.timeoutEv.Cancel()
-		n.fire()
+// Receive implements wire.Endpoint: every frame of the run joins the
+// interrupt batch at its own arrival instant.
+func (n *NIC) Receive(r wire.Run, start, at sim.Time) {
+	for w := r.Walk(start, at); w.Next(); {
+		data := make([]byte, len(w.Frame.Data))
+		copy(data, w.Frame.Data)
+		n.batch = append(n.batch, pending{data: data, arrival: w.LastBit})
+		if len(n.batch) == 1 {
+			n.engine.Arm(&n.timeoutEv, n.engine.Now().Add(n.cfg.CoalesceTimeout))
+		}
+		if len(n.batch) >= n.cfg.CoalesceCount {
+			n.timeoutEv.Cancel()
+			n.fire()
+		}
 	}
 }
 

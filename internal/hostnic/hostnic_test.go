@@ -17,7 +17,7 @@ func TestCoalesceByCount(t *testing.T) {
 		Sink: func(_ []byte, ts, at sim.Time) { swTS = append(swTS, ts); arrivals = append(arrivals, at) }})
 	l := wire.NewLink(e, wire.Rate10G, 0, nic)
 	for i := 0; i < 4; i++ {
-		l.Transmit(frame(64))
+		l.Transmit(wire.One(frame(64)), e.Now())
 	}
 	e.Run()
 	if len(swTS) != 4 {
@@ -46,7 +46,7 @@ func TestCoalesceByTimeout(t *testing.T) {
 	nic := New(e, Config{CoalesceCount: 64, CoalesceTimeout: 30 * sim.Microsecond, Seed: 2,
 		Sink: func([]byte, sim.Time, sim.Time) { n++ }})
 	l := wire.NewLink(e, wire.Rate10G, 0, nic)
-	l.Transmit(frame(64)) // a single frame must still be delivered
+	l.Transmit(wire.One(frame(64)), e.Now()) // a single frame must still be delivered
 	e.Run()
 	if n != 1 || nic.Interrupts() != 1 {
 		t.Fatalf("delivered %d, interrupts %d", n, nic.Interrupts())
@@ -70,7 +70,7 @@ func TestTimestampErrorDominatesHardware(t *testing.T) {
 	l := wire.NewLink(e, wire.Rate10G, 0, nic)
 	for i := 0; i < 1000; i++ {
 		at := sim.Time(i) * sim.Time(10*sim.Microsecond)
-		e.Schedule(at, func() { l.Transmit(frame(256)) })
+		e.Schedule(at, func() { l.Transmit(wire.One(frame(256)), e.Now()) })
 	}
 	e.Run()
 	if cnt != 1000 {
@@ -92,8 +92,8 @@ func TestBatchesIndependent(t *testing.T) {
 	var ts []sim.Time
 	nic := New(e, Config{Seed: 4, Sink: func(_ []byte, s, _ sim.Time) { ts = append(ts, s) }})
 	l := wire.NewLink(e, wire.Rate10G, 0, nic)
-	l.Transmit(frame(64))
-	e.Schedule(sim.Time(sim.Millisecond), func() { l.Transmit(frame(64)) })
+	l.Transmit(wire.One(frame(64)), e.Now())
+	e.Schedule(sim.Time(sim.Millisecond), func() { l.Transmit(wire.One(frame(64)), e.Now()) })
 	e.Run()
 	if len(ts) != 2 || ts[0] == ts[1] {
 		t.Fatalf("timestamps %v", ts)
@@ -112,7 +112,7 @@ func TestDataCopied(t *testing.T) {
 	nic := New(e, Config{Seed: 5, Sink: func(d []byte, _, _ sim.Time) { got = append(got, d) }})
 	f := frame(64)
 	f.Data[0] = 0x42
-	nic.Receive(f, 0, 0)
+	nic.Receive(wire.One(f), 0, 0)
 	f.Data[0] = 0x00 // datapath reuses the buffer
 	e.Run()
 	if len(got) != 1 || got[0][0] != 0x42 {

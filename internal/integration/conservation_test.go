@@ -82,7 +82,7 @@ func TestPropertyLossConservationRandomChains(t *testing.T) {
 			txPort := tp.Port("tx:0")
 			for r := 0; r < runts; r++ {
 				at := sim.Time(rnd.Intn(int(duration)))
-				e.Schedule(at, func() { txPort.Enqueue(wire.NewFrame(make([]byte, 6))) })
+				e.Schedule(at, func() { txPort.Enqueue(wire.One(wire.NewFrame(make([]byte, 6)))) })
 			}
 
 			e.RunUntil(sim.Time(duration))

@@ -23,7 +23,9 @@ import (
 // and bytes, every counter, every drop attribution. These tests run
 // randomized single-source scenarios across the three hot spots the
 // batching fast paths split at (rate conversion, ECMP spray, capture
-// filters) and compare complete run summaries across caps 1/4/64.
+// filters), plus a capture ring whose DMA completions tie with frame
+// arrivals, on zero-delay and on keyed 1 µs cables, and compare complete
+// run summaries across caps 1/4/64.
 
 const equivDur = 300 * sim.Microsecond
 
@@ -96,16 +98,18 @@ func equivSummary(g *gen.Generator, ms []*mon.Monitor, digests [][]uint64, top *
 
 // equivScenario is one randomized rig: mk draws its parameters from rng
 // once, then the returned run function replays the identical scenario at
-// a given train cap.
+// a given train cap. Every cable carries the given propagation delay; a
+// positive one gives it a structural delivery key (topo), which orders
+// its deliveries before same-instant PrioDefault events.
 type equivScenario struct {
 	name string
-	mk   func(rng *rand.Rand) func(cap int) string
+	mk   func(rng *rand.Rand, delay sim.Duration) func(cap int) string
 }
 
 // mixedRateScenario saturates a 40G→10G down-converting DUT whose
 // shallow egress FIFO overflows continuously: trains must split at the
 // rate-conversion boundary and attribute exactly the same drops.
-func mixedRateScenario(rng *rand.Rand) func(cap int) string {
+func mixedRateScenario(rng *rand.Rand, delay sim.Duration) func(cap int) string {
 	fs := []int{64, 128, 512, 1518}[rng.Intn(4)]
 	nflows := []int{1, 4, 64}[rng.Intn(3)]
 	qcap := []int{16, 64}[rng.Intn(2)]
@@ -121,8 +125,8 @@ func mixedRateScenario(rng *rand.Rand) func(cap int) string {
 				LookupPerPacket: sim.Nanosecond,
 				LookupPerByte:   sim.Picoseconds(10),
 			}).
-			Link("tx:0", "sw:0").
-			Link("sw:1", "rx:0").
+			LinkAt("tx:0", "sw:0", 0, delay).
+			LinkAt("sw:1", "rx:0", 0, delay).
 			MustBuild(e)
 		top.DUT("sw").Learn(spec.DstMAC, 1)
 		queues, digests := equivQueues(1)
@@ -144,7 +148,7 @@ func mixedRateScenario(rng *rand.Rand) func(cap int) string {
 // its own capture: spray decisions must land every frame on the same
 // member with and without trains (uniform trains spray whole, mixed
 // flows fall back per frame).
-func sprayScenario(rng *rand.Rand) func(cap int) string {
+func sprayScenario(rng *rand.Rand, delay sim.Duration) func(cap int) string {
 	fs := []int{64, 256, 1518}[rng.Intn(3)]
 	nflows := []int{1, 8, 64}[rng.Intn(3)]
 	return func(cap int) string {
@@ -159,9 +163,9 @@ func sprayScenario(rng *rand.Rand) func(cap int) string {
 				LookupPerPacket: sim.Nanosecond,
 				LookupPerByte:   sim.Picoseconds(10),
 			}).
-			Link("tx:0", "sw:0").
-			Link("sw:1", "rx0:0").
-			Link("sw:2", "rx1:0").
+			LinkAt("tx:0", "sw:0", 0, delay).
+			LinkAt("sw:1", "rx0:0", 0, delay).
+			LinkAt("sw:2", "rx1:0", 0, delay).
 			MustBuild(e)
 		sw := top.DUT("sw")
 		sw.LearnGroup(spec.DstMAC, sw.AddGroup(1, 2))
@@ -190,14 +194,14 @@ func sprayScenario(rng *rand.Rand) func(cap int) string {
 // with its own snap length, and hash-steers the rest across four rings —
 // train admission must classify every frame exactly as the per-frame
 // path does, thinning included.
-func filterScenario(rng *rand.Rand) func(cap int) string {
+func filterScenario(rng *rand.Rand, delay sim.Duration) func(cap int) string {
 	fs := []int{64, 128, 512}[rng.Intn(3)]
 	nflows := []int{8, 64}[rng.Intn(2)]
 	return func(cap int) string {
 		e := sim.NewEngine()
 		top := topo.New().
 			Tester("osnt", netfpga.Config{Ports: 2}).
-			Link("osnt:0", "osnt:1").
+			LinkAt("osnt:0", "osnt:1", 0, delay).
 			MustBuild(e)
 		filters := filter.NewTable(filter.Capture)
 		// Flow 0 is rejected in hardware.
@@ -232,6 +236,64 @@ func filterScenario(rng *rand.Rand) func(cap int) string {
 	}
 }
 
+// dmaTieScenario pins capture admission at a keyed tie: a 10G tester
+// port saturated with one 64 B flow for 20 µs (298 frames) into
+// four-slot capture rings whose host cost is a whole number of frame
+// slots, so DMA completions fall due at the instants frames arrive — one
+// ring at two, then three slots, then four round-robin rings at five. A
+// completion due at an arrival must be applied before that frame is
+// admitted, whatever the engine's same-instant order between the
+// completion event and the cable's keyed delivery, and however frames are
+// grouped into trains. The rig is fixed; the seed does not enter it.
+func dmaTieScenario(_ *rand.Rand, delay sim.Duration) func(cap int) string {
+	const dur = 20 * sim.Microsecond
+	slot := wire.SerializationTime(64, wire.Rate10G)
+	return func(cap int) string {
+		var s string
+		for _, rig := range []struct {
+			queues int
+			slots  sim.Duration
+		}{{1, 2}, {1, 3}, {4, 5}} {
+			e := sim.NewEngine()
+			top := topo.New().
+				Tester("osnt", netfpga.Config{Ports: 2}).
+				LinkAt("osnt:0", "osnt:1", 0, delay).
+				MustBuild(e)
+			digests := make([]uint64, rig.queues)
+			queues := make([]mon.QueueConfig, rig.queues)
+			for i := range queues {
+				queues[i] = mon.QueueConfig{
+					RingSize:      4,
+					HostPerPacket: rig.slots * slot,
+					HostPerByte:   -1,
+					Sink:          equivSink(&digests[i]),
+				}
+			}
+			m := top.AttachMonitor("osnt:1", mon.Config{
+				SnapLen: 64,
+				Steer:   mon.SteerRoundRobin,
+				Queues:  queues,
+			})
+			g, err := gen.New(top.Port("osnt:0"), gen.Config{
+				Source:   &gen.UDPFlowSource{Spec: spec, FrameSize: 64},
+				Spacing:  gen.CBRForLoad(64, wire.Rate10G, 1.0),
+				Pool:     wire.DefaultPool,
+				MaxTrain: cap,
+				Until:    sim.Time(dur),
+			})
+			if err != nil {
+				panic(err)
+			}
+			g.Start(0)
+			e.RunUntil(sim.Time(dur))
+			g.Stop()
+			e.Run()
+			s += fmt.Sprintf("%d queue(s), host cost %d slots: %s\n", rig.queues, rig.slots, equivSummary(g, []*mon.Monitor{m}, [][]uint64{digests}, top))
+		}
+		return s
+	}
+}
+
 // equivGen builds the scenario's single saturating source: load 1.0 so
 // consecutive frames abut and trains actually form at every cap > 1.
 func equivGen(top *topo.Topology, port string, fs, nflows int, rate wire.Rate, cap int) *gen.Generator {
@@ -249,23 +311,27 @@ func equivGen(top *topo.Topology, port string, fs, nflows int, rate wire.Rate, c
 }
 
 // TestTrainEquivalence is the batching correctness property test: for
-// every randomized scenario, runs with train caps 4 and 64 must produce
-// summaries identical to the per-frame cap-1 reference.
+// every randomized scenario, at zero and at 1 µs cable delay, runs with
+// train caps 4 and 64 must produce summaries identical to the per-frame
+// cap-1 reference.
 func TestTrainEquivalence(t *testing.T) {
 	scenarios := []equivScenario{
 		{"mixed-rate", mixedRateScenario},
 		{"ecmp-spray", sprayScenario},
 		{"filters", filterScenario},
+		{"dma-tie", dmaTieScenario},
 	}
 	for _, sc := range scenarios {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", sc.name, seed), func(t *testing.T) {
-				run := sc.mk(rand.New(rand.NewSource(seed)))
-				ref := run(1)
-				for _, cap := range []int{4, 64} {
-					if got := run(cap); got != ref {
-						t.Errorf("cap %d diverges from per-frame reference:\n--- cap 1 ---\n%s\n--- cap %d ---\n%s",
-							cap, ref, cap, got)
+				for _, delay := range []sim.Duration{0, sim.Microsecond} {
+					run := sc.mk(rand.New(rand.NewSource(seed)), delay)
+					ref := run(1)
+					for _, cap := range []int{4, 64} {
+						if got := run(cap); got != ref {
+							t.Errorf("delay %v: cap %d diverges from per-frame reference:\n--- cap 1 ---\n%s\n--- cap %d ---\n%s",
+								delay, cap, ref, cap, got)
+						}
 					}
 				}
 			})

@@ -140,11 +140,12 @@ func TestMergeEqualTimestampTieBreak(t *testing.T) {
 
 	data := spec.Build()
 	frame := wire.NewFrame(data)
-	ts1 := timing.FromSim(sim.Time(10 * sim.Microsecond))
-	// Eight same-timestamp arrivals deal round-robin onto queues
-	// 0,1,2,3,0,1,2,3 — two per queue, all carrying ts1.
+	at1 := sim.Time(10 * sim.Microsecond)
+	ts1 := card.Clock.Now(at1)
+	// Eight same-instant arrivals deal round-robin onto queues
+	// 0,1,2,3,0,1,2,3 — two per queue, all latching ts1.
 	for i := 0; i < 8; i++ {
-		card.Port(0).OnReceive(frame, ts1.Sim(), ts1)
+		card.Port(0).OnReceiveRun(wire.One(frame), at1)
 	}
 	e.Run() // drain every queue
 	g.Flush()
@@ -171,9 +172,9 @@ func TestMergeEqualTimestampTieBreak(t *testing.T) {
 
 	// A later timestamp releases the tied batch even mid-run: emit four
 	// more at ts2 and confirm nothing reordered across the boundary.
-	ts2 := ts1.Add(100 * sim.Nanosecond)
+	at2 := e.Now().Add(100 * sim.Nanosecond)
 	for i := 0; i < 4; i++ {
-		card.Port(0).OnReceive(frame, ts2.Sim(), ts2)
+		card.Port(0).OnReceiveRun(wire.One(frame), at2)
 	}
 	e.Run()
 	g.Flush()

@@ -195,12 +195,12 @@ type queue struct {
 	draining bool
 	drainEv  sim.Event // reusable: at most one DMA completion in flight
 	// nextFinish is the instant the in-flight DMA completes (valid while
-	// draining). The train admission path runs ahead of the engine clock
+	// draining). Admission runs ahead of the engine clock through a train
 	// and uses it to apply completions virtually, between two frame
 	// arrivals, without firing the event.
 	nextFinish sim.Time
-	// touched marks the queue as dirty inside one train admission, so the
-	// fixup pass re-arms each queue's real drain event exactly once.
+	// touched marks the queue as dirty inside one admission, so the
+	// fixup pass settles each queue's real drain event exactly once.
 	touched bool
 
 	// bufFree recycles record buffers when the queue's recycle flag
@@ -241,8 +241,8 @@ type Monitor struct {
 	queues []queue
 	rr     int    // round-robin cursor
 	merge  *Merge // when set, emits every queue's records from their slots
-	// scratch collects the queues one train touched (reused across
-	// trains, so the batched path allocates nothing).
+	// scratch collects the queues one admission touched (reused across
+	// runs, so admission allocates nothing).
 	scratch []*queue
 
 	seen     stats.Counter // all frames presented to the pipeline
@@ -271,7 +271,7 @@ func (m *Monitor) SetDropSite(ledger *wire.DropLedger, hop int) {
 	m.ledger, m.hop = ledger, hop
 }
 
-// New builds a capture engine on the port, taking over its OnReceive
+// New builds a capture engine on the port, taking over its OnReceiveRun
 // hook. It rejects invalid configurations: Validate errors, more queues
 // than the card's per-port DMA budget (netfpga.Config.CaptureQueues),
 // and filter rules pinning a queue the monitor does not have.
@@ -323,8 +323,7 @@ func New(port *netfpga.Port, cfg Config) (*Monitor, error) {
 		q.drainEv = sim.NewEvent(q.drainDone)
 	}
 
-	port.OnReceive = m.onReceive
-	port.OnReceiveTrain = m.onReceiveTrain
+	port.OnReceiveRun = m.receive
 	return m, nil
 }
 
@@ -337,29 +336,6 @@ func Attach(port *netfpga.Port, cfg Config) *Monitor {
 		panic(err)
 	}
 	return m
-}
-
-func (m *Monitor) onReceive(f *wire.Frame, at sim.Time, ts timing.Timestamp) {
-	m.seen.Add(wire.WireBytes(f.Size))
-	if ts > m.maxTS {
-		m.maxTS = ts
-	}
-
-	data, ruleIdx, hash, drop := m.classify(f.Data)
-	if drop {
-		m.filtered++
-		m.ledger.Report(m.hop, wire.DropFilterReject, 1)
-		return
-	}
-
-	wb := wire.WireBytes(f.Size)
-	m.accepted.Add(wb)
-
-	q := m.steer(data, ruleIdx, hash)
-	q.seen.Add(wb)
-	if q.admit(f, data, at, ts, ruleIdx, hash) {
-		q.drain()
-	}
 }
 
 // classify runs one frame's bytes through the hardware stages that
@@ -390,26 +366,29 @@ func (m *Monitor) classify(data []byte) (capture []byte, rule int, hash uint64, 
 	return data, rule, hash, false
 }
 
-// onReceiveTrain is the batched admission path: the port hands a whole
-// back-to-back run to the monitor in one delivery event. The engine
+// receive is the one admission path: the port hands every delivered run
+// — a bare frame is a run of one — to the monitor in one call. The engine
 // clock sits at the first frame's last-bit arrival; every later frame's
 // arrival instant is recovered arithmetically at the train's wire rate,
 // its MAC timestamp is latched at that instant (in arrival order, so
-// stateful clocks step exactly as under per-frame delivery), and any DMA
-// completions that would have fired between two arrivals are applied
-// virtually with their exact completion instants. Counters, drop
-// decisions and record contents are bitwise identical to N per-frame
-// events; only the event count changes.
+// stateful clocks step exactly once per frame), and any DMA completions
+// due at or before an arrival are applied first, virtually, with their
+// exact completion instants. Counters, drop decisions and record
+// contents are therefore independent of how frames were grouped into
+// runs; only the event count changes.
 //
 // Uniform trains (byte-identical frames) additionally hoist the per-flow
 // work — filter verdict, effective snap length, digest, and (for
 // non-round-robin policies) the steering decision — out of the per-frame
 // loop: one classification covers the run.
-func (m *Monitor) onReceiveTrain(t *wire.Train, at sim.Time) {
+//
+//lint:hotpath
+func (m *Monitor) receive(r wire.Run, at sim.Time) {
 	clock := m.port.Card().Clock
-	touched := m.scratch[:0]
+	m.scratch = m.scratch[:0]
 
-	hoist := t.Uniform
+	n := r.Len()
+	hoist := n > 1 && r.Train().Uniform
 	hoisted := false
 	var (
 		hDrop bool
@@ -420,9 +399,10 @@ func (m *Monitor) onReceiveTrain(t *wire.Train, at sim.Time) {
 	)
 
 	lb := at
-	for i, f := range t.Frames {
+	for i := 0; i < n; i++ {
+		f := r.Frame(i)
 		if i > 0 {
-			lb = lb.Add(wire.SerializationTime(f.Size, t.Rate))
+			lb = lb.Add(wire.SerializationTime(f.Size, r.Train().Rate))
 		}
 		ts := clock.Now(lb)
 		wb := wire.WireBytes(f.Size)
@@ -473,47 +453,56 @@ func (m *Monitor) onReceiveTrain(t *wire.Train, at sim.Time) {
 		}
 		if !q.draining {
 			// The host core was idle when this record landed: the DMA
-			// starts at the (virtual) arrival instant, exactly as drain()
-			// would have at a real per-frame event.
+			// starts at the arrival instant.
 			q.draining = true
 			q.nextFinish = lb.Add(q.perPacket + sim.Duration(len(data))*q.perByte)
 		}
 		if !q.touched {
 			q.touched = true
-			touched = append(touched, q)
+			m.scratch = append(m.scratch, q)
 		}
 	}
 
-	// Fix up the real DMA completion event for every queue the train
-	// touched: still draining → one event at the virtual horizon; gone
-	// idle → any pending event is stale and cancels.
-	for _, q := range touched {
+	// Settle the real DMA completion event of every queue the run
+	// touched: still draining → one event at the virtual horizon (left
+	// alone when it is already queued there, which is the common case of
+	// a frame joining a busy ring); gone idle → any pending event is
+	// stale and cancels.
+	for _, q := range m.scratch {
 		q.touched = false
-		if q.draining {
-			m.eng.Arm(&q.drainEv, q.nextFinish)
-		} else {
-			q.drainEv.Cancel()
+		ev := &q.drainEv
+		switch {
+		case !q.draining:
+			ev.Cancel()
+		case !ev.Pending() || ev.Cancelled() || ev.At() != q.nextFinish:
+			m.eng.Arm(ev, q.nextFinish)
 		}
 	}
-	m.scratch = touched[:0]
 }
 
-// advanceTo applies, virtually, every DMA completion that would have
-// fired up to instant t. The train admission loop runs ahead of the
-// engine clock, so completions falling between two frame arrivals are
-// delivered here carrying their exact completion instants. A completion
-// landing exactly on an arrival delivers first, matching the per-frame
-// event order (the completion event was scheduled earlier, so it holds
-// the smaller sequence number).
+// advanceTo applies, virtually, every DMA completion due at or before
+// instant t. Admission runs ahead of the engine clock through a train,
+// so completions falling between two frame arrivals are delivered here
+// carrying their exact completion instants. The rule it enforces: a
+// completion due at or before an arrival is applied before that frame is
+// admitted, whatever the engine's same-instant order between the
+// completion event and the delivery (a keyed cable's delivery sorts
+// before the completion's PrioDefault).
 func (q *queue) advanceTo(t sim.Time) {
 	for q.draining && q.nextFinish <= t {
-		q.deliverHead(q.nextFinish)
-		if len(q.ring) == q.head {
-			q.draining = false
-			break
-		}
-		q.nextFinish = q.nextFinish.Add(q.perPacket + sim.Duration(len(q.ring[q.head].Data))*q.perByte)
+		q.complete()
 	}
+}
+
+// complete applies the in-flight DMA completion at its instant and starts
+// the next record's DMA, if the ring holds one.
+func (q *queue) complete() {
+	q.deliverHead(q.nextFinish)
+	if len(q.ring) == q.head {
+		q.draining = false
+		return
+	}
+	q.nextFinish = q.nextFinish.Add(q.perPacket + sim.Duration(len(q.ring[q.head].Data))*q.perByte)
 }
 
 // steer picks the capture queue for one accepted packet: rule pins win,
@@ -561,15 +550,10 @@ func (q *queue) admit(f *wire.Frame, data []byte, at sim.Time, ts timing.Timesta
 		return false
 	}
 	q.accepted.Add(wire.WireBytes(f.Size))
-	var buf []byte
-	if k := len(q.bufFree); k > 0 {
-		buf = q.bufFree[k-1]
-		q.bufFree = q.bufFree[:k-1]
-	}
 	n := len(q.ring)
 	q.ring = slices.Grow(q.ring, 1)[:n+1]
 	r := &q.ring[n]
-	r.Data = append(buf, data...)
+	r.Data = append(q.freeBuf(), data...)
 	r.WireSize, r.TS, r.Arrival, r.Delivered = f.Size, ts, at, 0
 	r.Port, r.Queue, r.Seq, r.Rule, r.Hash = q.m.port.Index(), q.idx, q.seq, rule, hash
 	r.Trace = f.Trace
@@ -577,8 +561,20 @@ func (q *queue) admit(f *wire.Frame, data []byte, at sim.Time, ts timing.Timesta
 	return true
 }
 
-// drain models this queue's host core consuming the ring one record at
-// a time.
+// freeBuf pops a released record buffer (empty, with capacity) off the
+// free list, or returns nil when the list is dry.
+func (q *queue) freeBuf() []byte {
+	k := len(q.bufFree)
+	if k == 0 {
+		return nil
+	}
+	buf := q.bufFree[k-1]
+	q.bufFree = q.bufFree[:k-1]
+	return buf
+}
+
+// drain starts the DMA of the record at the ring head when the host
+// core is idle.
 //
 //lint:hotpath
 func (q *queue) drain() {
@@ -588,14 +584,12 @@ func (q *queue) drain() {
 	q.draining = true
 	cost := q.perPacket + sim.Duration(len(q.ring[q.head].Data))*q.perByte
 	q.nextFinish = q.m.eng.Now().Add(cost)
-	// A train admission may have left the event cancelled but queued;
-	// Arm re-keys it in place.
 	q.m.eng.Arm(&q.drainEv, q.nextFinish)
 }
 
 // deliverHead completes the in-flight DMA for the record at the ring
 // head, stamping the given completion instant in its slot. Shared by the
-// real completion event and the train path's virtual advance. With a
+// real completion event and admission's virtual advance. With a
 // Merge attached the record stays in its slot until the merge emits it;
 // otherwise the sink sees it and the slot is released at once.
 func (q *queue) deliverHead(doneAt sim.Time) {

@@ -121,13 +121,13 @@ type Port struct {
 	// OnReceive fires for every frame whose last bit has arrived, with
 	// the MAC-latched receive timestamp.
 	OnReceive func(f *wire.Frame, at sim.Time, ts timing.Timestamp)
-	// OnReceiveTrain, when set, takes whole frame trains in one callback
-	// (at is the first frame's last-bit arrival; later boundaries follow
-	// arithmetically at t.Rate). The consumer latches per-frame
-	// timestamps itself via Card().Clock, in arrival order — the port
-	// does not pre-latch, so stateful clocks still step exactly once per
-	// frame. When nil, trains unbundle into per-frame OnReceive calls.
-	OnReceiveTrain func(t *wire.Train, at sim.Time)
+	// OnReceiveRun, when set, takes every delivered run in one callback
+	// instead (at is the first frame's last-bit arrival; later boundaries
+	// follow arithmetically at the train's Rate). The consumer latches
+	// per-frame timestamps itself via Card().Clock, in arrival order — the
+	// port does not pre-latch, so stateful clocks still step exactly once
+	// per frame. The port releases the run when the hook returns.
+	OnReceiveRun func(r wire.Run, at sim.Time)
 
 	txStats stats.Counter
 	rxStats stats.Counter
@@ -150,18 +150,27 @@ func (p *Port) SetLink(l *wire.Link) { p.mac.SetLink(l) }
 // Link returns the attached egress link.
 func (p *Port) Link() *wire.Link { return p.mac.Link() }
 
-// Enqueue places a frame on the TX queue and reports whether it was
-// accepted. The port owns the frame from here: when the queue is full —
+// Enqueue places a run on the TX queue and reports whether it was
+// accepted. The port owns the run from here: when the queue is full —
 // software offered more than line rate for longer than the queue can
-// absorb — it counts the drop and releases the frame.
+// absorb — it counts the drop and releases the frames. A run of two or
+// more goes out back to back in one MAC pass (one transmit event,
+// per-frame OnTransmit hooks at each frame's exact latch instant); the
+// caller must have checked TxIdle, because coalescing a run through a
+// busy MAC would reorder it against queued frames — a contract
+// violation, not a recoverable condition.
 //
 //lint:hotpath
-func (p *Port) Enqueue(f *wire.Frame) bool {
+func (p *Port) Enqueue(r wire.Run) bool {
 	if p.mac.Link() == nil {
 		panic(fmt.Sprintf("netfpga: port %d transmit with no link attached", p.index))
 	}
-	if !p.mac.Push(f, p.card.Engine.Now(), wire.DropTxOverflow) {
-		p.card.Regs.AddAt(p.regTxDrops, 1)
+	n := r.Len()
+	if n > 1 && !p.TxIdle() {
+		panic(fmt.Sprintf("netfpga: port %d frame train enqueued on a busy MAC", p.index))
+	}
+	if !p.mac.Push(r, p.card.Engine.Now(), wire.DropTxOverflow) {
+		p.card.Regs.AddAt(p.regTxDrops, uint64(n))
 		return false
 	}
 	return true
@@ -172,23 +181,6 @@ func (p *Port) Enqueue(f *wire.Frame) bool {
 // It holds at every emission instant as long as offered load stays at or
 // below line rate.
 func (p *Port) TxIdle() bool { return p.mac.Idle() }
-
-// EnqueueTrain transmits a whole back-to-back run in one MAC pass: one
-// transmit event, per-frame OnTransmit hooks at each frame's exact latch
-// instant. The caller must have checked TxIdle — coalescing a run through
-// a busy MAC would reorder it against queued frames, so that is a
-// contract violation, not a recoverable condition.
-//
-//lint:hotpath
-func (p *Port) EnqueueTrain(t *wire.Train) {
-	if p.mac.Link() == nil {
-		panic(fmt.Sprintf("netfpga: port %d transmit with no link attached", p.index))
-	}
-	if !p.TxIdle() {
-		panic(fmt.Sprintf("netfpga: port %d EnqueueTrain on a busy MAC", p.index))
-	}
-	p.mac.PushTrain(t, p.card.Engine.Now())
-}
 
 // Latch implements wire.Latcher: the MAC latches the TX timestamp the
 // instant serialisation starts, runs OnTransmit, and counts the frame.
@@ -204,48 +196,42 @@ func (p *Port) Latch(f *wire.Frame, start, _ sim.Time) {
 	p.card.Regs.AddAt(p.regTxBytes, uint64(f.Size))
 }
 
-// Receive implements wire.Endpoint: the RX MAC latches a timestamp the
-// instant the frame fully arrives and hands it to the attached subsystem.
-// The card port is a terminal endpoint, so pooled frames are released
-// once OnReceive returns; hooks that keep the bytes past the callback
-// must copy them (the monitor's capture ring does).
+// Receive implements wire.Endpoint: the RX MAC counts every frame and
+// hands the run to the attached subsystem. With an OnReceiveRun hook the
+// whole run goes to it in one call and the hook latches the per-frame
+// timestamps; otherwise each frame's timestamp is latched the instant it
+// fully arrives and OnReceive sees it. The card port is a terminal
+// endpoint, so pooled frames are released once the hook returns; hooks
+// that keep the bytes past the callback must copy them (the monitor's
+// capture ring does).
 //
 //lint:hotpath
-func (p *Port) Receive(f *wire.Frame, _ sim.Time, at sim.Time) {
-	ts := p.card.Clock.Now(at)
-	p.rxStats.Add(wire.WireBytes(f.Size))
-	p.card.Regs.AddAt(p.regRxPackets, 1)
-	p.card.Regs.AddAt(p.regRxBytes, uint64(f.Size))
-	if p.OnReceive != nil {
-		p.OnReceive(f, at, ts)
-	}
-	f.Release()
-}
-
-// ReceiveTrain implements wire.TrainEndpoint: one delivery event covers
-// the whole back-to-back run. With an OnReceiveTrain hook attached, the
-// register and stat counters update in bulk and the hook latches the
-// per-frame timestamps itself, in arrival order. Without one, the run
-// unbundles (wire.Unbundle) into per-frame Receive calls, which count,
-// latch, call OnReceive and release exactly as per-frame delivery does —
-// so a stateful clock observes the per-frame sequence of latch calls
-// either way.
-//
-//lint:hotpath
-func (p *Port) ReceiveTrain(t *wire.Train, start, at sim.Time) {
-	if p.OnReceiveTrain == nil {
-		wire.Unbundle(p, t, start, at)
+func (p *Port) Receive(r wire.Run, start, at sim.Time) {
+	if p.OnReceiveRun != nil {
+		n := r.Len()
+		var sizes uint64
+		for i := 0; i < n; i++ {
+			size := r.Frame(i).Size
+			p.rxStats.Add(wire.WireBytes(size))
+			sizes += uint64(size)
+		}
+		p.card.Regs.AddAt(p.regRxPackets, uint64(n))
+		p.card.Regs.AddAt(p.regRxBytes, sizes)
+		p.OnReceiveRun(r, at)
+		r.Release()
 		return
 	}
-	var sizes uint64
-	for _, f := range t.Frames {
+	for w := r.Walk(start, at); w.Next(); {
+		f := w.Frame
+		ts := p.card.Clock.Now(w.LastBit)
 		p.rxStats.Add(wire.WireBytes(f.Size))
-		sizes += uint64(f.Size)
+		p.card.Regs.AddAt(p.regRxPackets, 1)
+		p.card.Regs.AddAt(p.regRxBytes, uint64(f.Size))
+		if p.OnReceive != nil {
+			p.OnReceive(f, w.LastBit, ts)
+		}
+		f.Release()
 	}
-	p.card.Regs.AddAt(p.regRxPackets, uint64(len(t.Frames)))
-	p.card.Regs.AddAt(p.regRxBytes, sizes)
-	p.OnReceiveTrain(t, at)
-	t.Release()
 }
 
 // TxStats returns cumulative transmit counters (wire bytes).

@@ -55,7 +55,7 @@ func TestPortTransmitTimestampLatch(t *testing.T) {
 	// Enqueue 3 frames at t=0: the MAC must latch timestamps at the
 	// *start* of each serialisation, spaced by exactly one 64B slot.
 	for i := 0; i < 3; i++ {
-		if !p.Enqueue(frame(64)) {
+		if !p.Enqueue(wire.One(frame(64))) {
 			t.Fatal("enqueue failed")
 		}
 	}
@@ -88,7 +88,7 @@ func TestPortTxQueueOverflow(t *testing.T) {
 
 	accepted := 0
 	for i := 0; i < 10; i++ {
-		if p.Enqueue(frame(1518)) {
+		if p.Enqueue(wire.One(frame(1518))) {
 			accepted++
 		}
 	}
@@ -118,7 +118,7 @@ func TestPortReceiveTimestamps(t *testing.T) {
 		gotAt, gotTS = at, ts
 	}
 	l := wire.NewLink(e, wire.Rate10G, 10*sim.Nanosecond, p)
-	e.Schedule(1000, func() { l.Transmit(frame(64)) })
+	e.Schedule(1000, func() { l.Transmit(wire.One(frame(64)), e.Now()) })
 	e.Run()
 	wantAt := sim.Time(1000).Add(wire.SerializationTime(64, wire.Rate10G)).Add(10 * sim.Nanosecond)
 	if gotAt != wantAt {
@@ -140,7 +140,7 @@ func TestPortEnqueueWithoutLinkPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	c.Port(0).Enqueue(frame(64))
+	c.Port(0).Enqueue(wire.One(frame(64)))
 }
 
 func TestCardWithDriftingClock(t *testing.T) {
@@ -155,7 +155,7 @@ func TestCardWithDriftingClock(t *testing.T) {
 	var at sim.Time
 	p.OnReceive = func(_ *wire.Frame, a sim.Time, s timing.Timestamp) { at, ts = a, s }
 	l := wire.NewLink(e, wire.Rate10G, 0, p)
-	e.Schedule(sim.Time(sim.Second), func() { l.Transmit(frame(64)) })
+	e.Schedule(sim.Time(sim.Second), func() { l.Transmit(wire.One(frame(64)), e.Now()) })
 	e.Run()
 	lead := ts.Sim().Sub(at)
 	// ≈ 50 µs lead at 1 s, minus up to one 6.25ns quantisation step.
@@ -195,8 +195,8 @@ func TestFullDuplexPair(t *testing.T) {
 	a.Port(0).OnReceive = func(*wire.Frame, sim.Time, timing.Timestamp) { aGot++ }
 	b.Port(0).OnReceive = func(*wire.Frame, sim.Time, timing.Timestamp) { bGot++ }
 	for i := 0; i < 100; i++ {
-		a.Port(0).Enqueue(frame(64))
-		b.Port(0).Enqueue(frame(1518))
+		a.Port(0).Enqueue(wire.One(frame(64)))
+		b.Port(0).Enqueue(wire.One(frame(1518)))
 	}
 	e.Run()
 	if aGot != 100 || bGot != 100 {
@@ -213,7 +213,7 @@ func BenchmarkPortForwardingPath(b *testing.B) {
 	f := frame(64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Enqueue(f)
+		p.Enqueue(wire.One(f))
 		for e.Step() {
 		}
 	}

@@ -84,7 +84,7 @@ func TestFlowInstallAndForward(t *testing.T) {
 	if r.sw.Table().Len() != 1 {
 		t.Fatalf("table len %d", r.sw.Table().Len())
 	}
-	r.in.Transmit(wire.NewFrame(probe(80, 256)))
+	r.in.Transmit(wire.One(wire.NewFrame(probe(80, 256))), r.e.Now())
 	r.e.Run()
 	if len(r.rx) != 1 {
 		t.Fatalf("delivered %d", len(r.rx))
@@ -110,7 +110,7 @@ func TestQueuedFrameWaitsForItsOwnPipeline(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		at := r.e.Now().Add(sim.Duration(2*i) * slot) // two slots apart
 		arrived = append(arrived, at.Add(slot))       // last bit at the switch
-		r.e.Schedule(at, func() { r.in.Transmit(wire.NewFrame(probe(80, 128))) })
+		r.e.Schedule(at, func() { r.in.Transmit(wire.One(wire.NewFrame(probe(80, 128))), r.e.Now()) })
 	}
 	r.e.Run()
 	if len(r.rx) != len(arrived) {
@@ -126,7 +126,7 @@ func TestQueuedFrameWaitsForItsOwnPipeline(t *testing.T) {
 
 func TestTableMissGeneratesPacketIn(t *testing.T) {
 	r := newRig(t, Config{})
-	r.in.Transmit(wire.NewFrame(probe(9999, 512)))
+	r.in.Transmit(wire.One(wire.NewFrame(probe(9999, 512))), r.e.Now())
 	r.e.Run()
 	if r.sw.Misses() != 1 {
 		t.Fatalf("misses %d", r.sw.Misses())
@@ -156,7 +156,7 @@ func TestMissWithoutControllerDrops(t *testing.T) {
 	hop := ledger.Add("of")
 	sw.SetDropSite(ledger, hop)
 	in := wire.NewLink(e, wire.Rate10G, 0, sw.Port(0))
-	in.Transmit(wire.NewFrame(probe(1, 64)))
+	in.Transmit(wire.One(wire.NewFrame(probe(1, 64))), e.Now())
 	e.Run()
 	if got := ledger.Count(hop, wire.DropNoRule); got != 1 || ledger.Total() != 1 {
 		t.Fatalf("ledger no-rule drops %d of %d total, want 1 of 1", got, ledger.Total())
@@ -238,7 +238,7 @@ func TestFeaturesHandshake(t *testing.T) {
 func TestModifyChangesActions(t *testing.T) {
 	r := newRig(t, Config{})
 	r.addFlow(t, 80, 2)
-	r.in.Transmit(wire.NewFrame(probe(80, 128)))
+	r.in.Transmit(wire.One(wire.NewFrame(probe(80, 128))), r.e.Now())
 	r.e.Run()
 	n := len(r.rx)
 
@@ -254,7 +254,7 @@ func TestModifyChangesActions(t *testing.T) {
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: 3}},
 	}, 9)
 	r.e.Run()
-	r.in.Transmit(wire.NewFrame(probe(80, 128)))
+	r.in.Transmit(wire.One(wire.NewFrame(probe(80, 128))), r.e.Now())
 	r.e.Run()
 	if len(r.rx) != n {
 		t.Fatal("modified flow still reaches old port")
@@ -309,8 +309,8 @@ func TestPriorityOrdering(t *testing.T) {
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: 3}},
 	}, 1)
 	r.addFlow(t, 80, 2)
-	r.in.Transmit(wire.NewFrame(probe(80, 128)))
-	r.in.Transmit(wire.NewFrame(probe(81, 128)))
+	r.in.Transmit(wire.One(wire.NewFrame(probe(80, 128))), r.e.Now())
+	r.in.Transmit(wire.One(wire.NewFrame(probe(81, 128))), r.e.Now())
 	r.e.Run()
 	if len(r.rx) != 1 {
 		t.Fatalf("deliveries %d, want only the port-80 probe", len(r.rx))
@@ -331,7 +331,7 @@ func TestHeaderRewriteActions(t *testing.T) {
 		},
 	}, 1)
 	r.e.Run()
-	r.in.Transmit(wire.NewFrame(probe(80, 256)))
+	r.in.Transmit(wire.One(wire.NewFrame(probe(80, 256))), r.e.Now())
 	r.e.Run()
 	if len(r.rxD) != 1 {
 		t.Fatal("no delivery")
@@ -380,7 +380,7 @@ func TestRewriteAfterOutputDoesNotCorruptQueuedFrame(t *testing.T) {
 		},
 	}, 1)
 	r.e.Run()
-	r.in.Transmit(wire.NewFrame(probe(80, 256)))
+	r.in.Transmit(wire.One(wire.NewFrame(probe(80, 256))), r.e.Now())
 	r.e.Run()
 	if len(r.rxD) != 1 {
 		t.Fatal("no delivery")
@@ -411,7 +411,7 @@ func TestControllerOutputAfterPortOutput(t *testing.T) {
 	r.e.Run()
 	want := probe(80, 256)
 	r.msgs = nil
-	r.in.Transmit(wire.NewFrame(want))
+	r.in.Transmit(wire.One(wire.NewFrame(want)), r.e.Now())
 	r.e.Run()
 	if len(r.rxD) != 1 || string(r.rxD[0]) != string(want) {
 		t.Fatalf("port egress: %d deliveries", len(r.rxD))
@@ -465,7 +465,7 @@ func TestFloodAction(t *testing.T) {
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: openflow.PortFlood}},
 	}, 1)
 	r.e.Run()
-	r.in.Transmit(wire.NewFrame(probe(80, 64)))
+	r.in.Transmit(wire.One(wire.NewFrame(probe(80, 64))), r.e.Now())
 	r.e.Run()
 	// Flood from port index 0 reaches the sink on index 1 exactly once
 	// (index 2's link has no peer, index 3 unconnected).
@@ -490,7 +490,7 @@ func TestPacketOutInjection(t *testing.T) {
 func TestStatsReplies(t *testing.T) {
 	r := newRig(t, Config{})
 	r.addFlow(t, 80, 2)
-	r.in.Transmit(wire.NewFrame(probe(80, 256)))
+	r.in.Transmit(wire.One(wire.NewFrame(probe(80, 256))), r.e.Now())
 	r.e.Run()
 
 	r.msgs = nil
@@ -659,7 +659,7 @@ func TestCutoverUsesTimestampClock(t *testing.T) {
 		Priority: 1, BufferID: 0xffffffff, OutPort: openflow.PortNone,
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}}}, 1)
 	e.Run()
-	card.Port(0).Enqueue(wire.NewFrame(probe(80, 64)))
+	card.Port(0).Enqueue(wire.One(wire.NewFrame(probe(80, 64))))
 	e.Run()
 	if got != 1 {
 		t.Fatalf("delivered %d", got)

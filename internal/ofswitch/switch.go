@@ -288,12 +288,27 @@ func (p *Port) RxStats() stats.Counter { return p.rx }
 // TxStats returns the transmit counters.
 func (p *Port) TxStats() stats.Counter { return p.tx }
 
-// Receive implements wire.Endpoint: dataplane packet arrival. The
-// switch owns the delivered frame: it is either forwarded onward (the
-// egress link carries it to the next device) or released back to its
-// pool on every drop path, so the dataplane stays allocation-free under
-// load.
-func (p *Port) Receive(f *wire.Frame, _ sim.Time, at sim.Time) {
+// Receive implements wire.Endpoint: dataplane packet arrival. A uniform
+// train whose flow hits the table with a single concrete output and an
+// idle egress port crosses the dataplane as one lookup, one bulk counter
+// update and one back-to-back transmission (coalesce); everything else —
+// bare frames, misses, floods, rewrites, CPU-taxed dataplanes, busy
+// egress — goes through the pipeline frame by frame with each frame's
+// exact arrival instant.
+func (p *Port) Receive(r wire.Run, firstBit, lastBit sim.Time) {
+	if p.sw.coalesce(p, r, lastBit) {
+		return
+	}
+	for w := r.Walk(firstBit, lastBit); w.Next(); {
+		p.forward(w.Frame, w.LastBit)
+	}
+}
+
+// forward runs one frame through the dataplane. The switch owns the
+// frame: it is either forwarded onward (the egress link carries it to the
+// next device) or released back to its pool on every drop path, so the
+// dataplane stays allocation-free under load.
+func (p *Port) forward(f *wire.Frame, at sim.Time) {
 	p.rx.Add(f.Size)
 	s := p.sw
 	key, err := openflow.KeyFromPacket(f.Data, p.OFPort())
@@ -339,28 +354,16 @@ func (p *Port) Receive(f *wire.Frame, _ sim.Time, at sim.Time) {
 	s.applyActions(entry.Actions, f, p, ready)
 }
 
-// ReceiveTrain implements wire.TrainEndpoint: a uniform run whose flow
-// hits the table with a single concrete output and an idle egress port
-// crosses the dataplane as one lookup, one bulk counter update, and one
-// back-to-back transmission. Everything else — misses, floods, rewrites,
-// CPU-taxed dataplanes, busy egress — unbundles into per-frame Receive
-// calls with each frame's exact arrival instants.
-func (p *Port) ReceiveTrain(t *wire.Train, start, at sim.Time) {
-	if p.sw.receiveTrainFast(p, t, at) {
-		return
-	}
-	wire.Unbundle(p, t, start, at)
-}
-
-// receiveTrainFast attempts the coalesced dataplane pass, reporting
-// whether it consumed the train. The guards guarantee per-frame
-// equivalence: byte-identical frames share one flow key and verdict; an
-// idle egress whose wire is no faster than the arrival spacing
-// serialises the run back-to-back exactly as N per-frame pushes would;
-// and a zero CPU tax means no per-frame management-CPU state to advance.
-func (s *Switch) receiveTrainFast(p *Port, t *wire.Train, at sim.Time) bool {
-	n := len(t.Frames)
-	if !t.Uniform || n < 2 || s.cfg.DataplaneCPUTax > 0 {
+// coalesce attempts the coalesced dataplane pass for a run, reporting
+// whether it consumed it; only a train qualifies. The guards guarantee
+// per-frame equivalence: byte-identical frames share one flow key and
+// verdict; an idle egress whose wire is no faster than the arrival
+// spacing serialises the run back-to-back exactly as N per-frame pushes
+// would; and a zero CPU tax means no per-frame management-CPU state to
+// advance.
+func (s *Switch) coalesce(p *Port, r wire.Run, at sim.Time) bool {
+	t := r.Train()
+	if t == nil || !t.Uniform || s.cfg.DataplaneCPUTax > 0 {
 		return false
 	}
 	f0 := t.Frames[0]
@@ -385,6 +388,7 @@ func (s *Switch) receiveTrainFast(p *Port, t *wire.Train, at sim.Time) bool {
 		return false
 	}
 
+	n := len(t.Frames)
 	size := f0.Size
 	for range t.Frames {
 		p.rx.Add(size)
@@ -392,7 +396,7 @@ func (s *Switch) receiveTrainFast(p *Port, t *wire.Train, at sim.Time) bool {
 	entry.Packets += uint64(n)
 	entry.Bytes += uint64(n) * uint64(size)
 	entry.LastUsed = at.Add(sim.Duration(n-1) * slot) // last frame's arrival
-	out.mac.PushTrain(t, at.Add(s.cfg.PipelineLatency))
+	out.mac.Push(r, at.Add(s.cfg.PipelineLatency), wire.DropEgressOverflow)
 	return true
 }
 
@@ -518,7 +522,7 @@ func (p *Port) enqueue(f *wire.Frame, earliest sim.Time) {
 		f.Release()
 		return
 	}
-	p.mac.Push(f, earliest, wire.DropEgressOverflow)
+	p.mac.Push(wire.One(f), earliest, wire.DropEgressOverflow)
 }
 
 // Latch implements wire.Latcher: the frame is tagged with its egress

@@ -97,12 +97,11 @@ const never = sim.Time(math.MaxInt64)
 // it saved. Clusters with more shards than GOMAXPROCS do not spin.
 const spinPolls = 1000
 
-// record is one exported frame or train crossing a shard boundary,
-// buffered between the window it was transmitted in and the window
-// whose start replays it.
+// record is one exported run crossing a shard boundary, buffered
+// between the window it was transmitted in and the window whose start
+// replays it.
 type record struct {
-	f                 *wire.Frame
-	train             *wire.Train // non-nil: a coalesced run, f unused
+	run               wire.Run
 	peer              wire.Endpoint
 	firstBit, lastBit sim.Time
 	// key is the boundary link's structural delivery key (wire.Exporter's
@@ -147,14 +146,9 @@ type boundary struct {
 	peer wire.Endpoint
 }
 
-// ExportFrame implements wire.Exporter.
-func (b *boundary) ExportFrame(f *wire.Frame, firstBit, lastBit sim.Time, key uint64) {
-	b.ch.push(record{f: f, peer: b.peer, firstBit: firstBit, lastBit: lastBit, key: key})
-}
-
-// ExportTrain implements wire.Exporter.
-func (b *boundary) ExportTrain(t *wire.Train, firstBit, lastBit sim.Time, key uint64) {
-	b.ch.push(record{train: t, peer: b.peer, firstBit: firstBit, lastBit: lastBit, key: key})
+// Export implements wire.Exporter.
+func (b *boundary) Export(r wire.Run, firstBit, lastBit sim.Time, key uint64) {
+	b.ch.push(record{run: r, peer: b.peer, firstBit: firstBit, lastBit: lastBit, key: key})
 }
 
 // slot is one reusable delivery event on a destination engine: the
@@ -171,11 +165,7 @@ func (s *slot) fire() {
 	rec := s.rec
 	s.rec = record{}
 	s.m.free = append(s.m.free, s)
-	if rec.train != nil {
-		wire.DeliverTrain(rec.peer, rec.train, rec.firstBit, rec.lastBit)
-		return
-	}
-	rec.peer.Receive(rec.f, rec.firstBit, rec.lastBit)
+	rec.peer.Receive(rec.run, rec.firstBit, rec.lastBit)
 }
 
 // member is one shard's share of the cluster. Its fields belong to the

@@ -157,15 +157,15 @@ type Switch struct {
 	dropHop int
 }
 
+// pendingLookup is one run whose lookup is in flight: a bare frame, or a
+// coalesced uniform train occupying one FIFO entry. lastBit and readyAt
+// are the FIRST frame's instants and span is the per-frame ingress
+// occupancy, so every later frame's instants follow arithmetically
+// (lastBit_k = lastBit + k·span, readyAt_k = readyAt + k·span — exact
+// because a train is admitted only when service ≤ span, see
+// trainViable).
 type pendingLookup struct {
-	f *wire.Frame
-	// train, when non-nil, is a coalesced uniform run occupying one FIFO
-	// entry (f is nil): lastBit and readyAt are the FIRST frame's
-	// instants and span is the per-frame ingress occupancy, so every
-	// later frame's instants follow arithmetically (lastBit_k =
-	// lastBit + k·span, readyAt_k = readyAt + k·span — exact because the
-	// train fast path requires service ≤ span, see trainViable).
-	train   *wire.Train
+	run     wire.Run
 	inPort  int
 	lastBit sim.Time     // frame fully received at the ingress MAC
 	span    sim.Duration // ingress wire occupancy (lastBit - firstBit)
@@ -321,13 +321,18 @@ func (s *Switch) MACTable() map[packet.MAC]int {
 	return out
 }
 
-// receive is called by a Port when a frame has fully arrived (the event
-// fires at the last bit; cut-through work is backdated to the header
-// window, which is sound because its effects — egress serialisation —
-// are themselves modelled with backdatable start times).
+// receive admits a run to the port's lookup pipeline when its first
+// frame has fully arrived (the event fires at the last bit; cut-through
+// work is backdated to the header window, which is sound because its
+// effects — egress serialisation — are themselves modelled with
+// backdatable start times). A run is a bare frame or a train that passed
+// trainViable; either way it takes one lookup-FIFO entry drained by one
+// event. The train's lookups chain with no queueing (trainViable
+// guarantees service ≤ span and an idle server), so the server frees when
+// the last frame's lookup completes, span after span behind the first.
 //
 //lint:hotpath
-func (s *Switch) receive(p *Port, f *wire.Frame, firstBit, lastBit sim.Time) {
+func (s *Switch) receive(p *Port, r wire.Run, firstBit, lastBit sim.Time) {
 	// Earliest instant the lookup may begin, by forwarding mode. The
 	// header window is timed at the ingress port's own rate: on a
 	// mixed-rate switch a 40G port has its 64 bytes 4× sooner than a 10G
@@ -341,33 +346,37 @@ func (s *Switch) receive(p *Port, f *wire.Frame, firstBit, lastBit sim.Time) {
 		}
 		start = d
 	}
+	n := r.Len()
 	if p.lookupFrames >= s.cfg.LookupQueueCap {
-		s.lookupDrops++
-		s.ledger.Report(s.dropHop, wire.DropLookupOverflow, 1)
-		f.Release() // dropped frames go back to their pool
+		s.lookupDrops += uint64(n)
+		s.ledger.Report(s.dropHop, wire.DropLookupOverflow, uint64(n))
+		r.Release() // dropped frames go back to their pool
 		return
 	}
-	f.SrcPort = p.index
+	for i := 0; i < n; i++ {
+		r.Frame(i).SrcPort = p.index
+	}
 
 	// Per-ingress single-server lookup queue, tracked arithmetically so a
 	// cut-through lookup can begin "in the past" relative to this event.
 	if start < p.lookupFreeAt {
 		start = p.lookupFreeAt
 	}
-	service := s.cfg.LookupPerPacket + sim.Duration(f.Size)*s.cfg.LookupPerByte
+	service := s.cfg.LookupPerPacket + sim.Duration(r.Frame(0).Size)*s.cfg.LookupPerByte
 	if j := s.cfg.LookupJitter; j > 0 {
 		service = sim.Duration(float64(service) * (1 + j*(2*s.rand.Float64()-1)))
 	}
+	span := lastBit.Sub(firstBit)
 	done := start.Add(service)
-	p.lookupFreeAt = done
+	p.lookupFreeAt = done.Add(sim.Duration(n-1) * span)
 	ready := done.Add(s.cfg.PipelineLatency)
 
 	// Ready instants are monotonic per port (the lookup server is
 	// single-threaded and the pipeline delay constant), so the pending
 	// lookups form a FIFO drained by one reusable event per port instead
 	// of one Event + closure per packet.
-	p.lookupQ.Push(pendingLookup{f: f, inPort: p.index, lastBit: lastBit, span: lastBit.Sub(firstBit), readyAt: ready})
-	p.lookupFrames++
+	p.lookupQ.Push(pendingLookup{run: r, inPort: p.index, lastBit: lastBit, span: span, readyAt: ready})
+	p.lookupFrames += n
 	if p.lookupQ.Len() == 1 {
 		p.armLookup(ready)
 	}
@@ -416,7 +425,7 @@ func (s *Switch) trainViable(p *Port, t *wire.Train, at sim.Time) bool {
 	// linked, non-hairpin egress with overflow headroom. Between this
 	// peek (first frame's last bit) and the decision (lookup ready) the
 	// egress can only drain, so the margin checked here still holds when
-	// dispatchTrain re-checks it.
+	// dispatch re-checks it.
 	var eth packet.Ethernet
 	if err := eth.DecodeFromBytes(t.Frames[0].Data); err != nil {
 		return false
@@ -446,30 +455,6 @@ func (s *Switch) trainViable(p *Port, t *wire.Train, at sim.Time) bool {
 	return op.mac.Frames()+n <= ecap/2 && n <= ecap/4
 }
 
-// receiveTrain admits a guard-checked uniform run as one lookup-FIFO
-// entry drained by one event.
-//
-//lint:hotpath
-func (s *Switch) receiveTrain(p *Port, t *wire.Train, at sim.Time) {
-	n := len(t.Frames)
-	size := t.Frames[0].Size
-	slot := wire.SerializationTime(size, t.Rate)
-	service := s.cfg.LookupPerPacket + sim.Duration(size)*s.cfg.LookupPerByte
-	for _, f := range t.Frames {
-		f.SrcPort = p.index
-	}
-	// Lookup k runs [lastBit_k, lastBit_k + service] with no queueing
-	// (trainViable guarantees service ≤ slot and an idle server), so the
-	// server frees when the last frame's lookup completes.
-	p.lookupFreeAt = at.Add(sim.Duration(n-1)*slot + service)
-	ready := at.Add(service + s.cfg.PipelineLatency)
-	p.lookupQ.Push(pendingLookup{train: t, inPort: p.index, lastBit: at, span: slot, readyAt: ready})
-	p.lookupFrames += n
-	if p.lookupQ.Len() == 1 {
-		p.armLookup(ready)
-	}
-}
-
 // armLookup schedules the port's lookup-complete event at instant ready,
 // clamped to the present so backdated cut-through work stays causal.
 func (p *Port) armLookup(ready sim.Time) {
@@ -481,128 +466,35 @@ func (p *Port) armLookup(ready sim.Time) {
 }
 
 // lookupDone pops the head pending lookup, re-arms for the next one, and
-// hands the frame to the forwarding decision.
+// hands the run to the forwarding decision.
 //
 //lint:hotpath
 func (p *Port) lookupDone() {
 	d := p.lookupQ.Pop()
-	if d.train != nil {
-		p.lookupFrames -= d.train.Len()
-	} else {
-		p.lookupFrames--
-	}
+	p.lookupFrames -= d.run.Len()
 	if p.lookupQ.Len() > 0 {
 		p.armLookup(p.lookupQ.Peek().readyAt)
-	}
-	if d.train != nil {
-		p.sw.decideTrain(d)
-		return
 	}
 	p.sw.decide(d)
 }
 
-// decideTrain makes one forwarding decision for a uniform run: the
-// frames are byte-identical, so source learning, the destination lookup,
-// the hairpin verdict, and the ECMP member are per-flow facts computed
-// once. Counter and ledger deltas scale by the frame count, keeping
-// every observable identical to N per-frame decisions.
-func (s *Switch) decideTrain(d pendingLookup) {
-	t := d.train
-	n := uint64(t.Len())
+// decide learns the source, looks up the destination, and hands the run
+// to the egress port(s). A train's frames are byte-identical, so source
+// learning, the destination lookup, the hairpin verdict and the ECMP
+// member are per-flow facts taken once from the first frame; counter and
+// ledger deltas scale by the frame count, keeping every observable
+// identical to one decision per frame.
+func (s *Switch) decide(d pendingLookup) {
+	r := d.run
+	n := uint64(r.Len())
+	f := r.Frame(0)
 	var eth packet.Ethernet
-	if err := eth.DecodeFromBytes(t.Frames[0].Data); err != nil {
-		s.ledger.Report(s.dropHop, wire.DropRunt, n)
-		t.Release()
-		return
-	}
-	if !eth.Src.IsMulticast() {
-		if cur, ok := s.fdb[eth.Src]; !ok || cur >= 0 || s.groupOf[d.inPort] != -cur {
-			s.fdb[eth.Src] = d.inPort
-		}
-	}
-	out, ok := s.fdb[eth.Dst]
-	if !ok || eth.Dst.IsMulticast() {
-		// Flooding clones per egress port with per-frame flood
-		// accounting; the per-frame decision path already does exactly
-		// that.
-		s.decidePerFrame(d)
-		return
-	}
-	if out < 0 {
-		if g := -out; s.groupOf[d.inPort] == g {
-			s.ledger.Report(s.dropHop, wire.DropHairpin, n)
-			t.Release()
-			return
-		}
-		out = s.sprayMember(-out, t.Frames[0].Data)
-		s.sprays += n - 1 // sprayMember counted one selection; per-frame counts n
-	}
-	if out == d.inPort {
-		s.ledger.Report(s.dropHop, wire.DropHairpin, n)
-		t.Release()
-		return
-	}
-	s.dispatchTrain(d, out)
-}
-
-// decidePerFrame unbundles a train at the decision stage, replaying the
-// per-frame path with each frame's exact instants.
-func (s *Switch) decidePerFrame(d pendingLookup) {
-	t := d.train
-	lb, ready := d.lastBit, d.readyAt
-	for i, f := range t.Frames {
-		t.Frames[i] = nil
-		s.decide(pendingLookup{f: f, inPort: d.inPort, lastBit: lb, span: d.span, readyAt: ready})
-		lb = lb.Add(d.span)
-		ready = ready.Add(d.span)
-	}
-	t.Frames = t.Frames[:0]
-	t.Recycle()
-}
-
-// dispatchTrain hands a whole uniform run to one egress port. The run
-// stays coalesced — one egress FIFO entry, one transmit event — when the
-// egress wire is no faster than the arrival spacing (same-rate egress
-// preserves abutment; down-conversion backs the frames up against each
-// other) and the queue has the same overflow margin the lookup guard
-// demands. A faster egress wire would open gaps between the frames, and
-// a near-full queue needs interleaved per-frame drop accounting, so both
-// leave per frame instead.
-func (s *Switch) dispatchTrain(d pendingLookup, out int) {
-	t := d.train
-	p := s.ports[out]
-	serOut := wire.SerializationTime(t.Frames[0].Size, s.PortRate(out))
-	boundary := serOut != d.span
-	n := t.Len()
-	qcap := s.cfg.EgressQueueCap
-	if serOut < d.span || p.mac.Link() == nil || p.mac.Frames()+n > qcap/2 || n > qcap/4 {
-		// Per-frame egress. In store-and-forward mode readyAt_k is
-		// always past lastBit_k (service + pipeline are positive), so
-		// dispatch()'s boundary clamp can never fire; earliest is the
-		// ready instant directly.
-		earliest := d.readyAt
-		for i, f := range t.Frames {
-			t.Frames[i] = nil
-			p.enqueue(f, earliest, boundary)
-			earliest = earliest.Add(d.span)
-		}
-		t.Frames = t.Frames[:0]
-		t.Recycle()
-		return
-	}
-	p.mac.PushTrain(t, d.readyAt)
-}
-
-// decide learns the source, looks up the destination, and hands the frame
-// to the egress port(s).
-func (s *Switch) decide(p pendingLookup) {
-	var eth packet.Ethernet
-	if err := eth.DecodeFromBytes(p.f.Data); err != nil {
+	if err := eth.DecodeFromBytes(f.Data); err != nil {
 		// Runt frame: too short for a forwarding decision. Hardware
 		// discards these at the parser; the ledger attributes them like
 		// every other loss (this used to be a silent, uncounted drop).
-		s.ledger.Report(s.dropHop, wire.DropRunt, 1)
-		p.f.Release()
+		s.ledger.Report(s.dropHop, wire.DropRunt, n)
+		r.Release()
 		return
 	}
 	if !eth.Src.IsMulticast() {
@@ -611,73 +503,105 @@ func (s *Switch) decide(p pendingLookup) {
 		// group's members (any member — that is what a bundle is).
 		// Arrival anywhere else means the station moved, so relearn to
 		// the port as usual.
-		if cur, ok := s.fdb[eth.Src]; !ok || cur >= 0 || s.groupOf[p.inPort] != -cur {
-			s.fdb[eth.Src] = p.inPort
+		if cur, ok := s.fdb[eth.Src]; !ok || cur >= 0 || s.groupOf[d.inPort] != -cur {
+			s.fdb[eth.Src] = d.inPort
 		}
 	}
-	if out, ok := s.fdb[eth.Dst]; ok && !eth.Dst.IsMulticast() {
-		if out < 0 {
-			// Never spray a frame back into the bundle it arrived on —
-			// the group is one logical port, so this is a hairpin even
-			// when the hash would pick a sibling member.
-			if g := -out; s.groupOf[p.inPort] == g {
-				s.ledger.Report(s.dropHop, wire.DropHairpin, 1)
-				p.f.Release()
-				return
-			}
-			out = s.sprayMember(-out, p.f.Data)
-		}
-		if out != p.inPort {
-			s.dispatch(p, out, p.f)
-		} else {
-			// Never hairpin out the ingress port.
-			s.ledger.Report(s.dropHop, wire.DropHairpin, 1)
-			p.f.Release()
+	out, ok := s.fdb[eth.Dst]
+	if !ok || eth.Dst.IsMulticast() {
+		// Flooding clones per egress port with per-frame flood
+		// accounting, so a flooded train leaves frame by frame.
+		for w := r.Walk(d.lastBit.Add(-d.span), d.lastBit); w.Next(); {
+			d.readyAt = d.readyAt.Add(w.LastBit.Sub(d.lastBit))
+			d.lastBit = w.LastBit
+			s.flood(d, w.Frame)
 		}
 		return
 	}
-	// Unknown unicast, multicast or broadcast: flood to every connected
-	// port except the ingress (link-less ports are down). The egress
-	// queues take clones, so the ingress frame goes back to its pool.
+	if out < 0 {
+		// Never spray a frame back into the bundle it arrived on — the
+		// group is one logical port, so this is a hairpin even when the
+		// hash would pick a sibling member.
+		if g := -out; s.groupOf[d.inPort] == g {
+			s.ledger.Report(s.dropHop, wire.DropHairpin, n)
+			r.Release()
+			return
+		}
+		s.sprays += n
+		out = s.memberOf(-out, f.Data)
+	}
+	if out == d.inPort {
+		// Never hairpin out the ingress port.
+		s.ledger.Report(s.dropHop, wire.DropHairpin, n)
+		r.Release()
+		return
+	}
+	s.dispatch(d, out)
+}
+
+// flood sends frame f of pending lookup d (unknown unicast, multicast or
+// broadcast) to every connected port except the ingress (link-less ports
+// are down). The egress queues take clones, so the ingress frame goes
+// back to its pool.
+func (s *Switch) flood(d pendingLookup, f *wire.Frame) {
 	s.floods++
 	for i, port := range s.ports {
-		if i == p.inPort || port.mac.Link() == nil {
+		if i == d.inPort || port.mac.Link() == nil {
 			continue
 		}
 		if g := s.groupOf[i]; g != 0 {
 			// A group is one logical port: flood a single copy via the
 			// spray-selected member, and nothing back into a group the
 			// ingress port belongs to.
-			if s.groupOf[p.inPort] == g || s.sprayMember(g, p.f.Data) != i {
+			if s.groupOf[d.inPort] == g || s.sprayMember(g, f.Data) != i {
 				continue
 			}
 		}
-		s.dispatch(p, i, p.f.Clone())
+		d.run = wire.One(f.Clone())
+		s.dispatch(d, i)
 	}
-	p.f.Release()
+	f.Release()
 }
 
-// dispatch hands frame f (owned by the egress from here) to egress port
-// out for pending lookup p, applying store-and-forward speed conversion.
-// Crossing a rate boundary forces store-and-forward even on a
-// cut-through switch: serialising at a faster egress rate than the bits
-// arrive would underrun the MAC, and real converting hardware buffers
-// the whole frame. The boundary is detected against the frame's *actual*
-// ingress occupancy (lastBit − firstBit, which encodes the arrival
-// wire's rate), not the ingress port's nominal rate — a topo Convert
-// edge can legally deliver a slower wire into a faster port, and that
-// boundary must store too. Same-rate forwarding keeps the lookup-derived
-// instant untouched, so uniform-rate switches behave exactly as before.
-// The boundary flag also classifies any overflow drop: losing frames at
-// a conversion point is structural (rate-boundary), not incidental
-// fan-in (egress-overflow).
-func (s *Switch) dispatch(p pendingLookup, out int, f *wire.Frame) {
-	boundary := wire.SerializationTime(f.Size, s.PortRate(out)) != p.span
-	earliest := p.readyAt
-	if boundary && earliest < p.lastBit {
-		earliest = p.lastBit // not fully stored yet: wait for the last bit
+// dispatch hands run d.run (owned by the egress from here) to egress port
+// out, applying store-and-forward speed conversion. Crossing a rate
+// boundary forces store-and-forward even on a cut-through switch:
+// serialising at a faster egress rate than the bits arrive would underrun
+// the MAC, and real converting hardware buffers the whole frame. The
+// boundary is detected against the frame's *actual* ingress occupancy
+// (lastBit − firstBit, which encodes the arrival wire's rate), not the
+// ingress port's nominal rate — a topo Convert edge can legally deliver a
+// slower wire into a faster port, and that boundary must store too.
+// Same-rate forwarding keeps the lookup-derived instant untouched, so
+// uniform-rate switches behave exactly as before. The boundary flag also
+// classifies any overflow drop: losing frames at a conversion point is
+// structural (rate-boundary), not incidental fan-in (egress-overflow).
+//
+// A train stays one egress entry — one transmit event — when the egress
+// wire is no faster than the arrival spacing (same-rate egress preserves
+// abutment; down-conversion backs the frames up against each other) and
+// the queue keeps the same overflow margin the lookup guard demands. A
+// faster egress wire would open gaps between the frames, and a near-full
+// queue needs interleaved per-frame drop accounting, so both leave frame
+// by frame, each ready one span after the last.
+func (s *Switch) dispatch(d pendingLookup, out int) {
+	r := d.run
+	p := s.ports[out]
+	serOut := wire.SerializationTime(r.Frame(0).Size, s.PortRate(out))
+	boundary := serOut != d.span
+	earliest := d.readyAt
+	if boundary && earliest < d.lastBit {
+		earliest = d.lastBit // not fully stored yet: wait for the last bit
 	}
-	s.ports[out].enqueue(f, earliest, boundary)
+	n := r.Len()
+	qcap := s.cfg.EgressQueueCap
+	if n > 1 && (serOut < d.span || p.mac.Link() == nil || p.mac.Frames()+n > qcap/2 || n > qcap/4) {
+		for w := r.Walk(d.lastBit.Add(-d.span), d.lastBit); w.Next(); {
+			p.enqueue(wire.One(w.Frame), earliest.Add(w.LastBit.Sub(d.lastBit)), boundary)
+		}
+		return
+	}
+	p.enqueue(r, earliest, boundary)
 }
 
 // Port is one switch interface.
@@ -705,22 +629,19 @@ func (p *Port) Index() int { return p.index }
 // SetLink attaches the egress link.
 func (p *Port) SetLink(l *wire.Link) { p.mac.SetLink(l) }
 
-// Receive implements wire.Endpoint.
-func (p *Port) Receive(f *wire.Frame, firstBit, lastBit sim.Time) {
-	p.sw.receive(p, f, firstBit, lastBit)
-}
-
-// ReceiveTrain implements wire.TrainEndpoint: a uniform run inside the
-// exactness envelope (trainViable) flows through the switch as one
-// lookup entry, one decision, and one egress entry; anything else
-// unbundles into the per-frame receive path with each frame's exact
+// Receive implements wire.Endpoint: a bare frame, or a uniform train
+// inside the exactness envelope (trainViable), flows through the switch
+// as one lookup entry, one decision and one egress entry; any other train
+// is walked into the pipeline frame by frame with each frame's exact
 // first-bit/last-bit instants.
-func (p *Port) ReceiveTrain(t *wire.Train, start, at sim.Time) {
-	if p.sw.trainViable(p, t, at) {
-		p.sw.receiveTrain(p, t, at)
+func (p *Port) Receive(r wire.Run, firstBit, lastBit sim.Time) {
+	if t := r.Train(); t == nil || p.sw.trainViable(p, t, lastBit) {
+		p.sw.receive(p, r, firstBit, lastBit)
 		return
 	}
-	wire.Unbundle(p, t, start, at)
+	for w := r.Walk(firstBit, lastBit); w.Next(); {
+		p.sw.receive(p, wire.One(w.Frame), w.FirstBit, w.LastBit)
+	}
 }
 
 // Drops returns frames lost to egress queue overflow.
@@ -729,7 +650,7 @@ func (p *Port) Drops() uint64 { return p.mac.Drops() }
 // Egress returns counters over frames transmitted out of this port.
 func (p *Port) Egress() stats.Counter { return p.egress }
 
-func (p *Port) enqueue(f *wire.Frame, earliest sim.Time, boundary bool) {
+func (p *Port) enqueue(r wire.Run, earliest sim.Time, boundary bool) {
 	if p.mac.Link() == nil {
 		panic(fmt.Sprintf("switchsim: egress port %d has no link", p.index))
 	}
@@ -737,7 +658,7 @@ func (p *Port) enqueue(f *wire.Frame, earliest sim.Time, boundary bool) {
 	if boundary {
 		reason = wire.DropRateBoundary
 	}
-	p.mac.Push(f, earliest, reason)
+	p.mac.Push(r, earliest, reason)
 }
 
 // Latch implements wire.Latcher: the frame's hop trace is stamped with

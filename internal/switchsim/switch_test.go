@@ -52,7 +52,7 @@ func newTopo(t *testing.T, cfg Config, hosts int) *topo {
 	return tp
 }
 
-func (tp *topo) send(host int, f *wire.Frame) { tp.hosts[host].Port(0).Enqueue(f) }
+func (tp *topo) send(host int, f *wire.Frame) { tp.hosts[host].Port(0).Enqueue(wire.One(f)) }
 
 func TestFloodThenLearn(t *testing.T) {
 	tp := newTopo(t, Config{}, 3)
@@ -189,7 +189,7 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 		sw.Port(1).SetLink(bIn)
 
 		// Pre-teach the FDB.
-		cardB.Port(0).Enqueue(udpFrame(macB, macA, 64))
+		cardB.Port(0).Enqueue(wire.One(udpFrame(macB, macA, 64)))
 		e.Run()
 
 		var sum float64
@@ -239,7 +239,7 @@ func TestEgressContentionQueues(t *testing.T) {
 		cards = append(cards, card)
 	}
 	// Teach the receiver's MAC.
-	cards[2].Port(0).Enqueue(udpFrame(macC, macA, 64))
+	cards[2].Port(0).Enqueue(wire.One(udpFrame(macC, macA, 64)))
 	e.Run()
 
 	mk := func(i int, srcMAC packet.MAC) *gen.Generator {
@@ -279,7 +279,7 @@ func TestLookupQueueOverflow(t *testing.T) {
 	sw.Port(0).SetLink(in)
 	sw.Port(1).SetLink(wire.NewLink(e, wire.Rate10G, 0, nil))
 	for i := 0; i < 20; i++ {
-		card.Port(0).Enqueue(udpFrame(macA, macB, 64))
+		card.Port(0).Enqueue(wire.One(udpFrame(macA, macB, 64)))
 	}
 	e.RunUntil(sim.Time(sim.Millisecond))
 	if sw.LookupDrops() == 0 {
@@ -294,7 +294,7 @@ func TestRuntFrameDropped(t *testing.T) {
 	got := 0
 	sw.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, 0, nil))
 	l := wire.NewLink(e, wire.Rate10G, 0, sw.Port(0))
-	l.Transmit(&wire.Frame{Data: make([]byte, 8), Size: 12})
+	l.Transmit(wire.One(&wire.Frame{Data: make([]byte, 8), Size: 12}), e.Now())
 	e.Run()
 	if got != 0 || sw.Forwarded().Packets != 0 {
 		t.Fatal("runt frame forwarded")
@@ -318,12 +318,12 @@ func BenchmarkSwitchForwarding(b *testing.B) {
 	bOut, bIn := wire.Connect(e, wire.Rate10G, 0, cardB.Port(0), sw.Port(1))
 	cardB.Port(0).SetLink(bOut)
 	sw.Port(1).SetLink(bIn)
-	cardB.Port(0).Enqueue(udpFrame(macB, macA, 64))
+	cardB.Port(0).Enqueue(wire.One(udpFrame(macB, macA, 64)))
 	e.Run()
 	f := udpFrame(macA, macB, 512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cardA.Port(0).Enqueue(f.Clone())
+		cardA.Port(0).Enqueue(wire.One(f.Clone()))
 		for e.Step() {
 		}
 	}
@@ -477,8 +477,8 @@ func TestRuntDropCountedAndAttributed(t *testing.T) {
 	sw.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, 0, nil))
 	sw.Port(1).SetLink(wire.NewLink(e, wire.Rate10G, 0, nil))
 	l := wire.NewLink(e, wire.Rate10G, 0, sw.Port(0))
-	l.Transmit(&wire.Frame{Data: make([]byte, 8), Size: 12})
-	l.Transmit(udpFrame(macA, macB, 64)) // a parseable frame is not a runt
+	l.Transmit(wire.One(&wire.Frame{Data: make([]byte, 8), Size: 12}), e.Now())
+	l.Transmit(wire.One(udpFrame(macA, macB, 64)), e.Now()) // a parseable frame is not a runt
 	e.Run()
 	if got := ledger.Count(3, wire.DropRunt); got != 1 {
 		t.Fatalf("ledger runts at hop 3 = %d, want 1", got)
@@ -528,7 +528,7 @@ func TestDropReasonClassifiesRateBoundary(t *testing.T) {
 	sw.Port(1).SetLink(wire.NewLink(e, wire.Rate10G, 0, &sink))
 	in := wire.NewLink(e, wire.Rate40G, 0, sw.Port(0))
 	for i := 0; i < 64; i++ {
-		in.Transmit(udpFrame(macA, macB, 512))
+		in.Transmit(wire.One(udpFrame(macA, macB, 512)), e.Now())
 	}
 	e.Run()
 	rb := ledger.Count(hop, wire.DropRateBoundary)

@@ -880,19 +880,13 @@ type Sink struct {
 	received stats.Counter
 }
 
-// Receive implements wire.Endpoint.
-func (s *Sink) Receive(f *wire.Frame, _, _ sim.Time) {
-	s.received.Add(wire.WireBytes(f.Size))
-	f.Release()
-}
-
-// ReceiveTrain implements wire.TrainEndpoint: one delivery event counts
-// and releases the whole run.
-func (s *Sink) ReceiveTrain(t *wire.Train, _, _ sim.Time) {
-	for _, f := range t.Frames {
-		s.received.Add(wire.WireBytes(f.Size))
+// Receive implements wire.Endpoint: one delivery counts and releases the
+// whole run.
+func (s *Sink) Receive(r wire.Run, _, _ sim.Time) {
+	for i := 0; i < r.Len(); i++ {
+		s.received.Add(wire.WireBytes(r.Frame(i).Size))
 	}
-	t.Release()
+	r.Release()
 }
 
 // Received returns counters over the delivered frames (wire bytes).

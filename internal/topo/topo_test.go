@@ -479,7 +479,7 @@ func TestConvertEdgeCutThroughStoresFully(t *testing.T) {
 	}
 	spec := testSpec
 	spec.FrameSize = 1518
-	tp.Port("src:0").Enqueue(wire.NewFrame(spec.Build()))
+	tp.Port("src:0").Enqueue(wire.One(wire.NewFrame(spec.Build())))
 	e.Run()
 	if len(arrivals) != 1 {
 		t.Fatal("frame not delivered")

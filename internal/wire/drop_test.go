@@ -96,7 +96,7 @@ func TestUnterminatedLinkCountsDrops(t *testing.T) {
 
 	pool := NewPool()
 	f := pool.Get(64)
-	l.Transmit(f)
+	l.Transmit(One(f), e.Now())
 	e.Run()
 
 	if got := l.Drops(); got != 1 {

@@ -19,10 +19,10 @@ type Latcher interface {
 }
 
 // Egress is a port's transmit side: a FIFO bounded in frames whose
-// entries — one frame, or one whole train — each keep their own earliest
-// departure instant, drained onto one Link by a MAC that serialises one
-// entry at a time. An entry leaves at the later of its earliest instant
-// and the end of the previous transmission; a train entry goes out
+// entries — each one Run, a bare frame or a whole train — keep their own
+// earliest departure instant, drained onto one Link by a MAC that
+// serialises one entry at a time. An entry leaves at the later of its
+// earliest instant and the end of the previous transmission, a train
 // back-to-back in one MAC pass. The MAC re-arms one reusable
 // transmit-done event, so at most one transmission is in flight and
 // steady-state transmission allocates nothing.
@@ -46,10 +46,9 @@ type Egress struct {
 	txDoneEv sim.Event
 }
 
-// egressEntry is one queued frame or train, held by value.
+// egressEntry is one queued run, held by value.
 type egressEntry struct {
-	f        *Frame
-	train    *Train // non-nil: a whole run sent in one MAC pass, f unused
+	run      Run
 	earliest sim.Time
 }
 
@@ -84,41 +83,34 @@ func (e *Egress) Frames() int { return e.frames }
 // Drops returns frames lost to queue overflow.
 func (e *Egress) Drops() uint64 { return e.drops }
 
-// Push queues f to leave no earlier than earliest, which may lie in the
-// past (cut-through). The Egress owns f from here: on overflow it counts
-// the drop, reports (hop, reason) to its drop site, releases f and
-// returns false.
+// Push queues run r to leave no earlier than earliest, which may lie in
+// the past (cut-through). The Egress owns r from here. The entry is
+// refused when Frames() has reached the capacity before the push,
+// whatever its length: the per-frame tail-drop rule. Callers coalesce a
+// train only inside a margin that keeps that rule out of reach (an idle
+// MAC, or a bound on Frames), so a train never overflows where its
+// frames one by one would not. A refused entry counts and reports every
+// frame under (hop, reason), releases them, and returns false.
 //
 //lint:hotpath
-func (e *Egress) Push(f *Frame, earliest sim.Time, reason DropReason) bool {
+func (e *Egress) Push(r Run, earliest sim.Time, reason DropReason) bool {
+	n := r.Len()
 	if e.frames >= e.cap {
-		e.drops++
-		e.ledger.Report(e.hop, reason, 1)
-		f.Release()
+		e.drops += uint64(n)
+		e.ledger.Report(e.hop, reason, uint64(n))
+		r.Release()
 		return false
 	}
-	e.queue.Push(egressEntry{f: f, earliest: earliest})
-	e.frames++
+	e.queue.Push(egressEntry{run: r, earliest: earliest})
+	e.frames += n
 	e.send()
 	return true
 }
 
-// PushTrain queues a whole run as one entry, sent back-to-back in one MAC
-// pass starting no earlier than earliest. It does not check the capacity:
-// callers coalesce only inside a margin that keeps per-frame drop
-// decisions out of reach (an idle MAC, or a bound on Frames).
-//
-//lint:hotpath
-func (e *Egress) PushTrain(t *Train, earliest sim.Time) {
-	e.queue.Push(egressEntry{train: t, earliest: earliest})
-	e.frames += t.Len()
-	e.send()
-}
-
 // send starts the head entry when the MAC is free: it latches every frame
-// at its serialisation instants, hands the entry to the link (which arms
+// at its serialisation instants, hands the run to the link (which arms
 // its delivery), then arms the transmit-done event at the end of the
-// entry, clamped to the present.
+// run, clamped to the present.
 //
 //lint:hotpath
 func (e *Egress) send() {
@@ -128,21 +120,16 @@ func (e *Egress) send() {
 	q := e.queue.Pop()
 	e.busy = true
 	l := e.link
+	n := q.run.Len()
+	e.frames -= n
 	start := l.startAt(q.earliest)
-	var end sim.Time
-	if q.train == nil {
-		e.frames--
-		e.owner.Latch(q.f, start, start.Add(SerializationTime(q.f.Size, l.Rate)))
-		end = l.TransmitAt(q.f, q.earliest)
-	} else {
-		e.frames -= q.train.Len()
-		for _, f := range q.train.Frames {
-			next := start.Add(SerializationTime(f.Size, l.Rate))
-			e.owner.Latch(f, start, next)
-			start = next
-		}
-		end = l.TransmitTrain(q.train, q.earliest)
+	for i := 0; i < n; i++ {
+		f := q.run.Frame(i)
+		next := start.Add(SerializationTime(f.Size, l.Rate))
+		e.owner.Latch(f, start, next)
+		start = next
 	}
+	end := l.Transmit(q.run, q.earliest)
 	if now := e.engine.Now(); end < now {
 		end = now
 	}

@@ -38,9 +38,9 @@ func TestEgressEntryLeavesAtOwnEarliestOrPreviousEnd(t *testing.T) {
 	big := SerializationTime(1518, Rate10G)
 	small := SerializationTime(64, Rate10G)
 
-	eg.Push(NewFrame(make([]byte, 1514)), 0, DropEgressOverflow)
-	eg.Push(NewFrame(make([]byte, 60)), 100, DropEgressOverflow)                     // ready mid-transmission: waits
-	eg.Push(NewFrame(make([]byte, 60)), sim.Time(0).Add(10*big), DropEgressOverflow) // ready after: leaves then
+	eg.Push(One(NewFrame(make([]byte, 1514))), 0, DropEgressOverflow)
+	eg.Push(One(NewFrame(make([]byte, 60))), 100, DropEgressOverflow)                     // ready mid-transmission: waits
+	eg.Push(One(NewFrame(make([]byte, 60))), sim.Time(0).Add(10*big), DropEgressOverflow) // ready after: leaves then
 	e.Run()
 
 	second := sim.Time(0).Add(big)
@@ -76,7 +76,7 @@ func TestEgressOverflowCountsReportsAndReleases(t *testing.T) {
 	// The first frame goes straight onto the wire, the second fills the
 	// one queue slot, the third overflows.
 	for i, wantOK := range []bool{true, true, false} {
-		if ok := eg.Push(pool.Get(60), 0, DropRateBoundary); ok != wantOK {
+		if ok := eg.Push(One(pool.Get(60)), 0, DropRateBoundary); ok != wantOK {
 			t.Fatalf("push %d accepted = %v, want %v", i, ok, wantOK)
 		}
 	}
@@ -91,6 +91,45 @@ func TestEgressOverflowCountsReportsAndReleases(t *testing.T) {
 	}
 }
 
+// Push admits an entry exactly when Frames() is below the capacity
+// before the push, whatever the entry's length: a refused entry counts,
+// reports and releases every one of its frames.
+func TestEgressPushAdmitsBelowCapacity(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		e := sim.NewEngine()
+		eg := newEgress(e, 4, &latchLog{}, EndpointFunc(func(*Frame, sim.Time, sim.Time) {}))
+		ledger := &DropLedger{}
+		hop := ledger.Add("port")
+		eg.SetDropSite(ledger, hop)
+		pool := NewPool()
+		run := func() Run {
+			tr := pool.GetTrain()
+			for i := 0; i < n; i++ {
+				tr.Frames = append(tr.Frames, pool.Get(60))
+			}
+			return tr.Run()
+		}
+		eg.Push(run(), 0, DropEgressOverflow) // straight onto the wire
+		var drops uint64
+		for push := 0; push < 8; push++ {
+			before := eg.Frames()
+			ok := eg.Push(run(), 0, DropEgressOverflow)
+			if ok != (before < 4) {
+				t.Fatalf("len %d push %d: accepted %v with %d of 4 frames queued", n, push, ok, before)
+			}
+			if !ok {
+				drops += uint64(n)
+			}
+		}
+		if eg.Drops() != drops || ledger.Count(hop, DropEgressOverflow) != drops {
+			t.Fatalf("len %d: drops %d, ledger %d, want %d", n, eg.Drops(), ledger.Count(hop, DropEgressOverflow), drops)
+		}
+		if _, puts, _ := pool.Stats(); puts != drops {
+			t.Fatalf("len %d: %d frames released, want the %d refused", n, puts, drops)
+		}
+	}
+}
+
 // A train entry latches every frame at exactly the instants N single
 // pushes would, and leaves the link in the same state.
 func TestEgressTrainMatchesSinglePushes(t *testing.T) {
@@ -102,10 +141,10 @@ func TestEgressTrainMatchesSinglePushes(t *testing.T) {
 		eg := newEgress(e, 8, &log, EndpointFunc(func(*Frame, sim.Time, sim.Time) { delivered++ }))
 		const earliest = sim.Time(5000)
 		if asTrain {
-			eg.PushTrain(&Train{Frames: trainFrames(lens...)}, earliest)
+			eg.Push(trainRun(lens...), earliest, DropEgressOverflow)
 		} else {
 			for _, f := range trainFrames(lens...) {
-				eg.Push(f, earliest, DropEgressOverflow)
+				eg.Push(One(f), earliest, DropEgressOverflow)
 			}
 		}
 		e.Run()
@@ -139,12 +178,12 @@ func TestEgressIdleAndFramesAroundTrain(t *testing.T) {
 	if !eg.Idle() || eg.Frames() != 0 {
 		t.Fatal("fresh egress not idle and empty")
 	}
-	eg.PushTrain(&Train{Frames: trainFrames(60, 60, 60)}, 0)
+	eg.Push(trainRun(60, 60, 60), 0, DropEgressOverflow)
 	if eg.Idle() || eg.Frames() != 0 {
 		t.Fatalf("train on the wire: idle %v frames %d, want busy with 0 queued", eg.Idle(), eg.Frames())
 	}
-	eg.Push(NewFrame(make([]byte, 60)), 0, DropEgressOverflow)
-	eg.PushTrain(&Train{Frames: trainFrames(60, 60)}, 0)
+	eg.Push(One(NewFrame(make([]byte, 60))), 0, DropEgressOverflow)
+	eg.Push(trainRun(60, 60), 0, DropEgressOverflow)
 	if eg.Frames() != 3 {
 		t.Fatalf("queued frames %d, want 3 (a train counts by its frames)", eg.Frames())
 	}
@@ -174,7 +213,7 @@ func TestEgressSteadyStateZeroAlloc(t *testing.T) {
 	eg := newEgress(e, 64, &n, EndpointFunc(func(f *Frame, _, _ sim.Time) { f.Release() }))
 	cycle := func() {
 		for i := 0; i < 32; i++ {
-			eg.Push(pool.Get(60), e.Now(), DropEgressOverflow)
+			eg.Push(One(pool.Get(60)), e.Now(), DropEgressOverflow)
 		}
 		e.Run()
 	}

@@ -6,34 +6,18 @@ import (
 	"osnt/internal/sim"
 )
 
+// export is one run a boundary link handed over.
+type export struct {
+	n, size           int // frames in the run, size of the first
+	firstBit, lastBit sim.Time
+	key               uint64
+}
+
 // captureExporter records what the boundary link hands over.
-type captureExporter struct {
-	frames []struct {
-		size              int
-		firstBit, lastBit sim.Time
-		key               uint64
-	}
-	trains []struct {
-		n                 int
-		firstBit, lastBit sim.Time
-		key               uint64
-	}
-}
+type captureExporter struct{ got []export }
 
-func (c *captureExporter) ExportFrame(f *Frame, firstBit, lastBit sim.Time, key uint64) {
-	c.frames = append(c.frames, struct {
-		size              int
-		firstBit, lastBit sim.Time
-		key               uint64
-	}{f.Size, firstBit, lastBit, key})
-}
-
-func (c *captureExporter) ExportTrain(t *Train, firstBit, lastBit sim.Time, key uint64) {
-	c.trains = append(c.trains, struct {
-		n                 int
-		firstBit, lastBit sim.Time
-		key               uint64
-	}{t.Len(), firstBit, lastBit, key})
+func (c *captureExporter) Export(r Run, firstBit, lastBit sim.Time, key uint64) {
+	c.got = append(c.got, export{r.Len(), r.Frame(0).Size, firstBit, lastBit, key})
 }
 
 func TestNewExportLinkRejectsZeroDelay(t *testing.T) {
@@ -59,22 +43,22 @@ func TestExportLinkMirrorsLocalDelivery(t *testing.T) {
 	local := NewLink(le, Rate10G, delay, EndpointFunc(func(f *Frame, start, at sim.Time) {
 		refStart, refEnd = start, at
 	}))
-	localTx := local.Transmit(NewFrame(make([]byte, 60)))
+	localTx := local.Transmit(One(NewFrame(make([]byte, 60))), le.Now())
 	le.Run()
 
 	// Boundary link, same wire parameters.
 	ee := sim.NewEngine()
 	exp := &captureExporter{}
 	bl := NewExportLink(ee, Rate10G, delay, exp)
-	exportTx := bl.Transmit(NewFrame(make([]byte, 60)))
+	exportTx := bl.Transmit(One(NewFrame(make([]byte, 60))), ee.Now())
 
 	if exportTx != localTx {
 		t.Fatalf("serialization end: export %v, local %v", exportTx, localTx)
 	}
-	if len(exp.frames) != 1 {
-		t.Fatalf("exporter saw %d frames, want 1", len(exp.frames))
+	if len(exp.got) != 1 || exp.got[0].n != 1 {
+		t.Fatalf("exporter saw %+v, want one bare frame", exp.got)
 	}
-	got := exp.frames[0]
+	got := exp.got[0]
 	if got.firstBit != refStart || got.lastBit != refEnd {
 		t.Fatalf("exported instants (%v, %v) != local delivery (%v, %v)",
 			got.firstBit, got.lastBit, refStart, refEnd)
@@ -101,12 +85,12 @@ func TestExportLinkCarriesDeliveryKey(t *testing.T) {
 	if l.DeliveryKey() != sim.PrioDefault {
 		t.Fatalf("fresh export link key = %d, want PrioDefault", l.DeliveryKey())
 	}
-	l.Transmit(NewFrame(make([]byte, 60)))
+	l.Transmit(One(NewFrame(make([]byte, 60))), e.Now())
 	l.SetDeliveryKey(42)
-	l.TransmitAt(NewFrame(make([]byte, 60)), l.BusyUntil())
-	if exp.frames[0].key != sim.PrioDefault || exp.frames[1].key != 42 {
+	l.Transmit(One(NewFrame(make([]byte, 60))), l.BusyUntil())
+	if exp.got[0].key != sim.PrioDefault || exp.got[1].key != 42 {
 		t.Fatalf("exported keys %d, %d; want PrioDefault then 42",
-			exp.frames[0].key, exp.frames[1].key)
+			exp.got[0].key, exp.got[1].key)
 	}
 }
 
@@ -119,13 +103,11 @@ func TestExportTrainKeepsTheRunWhole(t *testing.T) {
 	exp := &captureExporter{}
 	l := NewExportLink(e, Rate10G, delay, exp)
 	l.SetDeliveryKey(7)
-	tr := &Train{Frames: trainFrames(60, 1514, 124)}
-	l.TransmitTrain(tr, 0)
-	if len(exp.trains) != 1 || len(exp.frames) != 0 {
-		t.Fatalf("exporter saw %d trains / %d frames, want one whole train",
-			len(exp.trains), len(exp.frames))
+	l.Transmit(trainRun(60, 1514, 124), 0)
+	if len(exp.got) != 1 {
+		t.Fatalf("exporter saw %d runs, want one whole train", len(exp.got))
 	}
-	got := exp.trains[0]
+	got := exp.got[0]
 	first := SerializationTime(64, Rate10G)
 	if got.n != 3 || got.key != 7 {
 		t.Fatalf("exported train n=%d key=%d, want n=3 key=7", got.n, got.key)
@@ -139,18 +121,19 @@ func TestExportTrainKeepsTheRunWhole(t *testing.T) {
 	}
 }
 
-// TestDeliverTrainUnbundlesPerFrame checks the replay helper the shard
-// barrier uses: handed a train and a per-frame endpoint, it recovers
-// each frame's abutting (firstBit, lastBit) window arithmetically.
+// TestDeliverTrainUnbundlesPerFrame checks what the shard barrier's
+// replay relies on: a train delivered to a per-frame endpoint reaches it
+// frame by frame, each with its abutting (firstBit, lastBit) window
+// recovered arithmetically.
 func TestDeliverTrainUnbundlesPerFrame(t *testing.T) {
 	var got []struct{ start, at sim.Time }
-	peer := EndpointFunc(func(f *Frame, start, at sim.Time) {
+	var peer Endpoint = EndpointFunc(func(f *Frame, start, at sim.Time) {
 		got = append(got, struct{ start, at sim.Time }{start, at})
 	})
 	tr := &Train{Frames: trainFrames(60, 1514), Rate: Rate10G}
 	s0, s1 := SerializationTime(64, Rate10G), SerializationTime(1518, Rate10G)
 	start := sim.Time(1000)
-	DeliverTrain(peer, tr, start, start.Add(s0))
+	peer.Receive(tr.Run(), start, start.Add(s0))
 	if len(got) != 2 {
 		t.Fatalf("delivered %d frames, want 2", len(got))
 	}

@@ -91,7 +91,7 @@ func TestLinkDeliveryZeroAllocSteadyState(t *testing.T) {
 	l := NewLink(e, Rate10G, 0, sink)
 	send := func(n int) {
 		for i := 0; i < n; i++ {
-			l.Transmit(p.Get(60))
+			l.Transmit(One(p.Get(60)), e.Now())
 		}
 		e.Run()
 	}

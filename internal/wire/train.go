@@ -9,11 +9,13 @@ import (
 // standard inter-frame gap (which SerializationTime already accounts
 // for). It is the GRO/GSO-style batching unit of the hot path: a
 // generator that emits N abutting frames hands the whole run to the link
-// as one Train, the link carries it as one in-flight entry drained by
-// one event, and every downstream device recovers the exact per-frame
+// as one Run, the link carries it as one in-flight entry drained by one
+// event, and every downstream device recovers the exact per-frame
 // first-bit/last-bit instants arithmetically from Rate and the frame
 // sizes. Coalescing therefore changes how many engine events the run
-// costs — never a timestamp, a counter, or a drop decision.
+// costs — never a timestamp, a counter, or a drop decision. A single
+// frame is a run of one and travels bare (see Run); a Train holds two or
+// more.
 //
 // A Train never implies anything about frame contents: sizes and bytes
 // may vary frame to frame. Uniform marks the special case of
@@ -29,7 +31,7 @@ import (
 // Frames slice recycle through the owning Pool, so steady-state batching
 // allocates nothing.
 type Train struct {
-	// Frames holds the run in wire order; len(Frames) >= 1.
+	// Frames holds the run in wire order.
 	Frames []*Frame
 	// Rate is the serialization rate of the wire that carried the run;
 	// per-frame boundaries inside the train derive from it.
@@ -51,15 +53,6 @@ func (t *Train) Span() sim.Duration {
 		d += SerializationTime(f.Size, t.Rate)
 	}
 	return d
-}
-
-// WireBytesTotal returns the summed wire byte times of the run.
-func (t *Train) WireBytesTotal() int {
-	n := 0
-	for _, f := range t.Frames {
-		n += WireBytes(f.Size)
-	}
-	return n
 }
 
 // Release drops the whole run: every frame returns to its pool, then the
@@ -84,70 +77,112 @@ func (t *Train) Recycle() {
 	}
 }
 
-// TrainEndpoint is an Endpoint that can accept a whole frame train in
-// one delivery. start and at are the first frame's first-bit and
-// last-bit arrival instants; later frames' instants follow
-// arithmetically at t.Rate. Links probe for it on delivery and fall back
-// to per-frame Receive calls (computing those instants themselves) when
-// the peer does not implement it, so train traffic works against every
-// endpoint and batch-aware endpoints just skip the per-frame events.
-type TrainEndpoint interface {
-	Endpoint
-	ReceiveTrain(t *Train, start, at sim.Time)
+// Run hands the train over as a Run, the one normalisation point: a
+// train of one becomes its bare frame and the container goes back to the
+// pool, so a Run never carries a train shorter than two. The train must
+// hold at least one frame and must not be used afterwards.
+func (t *Train) Run() Run {
+	if len(t.Frames) != 1 {
+		return Run{t: t}
+	}
+	f := t.Frames[0]
+	t.Frames[0] = nil
+	t.Frames = t.Frames[:0]
+	t.Recycle()
+	return Run{f: f}
 }
 
-// TransmitTrain is TransmitAt for a whole back-to-back run, starting no
-// earlier than the given instant: the frames serialise consecutively
-// (each start clamped by the link's busy horizon, exactly as N
-// TransmitAt calls would), but the run occupies a single in-flight entry
-// and a single delivery event. It returns the instant the last bit of
-// the last frame leaves the sender. The train must be non-empty; a
-// train of one degrades to the plain per-frame transmit.
+// Run is what one wire delivery carries: a bare frame, or a Train of two
+// or more abutting frames. It is held by value — two words, no heap
+// object of its own — so a single frame costs no container anywhere on
+// the path. Every device takes a Run through one method (Endpoint,
+// Link.Transmit, Egress.Push, Exporter.Export); a consumer that cannot
+// take a run whole walks it frame by frame (Walk).
 //
-//lint:hotpath
-func (l *Link) TransmitTrain(t *Train, earliest sim.Time) sim.Time {
-	if len(t.Frames) == 1 {
-		f := t.Frames[0]
-		t.Frames[0] = nil
+// Ownership is the frames': whoever holds the Run owns every frame in it
+// and, for a train, the container.
+type Run struct {
+	f *Frame
+	t *Train
+}
+
+// One is the run of a single frame.
+func One(f *Frame) Run { return Run{f: f} }
+
+// Len returns the number of frames in the run.
+func (r Run) Len() int {
+	if r.t != nil {
+		return len(r.t.Frames)
+	}
+	return 1
+}
+
+// Frame returns frame i of the run in wire order.
+func (r Run) Frame(i int) *Frame {
+	if r.t != nil {
+		return r.t.Frames[i]
+	}
+	return r.f
+}
+
+// Train returns the run's train, or nil for a bare frame.
+func (r Run) Train() *Train { return r.t }
+
+// Release drops the whole run: every frame returns to its pool and a
+// train's container recycles.
+func (r Run) Release() {
+	if r.t != nil {
+		r.t.Release()
+		return
+	}
+	r.f.Release()
+}
+
+// Walk is an allocation-free cursor over a run's frames with their
+// arrival windows: frames abut, so frame k's first bit arrives the
+// instant frame k-1's last bit did, and its last bit one serialisation
+// time later at the train's Rate. The walk consumes the run: each Next
+// hands Frame to the caller, and the exhausted walk recycles a train's
+// container.
+//
+//	for w := r.Walk(start, at); w.Next(); {
+//		consume(w.Frame, w.FirstBit, w.LastBit)
+//	}
+type Walk struct {
+	// Frame is the current frame, owned by the caller once Next returns.
+	Frame *Frame
+	// FirstBit and LastBit are the current frame's arrival window.
+	FirstBit, LastBit sim.Time
+
+	r Run
+	i int
+}
+
+// Walk starts a cursor over the run whose first frame arrived over
+// [start, at].
+func (r Run) Walk(start, at sim.Time) Walk {
+	return Walk{FirstBit: start, LastBit: at, r: r}
+}
+
+// Next advances to the next frame and reports whether there is one.
+func (w *Walk) Next() bool {
+	t := w.r.t
+	if t == nil {
+		w.Frame, w.r.f = w.r.f, nil
+		return w.Frame != nil
+	}
+	if w.i == len(t.Frames) {
 		t.Frames = t.Frames[:0]
 		t.Recycle()
-		return l.TransmitAt(f, earliest)
+		w.r.t, w.Frame = nil, nil
+		return false
 	}
-	start := l.startAt(earliest)
-	end := start
-	for _, f := range t.Frames {
-		end = end.Add(SerializationTime(f.Size, l.Rate))
-		l.txBytes += uint64(WireBytes(f.Size))
+	w.Frame = t.Frames[w.i]
+	t.Frames[w.i] = nil
+	if w.i > 0 {
+		w.FirstBit = w.LastBit
+		w.LastBit = w.LastBit.Add(SerializationTime(w.Frame.Size, t.Rate))
 	}
-	l.busyUntil = end
-	l.txFrames += uint64(len(t.Frames))
-	if l.exporter != nil {
-		// Boundary link: the whole run transfers to the destination shard
-		// as one record; per-frame boundaries replay from Rate there. The
-		// record carries the link's delivery key, exactly as a local train
-		// delivery event would (it fires at the FIRST frame's arrival).
-		t.Rate = l.Rate
-		firstEnd := start.Add(SerializationTime(t.Frames[0].Size, l.Rate))
-		l.exporter.ExportTrain(t, start.Add(l.Delay), firstEnd.Add(l.Delay), l.deliverPrio)
-		return end
-	}
-	if l.Peer == nil {
-		l.drops += uint64(len(t.Frames))
-		l.ledger.Report(l.hop, DropUnterminated, uint64(len(t.Frames)))
-		t.Release()
-		return end
-	}
-	t.Rate = l.Rate
-	// The in-flight entry's window is the FIRST frame's: deliver() walks
-	// the later frames' boundaries arithmetically.
-	firstEnd := start.Add(SerializationTime(t.Frames[0].Size, l.Rate))
-	l.pending.Push(inflight{train: t, firstBit: start.Add(l.Delay), lastBit: firstEnd.Add(l.Delay)})
-	if l.pending.Len() == 1 {
-		eventAt := firstEnd.Add(l.Delay)
-		if now := l.Engine.Now(); eventAt < now {
-			eventAt = now
-		}
-		l.Engine.Arm(&l.deliverEv, eventAt)
-	}
-	return end
+	w.i++
+	return true
 }

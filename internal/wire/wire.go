@@ -1,10 +1,12 @@
 // Package wire defines the physical-layer vocabulary shared by every
-// simulated device: Ethernet frames, port endpoints, point-to-point links
-// with serialization and propagation delay, and the Egress every port
-// transmits through (the MAC in front of a link). The arithmetic here is
-// what makes "full line-rate regardless of packet size" a checkable
-// property rather than a claim: a 10GBASE-R MAC can emit one 64-byte frame
-// every 67.2 ns and no simulated component is allowed to beat that.
+// simulated device: Ethernet frames, the Run a wire carries in one
+// delivery (a bare frame, or a Train of abutting frames), port endpoints,
+// point-to-point links with serialization and propagation delay, and the
+// Egress every port transmits through (the MAC in front of a link). Each
+// layer has one path for both shapes of Run. The arithmetic here is what
+// makes "full line-rate regardless of packet size" a checkable property
+// rather than a claim: a 10GBASE-R MAC can emit one 64-byte frame every
+// 67.2 ns and no simulated component is allowed to beat that.
 package wire
 
 import (
@@ -176,24 +178,32 @@ func (f *Frame) Release() {
 	}
 }
 
-// Endpoint is anything that can accept a frame from a link: a card's RX
+// Endpoint is anything that can accept traffic from a link: a card's RX
 // MAC, a switch port, a host NIC.
 type Endpoint interface {
-	// Receive delivers a frame whose last bit arrived at instant at.
-	// start is the instant the first bit arrived, which cut-through
-	// devices use to begin forwarding before at.
-	Receive(f *Frame, start, at sim.Time)
+	// Receive delivers a run whose first frame's last bit arrived at
+	// instant at. start is the instant that frame's first bit arrived,
+	// which cut-through devices use to begin forwarding before at; later
+	// frames of a train follow arithmetically (Run.Walk). The endpoint
+	// owns the run from here.
+	Receive(r Run, start, at sim.Time)
 }
 
-// EndpointFunc adapts a function to the Endpoint interface.
+// EndpointFunc adapts a per-frame function to the Endpoint interface: a
+// run is walked and fn called once per frame with that frame's own
+// arrival window.
 type EndpointFunc func(f *Frame, start, at sim.Time)
 
 // Receive implements Endpoint.
-func (fn EndpointFunc) Receive(f *Frame, start, at sim.Time) { fn(f, start, at) }
+func (fn EndpointFunc) Receive(r Run, start, at sim.Time) {
+	for w := r.Walk(start, at); w.Next(); {
+		fn(w.Frame, w.FirstBit, w.LastBit)
+	}
+}
 
 // Link is a unidirectional point-to-point fibre at a fixed rate with a
-// propagation delay. It models the wire: Transmit serialises a frame
-// (busying the link) and schedules delivery at the far end, and a frame
+// propagation delay. It models the wire: Transmit serialises a run
+// (busying the link) and schedules its delivery at the far end, and a run
 // offered while the link is busy starts when it frees, so offered load
 // beyond line rate is clipped to line rate. The sending MAC — its queue,
 // its drop decision and the per-frame work at latch time — is Egress.
@@ -228,27 +238,25 @@ type Link struct {
 	// shard count.
 	deliverPrio uint64
 
-	// pending is the in-flight FIFO: frames serialised but not yet
+	// pending is the in-flight FIFO: runs serialised but not yet
 	// delivered, in departure (= arrival) order. One reusable event —
 	// armed at the head's arrival instant — drains it, so a burst of N
-	// back-to-back frames occupies a single event-heap slot instead of N.
+	// back-to-back runs occupies a single event-heap slot instead of N.
 	// Export links deliver nowhere locally: their event is never built.
 	pending   ring.FIFO[inflight]
 	deliverEv sim.Event
 }
 
-// inflight is one frame — or one whole frame train — in flight on the
-// link, held by value in the pending FIFO. For a train, firstBit/lastBit
-// are the first frame's window; the rest follow arithmetically.
+// inflight is one run in flight on the link, held by value in the
+// pending FIFO. firstBit/lastBit are the first frame's arrival window;
+// the rest of a train follows arithmetically.
 type inflight struct {
-	f                 *Frame
-	train             *Train // non-nil: a coalesced run, f unused
+	run               Run
 	firstBit, lastBit sim.Time
 }
 
-// deliver is the single delivery-event callback: it hands the head entry
-// (one frame, or one whole train) to the peer and re-arms for the next
-// pending entry, if any.
+// deliver is the single delivery-event callback: it hands the head run
+// to the peer and re-arms for the next pending entry, if any.
 //
 //lint:hotpath
 func (l *Link) deliver() {
@@ -264,11 +272,7 @@ func (l *Link) deliver() {
 		}
 		l.Engine.Arm(&l.deliverEv, eventAt)
 	}
-	if d.train == nil {
-		l.Peer.Receive(d.f, d.firstBit, d.lastBit)
-		return
-	}
-	DeliverTrain(l.Peer, d.train, d.firstBit, d.lastBit)
+	l.Peer.Receive(d.run, d.firstBit, d.lastBit)
 }
 
 // NewLink builds a link on engine e at rate r with propagation delay d,
@@ -279,16 +283,7 @@ func NewLink(e *sim.Engine, r Rate, d sim.Duration, peer Endpoint) *Link {
 	return l
 }
 
-// Transmit queues the frame for serialisation at the earliest instant the
-// link is free and returns the time the last bit leaves the sender. The
-// frame is delivered to the peer (if any) after the propagation delay.
-//
-//lint:hotpath
-func (l *Link) Transmit(f *Frame) sim.Time {
-	return l.TransmitAt(f, l.Engine.Now())
-}
-
-// startAt returns the instant a frame offered at earliest starts
+// startAt returns the instant a run offered at earliest starts
 // serialising: earliest, or the end of the transmission in progress if
 // that is later.
 func (l *Link) startAt(earliest sim.Time) sim.Time {
@@ -298,47 +293,61 @@ func (l *Link) startAt(earliest sim.Time) sim.Time {
 	return earliest
 }
 
-// TransmitAt is Transmit with an explicit earliest start instant, which
-// may lie in the past relative to the engine clock. An Egress uses this to
-// model a cut-through device's serialisation that conceptually began while
-// the frame was still arriving: the returned last-bit time is exact, and
-// the delivery event is clamped to the present so causality in the event
-// queue is preserved.
+// Transmit serialises the run starting no earlier than earliest and
+// returns the instant the last bit of its last frame leaves the sender.
+// The frames go out back to back from the later of earliest and the end
+// of the transmission in progress, exactly as one transmit per frame
+// would, but the run occupies one in-flight entry and is delivered to
+// the peer (if any) by one event at its first frame's last-bit arrival.
+// earliest may lie in the past relative to the engine clock: an Egress
+// uses that to model a cut-through device's serialisation that
+// conceptually began while the frame was still arriving. The returned
+// instant is exact, and the delivery event is clamped to the present so
+// causality in the event queue is preserved.
 //
 //lint:hotpath
-func (l *Link) TransmitAt(f *Frame, earliest sim.Time) sim.Time {
+func (l *Link) Transmit(r Run, earliest sim.Time) sim.Time {
 	start := l.startAt(earliest)
-	end := start.Add(SerializationTime(f.Size, l.Rate))
+	n := r.Len()
+	f0 := r.Frame(0)
+	firstEnd := start.Add(SerializationTime(f0.Size, l.Rate))
+	end := firstEnd
+	l.txBytes += uint64(WireBytes(f0.Size))
+	for i := 1; i < n; i++ {
+		f := r.Frame(i)
+		end = end.Add(SerializationTime(f.Size, l.Rate))
+		l.txBytes += uint64(WireBytes(f.Size))
+	}
 	l.busyUntil = end
-	l.txFrames++
-	l.txBytes += uint64(WireBytes(f.Size))
+	l.txFrames += uint64(n)
+	if t := r.Train(); t != nil {
+		t.Rate = l.Rate
+	}
 	if l.exporter != nil {
-		// Boundary link: ownership of the frame transfers with the call;
+		// Boundary link: ownership of the run transfers with the call;
 		// the destination shard replays it at the computed instants under
 		// this link's delivery key, so it lands in exactly the heap
 		// position a local delivery event would occupy.
-		l.exporter.ExportFrame(f, start.Add(l.Delay), end.Add(l.Delay), l.deliverPrio)
+		l.exporter.Export(r, start.Add(l.Delay), firstEnd.Add(l.Delay), l.deliverPrio)
 		return end
 	}
 	if l.Peer == nil {
-		// Unterminated link: the frame occupies the wire but nobody
-		// receives it. Account the loss and recycle the frame.
-		l.drops++
-		l.ledger.Report(l.hop, DropUnterminated, 1)
-		f.Release()
+		// Unterminated link: the run occupies the wire but nobody
+		// receives it. Account the loss and recycle the frames.
+		l.drops += uint64(n)
+		l.ledger.Report(l.hop, DropUnterminated, uint64(n))
+		r.Release()
 		return end
 	}
-	firstBit := start.Add(l.Delay)
-	lastBit := end.Add(l.Delay)
-	l.pending.Push(inflight{f: f, firstBit: firstBit, lastBit: lastBit})
-	// Frames joining a burst ride the already-armed event; only the
-	// first frame of a burst arms it.
+	lastBit := firstEnd.Add(l.Delay)
+	l.pending.Push(inflight{run: r, firstBit: start.Add(l.Delay), lastBit: lastBit})
+	// Runs joining a burst ride the already-armed event; only the first
+	// run of a burst arms it.
 	if l.pending.Len() == 1 {
-		eventAt := lastBit
-		if now := l.Engine.Now(); eventAt < now {
-			eventAt = now
+		if now := l.Engine.Now(); lastBit < now {
+			lastBit = now
 		}
-		l.Engine.Arm(&l.deliverEv, eventAt)
+		l.Engine.Arm(&l.deliverEv, lastBit)
 	}
 	return end
 }
@@ -369,7 +378,7 @@ func (l *Link) SetDropSite(ledger *DropLedger, hop int) {
 // Drops returns frames lost to an unterminated link (no peer).
 func (l *Link) Drops() uint64 { return l.drops }
 
-// InFlight returns the number of frames serialised but not yet delivered
+// InFlight returns the number of runs serialised but not yet delivered
 // to the peer. However deep the burst, it is drained by a single pending
 // engine event.
 func (l *Link) InFlight() int { return l.pending.Len() }

@@ -66,7 +66,7 @@ func TestLinkDelivery(t *testing.T) {
 	})
 	l := NewLink(e, Rate10G, 5*sim.Nanosecond, sink)
 	f := NewFrame(make([]byte, 60)) // 64B frame
-	txEnd := l.Transmit(f)
+	txEnd := l.Transmit(One(f), e.Now())
 	e.Run()
 	if txEnd != sim.Time(67200) {
 		t.Fatalf("tx end = %v, want 67.2ns", txEnd)
@@ -89,7 +89,7 @@ func TestLinkBackToBack(t *testing.T) {
 	l := NewLink(e, Rate10G, 0, sink)
 	// Submit 3 frames at t=0; they must serialise back-to-back.
 	for i := 0; i < 3; i++ {
-		l.Transmit(NewFrame(make([]byte, 60)))
+		l.Transmit(One(NewFrame(make([]byte, 60))), e.Now())
 	}
 	e.Run()
 	want := []sim.Time{67200, 134400, 201600}
@@ -163,7 +163,7 @@ func TestLinkBurstBatchesDeliveries(t *testing.T) {
 	l := NewLink(e, Rate10G, 3*sim.Nanosecond, sink)
 	const burst = 100
 	for i := 0; i < burst; i++ {
-		l.Transmit(NewFrame(make([]byte, 60)))
+		l.Transmit(One(NewFrame(make([]byte, 60))), e.Now())
 	}
 	if got := l.InFlight(); got != burst {
 		t.Fatalf("in-flight = %d, want %d", got, burst)
@@ -207,7 +207,7 @@ func TestLinkNeverExceedsLineRate(t *testing.T) {
 	slot := SerializationTime(64, Rate10G)
 	for i := 0; i < 10000; i++ {
 		at := sim.Time(i) * sim.Time(slot/2) // 2x offered load
-		e.Schedule(at, func() { l.Transmit(NewFrame(make([]byte, 60))) })
+		e.Schedule(at, func() { l.Transmit(One(NewFrame(make([]byte, 60))), e.Now()) })
 	}
 	e.Run()
 	if n != 10000 {
@@ -223,7 +223,7 @@ func TestLinkUtilisation(t *testing.T) {
 	l := NewLink(e, Rate10G, 0, nil)
 	// 10 full-size frames: 10*1538*800ps of wire time.
 	for i := 0; i < 10; i++ {
-		l.Transmit(NewFrame(make([]byte, 1514)))
+		l.Transmit(One(NewFrame(make([]byte, 1514))), e.Now())
 	}
 	e.Run()
 	busy := l.BusyUntil()
@@ -268,7 +268,7 @@ func BenchmarkLinkBurstDelivery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < burst; j++ {
-			l.Transmit(pool.Get(60))
+			l.Transmit(One(pool.Get(60)), e.Now())
 		}
 		e.Run()
 	}
