@@ -30,6 +30,9 @@ func main() {
 	hwLag := flag.Duration("hw-lag", 1500*time.Microsecond, "hardware install lag")
 	tax := flag.Duration("cpu-tax", 150*time.Nanosecond, "management CPU cost per forwarded packet")
 	flag.Parse()
+	if *rules < 1 {
+		log.Fatalf("-rules %d: need at least one rule", *rules)
+	}
 
 	swCfg := ofswitch.Config{
 		HWInstallDelay:  sim.DurationOf(*hwLag),

@@ -38,6 +38,17 @@ func main() {
 	embed := flag.Bool("ts", true, "embed hardware transmit timestamps")
 	flag.Parse()
 
+	// -load and -size shape synthesised traffic only; -in replay keeps
+	// the capture's own sizes and spacing.
+	if *in == "" {
+		if *load <= 0 {
+			log.Fatalf("-load %g: need a positive fraction of line rate", *load)
+		}
+		if *size < wire.MinFrame || *size > wire.MaxFrame {
+			log.Fatalf("-size %d: need %d-%d bytes", *size, wire.MinFrame, wire.MaxFrame)
+		}
+	}
+
 	e := sim.NewEngine()
 	card := netfpga.New(e, netfpga.Config{})
 

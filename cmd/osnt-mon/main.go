@@ -60,6 +60,12 @@ func main() {
 	if *queues < 1 {
 		log.Fatalf("-queues %d: need at least one capture queue", *queues)
 	}
+	if *load <= 0 {
+		log.Fatalf("-load %g: need a positive fraction of line rate", *load)
+	}
+	if *dport < 0 || *dport > 65535 {
+		log.Fatalf("-filter-dport %d: need a UDP port 0-65535 (0 = all)", *dport)
+	}
 	if *flows > 0 {
 		if *size < gen.DefaultTimestampOffset+gen.TimestampLen {
 			log.Fatalf("-flows needs -size ≥ %d to carry the embedded TX timestamp", gen.DefaultTimestampOffset+gen.TimestampLen)
@@ -197,19 +203,15 @@ func main() {
 		pq.Set(q, qs.Seen.Packets, qs.Delivered.Packets, qs.RingDrops)
 	}
 	qt := &stats.Table{
-		Title:   fmt.Sprintf("capture queues (steer=%s)", *steer),
-		Columns: []string{"queue", "steered", "share(%)", "ring-drops", "delivered", "loss(%)"},
+		Title: fmt.Sprintf("capture queues (steer=%s)", *steer),
+		Columns: []stats.Column{
+			{Name: "queue", Verb: "%d"}, {Name: "steered", Verb: "%d"}, {Name: "share(%)", Verb: "%.1f"},
+			{Name: "ring-drops", Verb: "%d"}, {Name: "delivered", Verb: "%d"}, {Name: "loss(%)", Verb: "%.2f"},
+		},
 	}
 	for q := 0; q < monitor.NumQueues(); q++ {
 		qs := monitor.QueueStats(q)
-		qt.AddRow(
-			fmt.Sprintf("%d", q),
-			fmt.Sprintf("%d", qs.Seen.Packets),
-			fmt.Sprintf("%.1f", pq.Share(q)*100),
-			fmt.Sprintf("%d", qs.RingDrops),
-			fmt.Sprintf("%d", qs.Delivered.Packets),
-			fmt.Sprintf("%.2f", pq.DropFraction(q)*100),
-		)
+		qt.AddRow(q, qs.Seen.Packets, pq.Share(q)*100, qs.RingDrops, qs.Delivered.Packets, pq.DropFraction(q)*100)
 	}
 	fmt.Println(qt.String())
 
@@ -217,33 +219,27 @@ func main() {
 		fmt.Printf("merged stream: %d records in global (ts, queue, seq) order, %d order violations, %d overflow samples\n",
 			merge.Emitted(), merge.OrderViolations(), ft.Overflow())
 		fTbl := &stats.Table{
-			Title:   fmt.Sprintf("per-flow analytics over the merged capture (top %d of %d tracked flows)", *heavy, ft.Len()),
-			Columns: []string{"rank", "flow-digest", "pkts", "bytes", "lat-mean(µs)", "lat-max(µs)", "reorders", "holes"},
+			Title: fmt.Sprintf("per-flow analytics over the merged capture (top %d of %d tracked flows)", *heavy, ft.Len()),
+			Columns: []stats.Column{
+				{Name: "rank", Verb: "%d"}, {Name: "flow-digest", Verb: "%016x"}, {Name: "pkts", Verb: "%d"},
+				{Name: "bytes", Verb: "%d"}, {Name: "lat-mean(µs)", Verb: "%.2f"}, {Name: "lat-max(µs)", Verb: "%.2f"},
+				{Name: "reorders", Verb: "%d"}, {Name: "holes", Verb: "%d"},
+			},
 		}
 		for i, f := range ft.Top(*heavy) {
-			fTbl.AddRow(
-				fmt.Sprintf("%d", i+1),
-				fmt.Sprintf("%016x", f.Digest),
-				fmt.Sprintf("%d", f.Packets),
-				fmt.Sprintf("%d", f.Bytes),
-				fmt.Sprintf("%.2f", f.LatencyMean().Seconds()*1e6),
-				fmt.Sprintf("%.2f", f.LatencyMax().Seconds()*1e6),
-				fmt.Sprintf("%d", f.Reorders),
-				fmt.Sprintf("%d", f.Holes),
-			)
+			fTbl.AddRow(i+1, f.Digest, f.Packets, f.Bytes, f.LatencyMean().Seconds()*1e6,
+				f.LatencyMax().Seconds()*1e6, f.Reorders, f.Holes)
 		}
 		fmt.Println(fTbl.String())
 		hTbl := &stats.Table{
-			Title:   "heavy hitters (space-saving summary, count-min cross-check)",
-			Columns: []string{"flow-digest", "count", "err", "cm-est"},
+			Title: "heavy hitters (space-saving summary, count-min cross-check)",
+			Columns: []stats.Column{
+				{Name: "flow-digest", Verb: "%016x"}, {Name: "count", Verb: "%d"}, {Name: "err", Verb: "%d"},
+				{Name: "cm-est", Verb: "%d"},
+			},
 		}
 		for _, h := range ss.Top(*heavy) {
-			hTbl.AddRow(
-				fmt.Sprintf("%016x", h.Digest),
-				fmt.Sprintf("%d", h.Count),
-				fmt.Sprintf("%d", h.Err),
-				fmt.Sprintf("%d", cm.Estimate(h.Digest)),
-			)
+			hTbl.AddRow(h.Digest, h.Count, h.Err, cm.Estimate(h.Digest))
 		}
 		fmt.Println(hTbl.String())
 	}

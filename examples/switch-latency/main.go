@@ -69,22 +69,17 @@ func measure(mode switchsim.ForwardingMode, frameSize int, load float64) *core.L
 func main() {
 	tbl := &stats.Table{
 		Title: "Demo Part I: switching latency under different load conditions",
-		Columns: []string{
-			"mode", "frame(B)", "load(%)", "mean(µs)", "p99(µs)", "loss(%)",
+		Columns: []stats.Column{
+			{Name: "mode", Verb: "%v"}, {Name: "frame(B)", Verb: "%d"}, {Name: "load(%)", Verb: "%.0f"},
+			{Name: "mean(µs)", Verb: "%.2f"}, {Name: "p99(µs)", Verb: "%.2f"}, {Name: "loss(%)", Verb: "%.2f"},
 		},
 	}
 	for _, mode := range []switchsim.ForwardingMode{switchsim.StoreAndForward, switchsim.CutThrough} {
 		for _, fs := range []int{64, 512, 1518} {
 			for _, load := range []float64{0.2, 0.8, 0.95} {
 				res := measure(mode, fs, load)
-				tbl.AddRow(
-					mode.String(),
-					fmt.Sprintf("%d", fs),
-					fmt.Sprintf("%.0f", load*100),
-					fmt.Sprintf("%.2f", res.Latency.Mean()/1e6),
-					fmt.Sprintf("%.2f", float64(res.Latency.Percentile(99))/1e6),
-					fmt.Sprintf("%.2f", res.LossFraction()*100),
-				)
+				tbl.AddRow(mode, fs, load*100, res.Latency.Mean()/1e6,
+					float64(res.Latency.Percentile(99))/1e6, res.LossFraction()*100)
 			}
 		}
 	}

@@ -56,11 +56,15 @@ func E10TesterMesh(duration sim.Duration) *stats.Table {
 		duration = 2 * sim.Millisecond
 	}
 	tbl := &stats.Table{
-		Title:   "E10: tester mesh — N cards × 4 ports full-mesh through one DUT at line rate",
-		Columns: []string{"cards", "frame(B)", "flows", "offered(Mpps)", "mac-rx(Mpps)", "agg(Gb/s)", "dut-drops", "ok"},
+		Title: "E10: tester mesh — N cards × 4 ports full-mesh through one DUT at line rate",
+		Columns: []stats.Column{
+			{Name: "cards", Verb: "%d"}, {Name: "frame(B)", Verb: "%d"}, {Name: "flows", Verb: "%d"},
+			{Name: "offered(Mpps)", Verb: "%.3f"}, {Name: "mac-rx(Mpps)", Verb: "%.3f"},
+			{Name: "agg(Gb/s)", Verb: "%.3f"}, {Name: "dut-drops", Verb: "%d"}, {Name: "ok", Verb: "%v"},
+		},
 	}
 	points := len(E10CardCounts) * len(E10FrameSizes)
-	tbl.Rows = sweeper().Rows(points, func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(points, func(i int) [][]any {
 		cards := E10CardCounts[i/len(E10FrameSizes)]
 		fs := E10FrameSizes[i%len(E10FrameSizes)]
 		flows := cards * e10PortsPerCard
@@ -106,29 +110,16 @@ func E10TesterMesh(duration sim.Duration) *stats.Table {
 				spec.SrcMAC = e10MAC(c, p)
 				spec.DstMAC = e10MAC(e10DstCard(c, p, cards), p)
 				spec.SrcPort = uint16(5000 + c*e10PortsPerCard + p)
-				g, err := gen.New(port, gen.Config{
+				gens = append(gens, startGen(port, gen.Config{
 					Source:  &gen.UDPFlowSource{Spec: spec, FrameSize: fs},
 					Spacing: gen.CBRForLoad(fs, wire.Rate10G, 1.0),
-					Pool:    wire.DefaultPool,
 					Seed:    runner.PointSeed(0xe10, i*64+c*e10PortsPerCard+p),
-				})
-				if err != nil {
-					panic(err)
-				}
-				g.Start(0)
-				gens = append(gens, g)
+				}))
 			}
 		}
-		e.RunUntil(sim.Time(duration))
-		for _, g := range gens {
-			g.Stop()
-		}
-		e.Run() // drain in-flight frames and capture rings
+		offered := drive(e, sim.Time(duration), gens...)
 
-		var offered, macRx uint64
-		for _, g := range gens {
-			offered += g.Sent().Packets
-		}
+		var macRx uint64
 		for _, m := range mons {
 			macRx += m.Seen().Packets
 		}
@@ -143,16 +134,7 @@ func E10TesterMesh(duration sim.Duration) *stats.Table {
 		// Linear scaling check: aggregate capture within 0.1% of
 		// flows × theoretical line rate, and a lossless DUT.
 		ok := drops == 0 && rxMpps*1e6 > wire.MaxPPS(fs, wire.Rate10G)*float64(flows)*0.999
-		return [][]string{{
-			fmt.Sprintf("%d", cards),
-			fmt.Sprintf("%d", fs),
-			fmt.Sprintf("%d", flows),
-			fmt.Sprintf("%.3f", offMpps),
-			fmt.Sprintf("%.3f", rxMpps),
-			fmt.Sprintf("%.3f", gbps),
-			fmt.Sprintf("%d", drops),
-			fmt.Sprintf("%v", ok),
-		}}
+		return [][]any{{cards, fs, flows, offMpps, rxMpps, gbps, drops, ok}}
 	})
 	return tbl
 }

@@ -63,10 +63,14 @@ func E12MixedRateFanIn(duration sim.Duration) *stats.Table {
 		duration = 20 * sim.Millisecond
 	}
 	tbl := &stats.Table{
-		Title:   "E12: mixed-rate fan-in/fan-out — 4×10G edge + 40G uplink through a converting DUT (512B Poisson)",
-		Columns: []string{"down-load(%)", "up(Mpps)", "up-p99(µs)", "up-drops", "down-offered(Mpps)", "down-rx(Mpps)", "down-p99(µs)", "down-qdrops", "down-loss(%)"},
+		Title: "E12: mixed-rate fan-in/fan-out — 4×10G edge + 40G uplink through a converting DUT (512B Poisson)",
+		Columns: []stats.Column{
+			{Name: "down-load(%)", Verb: "%.0f"}, {Name: "up(Mpps)", Verb: "%.3f"}, {Name: "up-p99(µs)", Verb: "%.2f"},
+			{Name: "up-drops", Verb: "%d"}, {Name: "down-offered(Mpps)", Verb: "%.3f"}, {Name: "down-rx(Mpps)", Verb: "%.3f"},
+			{Name: "down-p99(µs)", Verb: "%.2f"}, {Name: "down-qdrops", Verb: "%d"}, {Name: "down-loss(%)", Verb: "%.2f"},
+		},
 	}
-	tbl.Rows = sweeper().Rows(len(E12DownLoads), func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(len(E12DownLoads), func(i int) [][]any {
 		downLoad := E12DownLoads[i]
 		e := sim.NewEngine()
 		b := topo.New().
@@ -110,28 +114,23 @@ func E12MixedRateFanIn(duration sim.Duration) *stats.Table {
 
 		newGen := func(port string, spec packet.UDPSpec, rate wire.Rate, load float64, seed int) *gen.Generator {
 			slot := wire.SerializationTime(e12FrameSize, rate)
-			g, err := gen.New(t.Port(port), gen.Config{
+			return startGen(t.Port(port), gen.Config{
 				Source:         &gen.UDPFlowSource{Spec: spec, FrameSize: e12FrameSize},
 				Spacing:        gen.Poisson{Mean: sim.Duration(float64(slot) / load)},
 				EmbedTimestamp: true,
-				Pool:           wire.DefaultPool,
 				Seed:           runner.PointSeed(0xe12, seed),
 			})
-			if err != nil {
-				panic(err)
-			}
-			g.Start(0)
-			return g
 		}
 
-		// Upstream fan-in: every edge port at 100% of 10G line rate.
-		upGens := make([]*gen.Generator, 4)
+		// Upstream fan-in: every edge port at 100% of 10G line rate; the
+		// downstream generator joins them last.
+		gens := make([]*gen.Generator, 5)
 		for p := 0; p < 4; p++ {
 			spec := probeSpec
 			spec.SrcMAC = e12EdgeMAC(p)
 			spec.DstMAC = e12UplinkMAC
 			spec.SrcPort = uint16(5000 + p)
-			upGens[p] = newGen(osntPorts[p], spec, wire.Rate10G, 1.0, i*8+p)
+			gens[p] = newGen(osntPorts[p], spec, wire.Rate10G, 1.0, i*8+p)
 		}
 		// Downstream fan-out: the 40G server sweeps load toward edge
 		// station 0 — a 4:1 down-conversion past 25%.
@@ -139,16 +138,10 @@ func E12MixedRateFanIn(duration sim.Duration) *stats.Table {
 		downSpec.SrcMAC = e12UplinkMAC
 		downSpec.DstMAC = e12EdgeMAC(0)
 		downSpec.SrcPort = 6000
-		downGen := newGen("srv:0", downSpec, wire.Rate40G, downLoad, i*8+4)
+		gens[4] = newGen("srv:0", downSpec, wire.Rate40G, downLoad, i*8+4)
+		drive(e, sim.Time(duration), gens...)
 
-		e.RunUntil(sim.Time(duration))
-		for _, g := range upGens {
-			g.Stop()
-		}
-		downGen.Stop()
-		e.Run() // drain the conversion queues and in-flight frames
-
-		downOffered := downGen.Sent().Packets
+		downOffered := offered(gens[4])
 		downRx := downMon.Seen().Packets
 		qdrops := dut.Port(0).Drops()
 		secs := duration.Seconds()
@@ -156,16 +149,10 @@ func E12MixedRateFanIn(duration sim.Duration) *stats.Table {
 		if downOffered > 0 {
 			lossPct = float64(downOffered-downRx) / float64(downOffered) * 100
 		}
-		return [][]string{{
-			fmt.Sprintf("%.0f", downLoad*100),
-			fmt.Sprintf("%.3f", float64(upMon.Seen().Packets)/secs/1e6),
-			fmt.Sprintf("%.2f", float64(upLat.Percentile(99))/1e6),
-			fmt.Sprintf("%d", dut.Port(4).Drops()),
-			fmt.Sprintf("%.3f", float64(downOffered)/secs/1e6),
-			fmt.Sprintf("%.3f", float64(downRx)/secs/1e6),
-			fmt.Sprintf("%.2f", float64(downLat.Percentile(99))/1e6),
-			fmt.Sprintf("%d", qdrops),
-			fmt.Sprintf("%.2f", lossPct),
+		return [][]any{{
+			downLoad * 100, float64(upMon.Seen().Packets) / secs / 1e6, float64(upLat.Percentile(99)) / 1e6,
+			dut.Port(4).Drops(), float64(downOffered) / secs / 1e6, float64(downRx) / secs / 1e6,
+			float64(downLat.Percentile(99)) / 1e6, qdrops, lossPct,
 		}}
 	})
 	return tbl

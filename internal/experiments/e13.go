@@ -56,10 +56,14 @@ func E13MultiDUTChain(duration sim.Duration) *stats.Table {
 		duration = 20 * sim.Millisecond
 	}
 	tbl := &stats.Table{
-		Title:   "E13: multi-DUT chain — per-hop latency decomposition (512B Poisson at 90% load)",
-		Columns: []string{"switches", "hop1(µs)", "hop2(µs)", "hop3(µs)", "hop4(µs)", "total(µs)", "p99(µs)", "loss(%)"},
+		Title: "E13: multi-DUT chain — per-hop latency decomposition (512B Poisson at 90% load)",
+		Columns: []stats.Column{
+			{Name: "switches", Verb: "%d"}, {Name: "hop1(µs)", Verb: "%.2f"}, {Name: "hop2(µs)", Verb: "%.2f"},
+			{Name: "hop3(µs)", Verb: "%.2f"}, {Name: "hop4(µs)", Verb: "%.2f"}, {Name: "total(µs)", Verb: "%.2f"},
+			{Name: "p99(µs)", Verb: "%.2f"}, {Name: "loss(%)", Verb: "%.2f"},
+		},
 	}
-	tbl.Rows = sweeper().Rows(len(E13ChainLengths), func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(len(E13ChainLengths), func(i int) [][]any {
 		n := E13ChainLengths[i]
 		e := sim.NewEngine()
 		b := topo.New().Tester("osnt", netfpga.Config{Ports: 2})
@@ -97,38 +101,24 @@ func E13MultiDUTChain(duration sim.Duration) *stats.Table {
 		}))
 
 		slot := wire.SerializationTime(e13FrameSize, wire.Rate10G)
-		g, err := gen.New(t.Port(osntPorts[0]), gen.Config{
+		offered := drive(e, sim.Time(duration), startGen(t.Port(osntPorts[0]), gen.Config{
 			Source:         &gen.UDPFlowSource{Spec: spec, FrameSize: e13FrameSize},
 			Spacing:        gen.Poisson{Mean: sim.Duration(float64(slot) / e13Load)},
 			EmbedTimestamp: true,
-			Pool:           wire.DefaultPool,
 			Seed:           runner.PointSeed(0xe13, i),
-		})
-		if err != nil {
-			panic(err)
-		}
-		g.Start(0)
-		e.RunUntil(sim.Time(duration))
-		g.Stop()
-		e.Run() // drain the chain
-
-		offered := g.Sent().Packets
+		}))
 		lossPct := 0.0
 		if offered > 0 {
 			lossPct = float64(offered-m.Seen().Packets) / float64(offered) * 100
 		}
-		hopCell := func(h int) string {
-			if h >= n {
-				return "-"
-			}
-			return fmt.Sprintf("%.2f", perHop.Hist(h).Mean()/1e6)
+		// A chain shorter than four leaves its later hop cells empty.
+		hops := make([]any, 4)
+		for h := 0; h < n; h++ {
+			hops[h] = perHop.Hist(h).Mean() / 1e6
 		}
-		return [][]string{{
-			fmt.Sprintf("%d", n),
-			hopCell(0), hopCell(1), hopCell(2), hopCell(3),
-			fmt.Sprintf("%.2f", total.Mean()/1e6),
-			fmt.Sprintf("%.2f", float64(total.Percentile(99))/1e6),
-			fmt.Sprintf("%.2f", lossPct),
+		return [][]any{{
+			n, hops[0], hops[1], hops[2], hops[3],
+			total.Mean() / 1e6, float64(total.Percentile(99)) / 1e6, lossPct,
 		}}
 	})
 	return tbl

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"osnt/internal/gen"
 	"osnt/internal/mon"
 	"osnt/internal/netfpga"
@@ -47,11 +45,15 @@ func E14Capture100G(duration sim.Duration) *stats.Table {
 		duration = 2 * sim.Millisecond
 	}
 	tbl := &stats.Table{
-		Title:   "E14: 100G capture — per-queue DMA rings vs the loss-limited host path (snap 64, RSS hash steer, 64 flows)",
-		Columns: []string{"queues", "frame(B)", "offered(Mpps)", "mac-rx(Mpps)", "host(Mpps)", "host(%)", "ring-drops", "imbal", "lossless"},
+		Title: "E14: 100G capture — per-queue DMA rings vs the loss-limited host path (snap 64, RSS hash steer, 64 flows)",
+		Columns: []stats.Column{
+			{Name: "queues", Verb: "%d"}, {Name: "frame(B)", Verb: "%d"}, {Name: "offered(Mpps)", Verb: "%.3f"},
+			{Name: "mac-rx(Mpps)", Verb: "%.3f"}, {Name: "host(Mpps)", Verb: "%.3f"}, {Name: "host(%)", Verb: "%.1f"},
+			{Name: "ring-drops", Verb: "%d"}, {Name: "imbal", Verb: "%.2f"}, {Name: "lossless", Verb: "%v"},
+		},
 	}
 	points := len(E14QueueCounts) * len(E14FrameSizes)
-	tbl.Rows = sweeper().Rows(points, func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(points, func(i int) [][]any {
 		nq := E14QueueCounts[i/len(E14FrameSizes)]
 		fs := E14FrameSizes[i%len(E14FrameSizes)]
 		e := sim.NewEngine()
@@ -63,31 +65,22 @@ func E14Capture100G(duration sim.Duration) *stats.Table {
 			SnapLen: 64,
 			Queues:  make([]mon.QueueConfig, nq), // default ring + host core per queue
 		})
-		g, err := gen.New(t.Port("osnt:0"), gen.Config{
+		offered := drive(e, sim.Time(duration), startGen(t.Port("osnt:0"), gen.Config{
 			Source:  &gen.UDPFlowSource{Spec: probeSpec, NumFlows: e14Flows, FrameSize: fs},
 			Spacing: gen.CBRForLoad(fs, wire.Rate100G, 1.0),
-			Pool:    wire.DefaultPool,
 			Seed:    runner.PointSeed(0xe14, i),
 			// Frame-train coalescing: at load 1.0 every frame abuts its
 			// predecessor, so the whole hot path batches — same table,
 			// a fraction of the engine events.
 			MaxTrain: 64,
 			Until:    sim.Time(duration),
-		})
-		if err != nil {
-			panic(err)
-		}
-		g.Start(0)
-		e.RunUntil(sim.Time(duration))
-		g.Stop()
-		e.Run() // drain in-flight frames and every capture ring
+		}))
 
 		pq := stats.NewPerQueue(m.NumQueues())
 		for q := 0; q < m.NumQueues(); q++ {
 			qs := m.QueueStats(q)
 			pq.Set(q, qs.Seen.Packets, qs.Delivered.Packets, qs.RingDrops)
 		}
-		offered := g.Sent().Packets
 		macRx := m.Seen().Packets
 		host := pq.TotalDelivered()
 		drops := pq.TotalDropped()
@@ -96,16 +89,9 @@ func E14Capture100G(duration sim.Duration) *stats.Table {
 		if macRx > 0 {
 			hostPct = float64(host) / float64(macRx) * 100
 		}
-		return [][]string{{
-			fmt.Sprintf("%d", nq),
-			fmt.Sprintf("%d", fs),
-			fmt.Sprintf("%.3f", float64(offered)/secs/1e6),
-			fmt.Sprintf("%.3f", float64(macRx)/secs/1e6),
-			fmt.Sprintf("%.3f", float64(host)/secs/1e6),
-			fmt.Sprintf("%.1f", hostPct),
-			fmt.Sprintf("%d", drops),
-			fmt.Sprintf("%.2f", pq.Imbalance()),
-			fmt.Sprintf("%v", drops == 0),
+		return [][]any{{
+			nq, fs, float64(offered) / secs / 1e6, float64(macRx) / secs / 1e6, float64(host) / secs / 1e6,
+			hostPct, drops, pq.Imbalance(), drops == 0,
 		}}
 	})
 	return tbl
@@ -131,20 +117,12 @@ func SteerMicroBench(duration sim.Duration) uint64 {
 		queues[i] = mon.QueueConfig{HostPerPacket: sim.Picosecond, HostPerByte: -1}
 	}
 	m := t.AttachMonitor("osnt:1", mon.Config{SnapLen: 64, Queues: queues})
-	g, err := gen.New(t.Port("osnt:0"), gen.Config{
+	drive(e, sim.Time(duration), startGen(t.Port("osnt:0"), gen.Config{
 		Source:   &gen.UDPFlowSource{Spec: probeSpec, NumFlows: e14Flows, FrameSize: 64},
 		Spacing:  gen.CBRForLoad(64, wire.Rate10G, 1.0),
-		Pool:     wire.DefaultPool,
 		Seed:     runner.PointSeed(0xe14, 0x5eed),
 		MaxTrain: 64,
 		Until:    sim.Time(duration),
-	})
-	if err != nil {
-		panic(err)
-	}
-	g.Start(0)
-	e.RunUntil(sim.Time(duration))
-	g.Stop()
-	e.Run()
+	}))
 	return m.Delivered().Packets
 }

@@ -107,27 +107,14 @@ func e15Point(duration sim.Duration, load float64, pointSeed int) (*stats.LossMa
 		spec.SrcMAC = e15EdgeMAC(p)
 		spec.DstMAC = e15ServerMAC
 		spec.SrcPort = uint16(5000 + e15FlowsPerLeaf*p)
-		g, err := gen.New(t.Port(osntPorts[p]), gen.Config{
+		gens[p] = startGen(t.Port(osntPorts[p]), gen.Config{
 			Source:         &gen.UDPFlowSource{Spec: spec, NumFlows: e15FlowsPerLeaf, FrameSize: e15FrameSize},
 			Spacing:        gen.Poisson{Mean: sim.Duration(float64(slot) / load)},
 			EmbedTimestamp: true,
-			Pool:           wire.DefaultPool,
 			Seed:           runner.PointSeed(0xe15, pointSeed*4+p),
 		})
-		if err != nil {
-			panic(err)
-		}
-		g.Start(0)
-		gens[p] = g
 	}
-	e.RunUntil(sim.Time(duration))
-	var offered uint64
-	for _, g := range gens {
-		g.Stop()
-		offered += g.Sent().Packets + g.Dropped()
-	}
-	e.Run() // drain the fabric and the capture ring
-
+	offered := drive(e, sim.Time(duration), gens...)
 	lm := stats.NewLossMap(offered, m.Seen().Packets, t.Drops())
 	return lm, leaf, lat, offered
 }
@@ -147,10 +134,14 @@ func E15Oversubscribed(duration sim.Duration) *stats.Table {
 		duration = 5 * sim.Millisecond
 	}
 	tbl := &stats.Table{
-		Title:   "E15: oversubscribed fabric — 4×40G leaves ECMP-sprayed over 2×40G uplinks (512B Poisson, knee at 50%)",
-		Columns: []string{"load(%)", "offered(Mpps)", "delivered(Mpps)", "spray(up0/up1 %)", "p99(µs)", "uplink-drops", "other-drops", "loss(%)", "conserved"},
+		Title: "E15: oversubscribed fabric — 4×40G leaves ECMP-sprayed over 2×40G uplinks (512B Poisson, knee at 50%)",
+		Columns: []stats.Column{
+			{Name: "load(%)", Verb: "%.0f"}, {Name: "offered(Mpps)", Verb: "%.3f"}, {Name: "delivered(Mpps)", Verb: "%.3f"},
+			{Name: "spray(up0/up1 %)", Verb: "%s"}, {Name: "p99(µs)", Verb: "%.2f"}, {Name: "uplink-drops", Verb: "%d"},
+			{Name: "other-drops", Verb: "%d"}, {Name: "loss(%)", Verb: "%.2f"}, {Name: "conserved", Verb: "%v"},
+		},
 	}
-	tbl.Rows = sweeper().Rows(len(E15Loads), func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(len(E15Loads), func(i int) [][]any {
 		load := E15Loads[i]
 		lm, leaf, lat, offered := e15Point(duration, load, i)
 
@@ -163,16 +154,10 @@ func E15Oversubscribed(duration sim.Duration) *stats.Table {
 		}
 		uplinkDrops := leaf.Port(4).Drops() + leaf.Port(5).Drops()
 		secs := duration.Seconds()
-		return [][]string{{
-			fmt.Sprintf("%.0f", load*100),
-			fmt.Sprintf("%.3f", float64(offered)/secs/1e6),
-			fmt.Sprintf("%.3f", float64(lm.Delivered)/secs/1e6),
-			fmt.Sprintf("%.1f/%.1f", split[0], split[1]),
-			fmt.Sprintf("%.2f", float64(lat.Percentile(99))/1e6),
-			fmt.Sprintf("%d", uplinkDrops),
-			fmt.Sprintf("%d", lm.Attributed()-uplinkDrops),
-			fmt.Sprintf("%.2f", lm.LossFraction()*100),
-			fmt.Sprintf("%v", lm.Conserved()),
+		return [][]any{{
+			load * 100, float64(offered) / secs / 1e6, float64(lm.Delivered) / secs / 1e6,
+			fmt.Sprintf("%.1f/%.1f", split[0], split[1]), float64(lat.Percentile(99)) / 1e6,
+			uplinkDrops, lm.Attributed() - uplinkDrops, lm.LossFraction() * 100, lm.Conserved(),
 		}}
 	})
 	return tbl
@@ -210,19 +195,11 @@ func SprayMicroBench(duration sim.Duration) (member0, member1 uint64) {
 		MustBuild(e)
 	leaf := t.DUT("leaf")
 	leaf.LearnGroup(probeSpec.DstMAC, leaf.AddGroup(1, 2))
-	g, err := gen.New(t.Port("tx:0"), gen.Config{
+	drive(e, sim.Time(duration), startGen(t.Port("tx:0"), gen.Config{
 		Source:  &gen.UDPFlowSource{Spec: probeSpec, NumFlows: e14Flows, FrameSize: 64},
 		Spacing: gen.CBRForLoad(64, wire.Rate10G, 1.0),
-		Pool:    wire.DefaultPool,
 		Seed:    runner.PointSeed(0xe15, 0x5eed),
-	})
-	if err != nil {
-		panic(err)
-	}
-	g.Start(0)
-	e.RunUntil(sim.Time(duration))
-	g.Stop()
-	e.Run()
+	}))
 	rx := t.Tester("rx").Card
 	return rx.Port(0).RxStats().Packets, rx.Port(1).RxStats().Packets
 }

@@ -51,10 +51,15 @@ func E16LossAttribution(duration sim.Duration) *stats.Table {
 		duration = 10 * sim.Millisecond
 	}
 	tbl := &stats.Table{
-		Title:   "E16: per-hop loss attribution — 4-deep converting chain (512B CBR at 40G, knee at 25%)",
-		Columns: []string{"load(%)", "offered", "runts", "hairpins", "delivered", "h1-rate-boundary", "h1-runt", "h2-hairpin", "h3-lookup", "other", "conserved"},
+		Title: "E16: per-hop loss attribution — 4-deep converting chain (512B CBR at 40G, knee at 25%)",
+		Columns: []stats.Column{
+			{Name: "load(%)", Verb: "%.0f"}, {Name: "offered", Verb: "%d"}, {Name: "runts", Verb: "%d"},
+			{Name: "hairpins", Verb: "%d"}, {Name: "delivered", Verb: "%d"}, {Name: "h1-rate-boundary", Verb: "%d"},
+			{Name: "h1-runt", Verb: "%d"}, {Name: "h2-hairpin", Verb: "%d"}, {Name: "h3-lookup", Verb: "%d"},
+			{Name: "other", Verb: "%d"}, {Name: "conserved", Verb: "%v"},
+		},
 	}
-	tbl.Rows = sweeper().Rows(len(E16Loads), func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(len(E16Loads), func(i int) [][]any {
 		load := E16Loads[i]
 		e := sim.NewEngine()
 		t := topo.New().
@@ -90,15 +95,12 @@ func E16LossAttribution(duration sim.Duration) *stats.Table {
 
 		m := t.AttachMonitor("rx:0", idealCapture(nil))
 
-		g, err := gen.New(t.Port("tx:0"), gen.Config{
+		// The generator starts before the injections are scheduled: the
+		// engine fires same-instant events in the order they were armed.
+		g := startGen(t.Port("tx:0"), gen.Config{
 			Source:  &gen.UDPFlowSource{Spec: spec, FrameSize: e16FrameSize},
 			Spacing: gen.CBRForLoad(e16FrameSize, wire.Rate40G, load),
-			Pool:    wire.DefaultPool,
 		})
-		if err != nil {
-			panic(err)
-		}
-		g.Start(0)
 
 		// Inject the engineered losses on a fixed grid across the run:
 		// runt frames (too short to parse at hop 1) and hairpin probes
@@ -119,11 +121,7 @@ func E16LossAttribution(duration sim.Duration) *stats.Table {
 			e.Schedule(at.Add(step/2), func() { txPort.Enqueue(wire.One(wire.NewFrame(hairpinData))) })
 		}
 
-		e.RunUntil(sim.Time(duration))
-		g.Stop()
-		e.Run() // drain the chain and the capture ring
-
-		offered := g.Sent().Packets + g.Dropped() + runts + hairpins
+		offered := drive(e, sim.Time(duration), g) + runts + hairpins
 		ledger := t.Drops()
 		lm := stats.NewLossMap(offered, m.Seen().Packets, ledger)
 		h1Rate := ledger.Count(t.Hop("sw1"), wire.DropRateBoundary)
@@ -131,18 +129,8 @@ func E16LossAttribution(duration sim.Duration) *stats.Table {
 		h2Hair := ledger.Count(t.Hop("sw2"), wire.DropHairpin)
 		h3Look := ledger.Count(t.Hop("sw3"), wire.DropLookupOverflow)
 		other := lm.Attributed() - h1Rate - h1Runt - h2Hair - h3Look
-		return [][]string{{
-			fmt.Sprintf("%.0f", load*100),
-			fmt.Sprintf("%d", offered),
-			fmt.Sprintf("%d", runts),
-			fmt.Sprintf("%d", hairpins),
-			fmt.Sprintf("%d", lm.Delivered),
-			fmt.Sprintf("%d", h1Rate),
-			fmt.Sprintf("%d", h1Runt),
-			fmt.Sprintf("%d", h2Hair),
-			fmt.Sprintf("%d", h3Look),
-			fmt.Sprintf("%d", other),
-			fmt.Sprintf("%v", lm.Conserved()),
+		return [][]any{{
+			load * 100, offered, runts, hairpins, lm.Delivered, h1Rate, h1Runt, h2Hair, h3Look, other, lm.Conserved(),
 		}}
 	})
 	return tbl

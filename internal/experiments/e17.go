@@ -133,11 +133,16 @@ func E17FlowAnalytics(duration sim.Duration) *stats.Table {
 		duration = 5 * sim.Millisecond
 	}
 	tbl := &stats.Table{
-		Title:   "E17: per-flow analytics over merged multi-queue capture — elephants and mice through a lossy DUT (512B CBR at 40G)",
-		Columns: []string{"queues", "rank", "flow", "pkts", "loss-ex(%)", "loss-inf(%)", "lat(µs)", "reorders", "merged", "digest", "ok"},
+		Title: "E17: per-flow analytics over merged multi-queue capture — elephants and mice through a lossy DUT (512B CBR at 40G)",
+		Columns: []stats.Column{
+			{Name: "queues", Verb: "%d"}, {Name: "rank", Verb: "%d"}, {Name: "flow", Verb: "%s"},
+			{Name: "pkts", Verb: "%d"}, {Name: "loss-ex(%)", Verb: "%.2f"}, {Name: "loss-inf(%)", Verb: "%.2f"},
+			{Name: "lat(µs)", Verb: "%.2f"}, {Name: "reorders", Verb: "%d"}, {Name: "merged", Verb: "%d"},
+			{Name: "digest", Verb: "%016x"}, {Name: "ok", Verb: "%v"},
+		},
 	}
 	w := e17Flows
-	tbl.Rows = sweeper().Rows(len(E17QueueCounts), func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(len(E17QueueCounts), func(i int) [][]any {
 		nq := E17QueueCounts[i]
 		e := sim.NewEngine()
 		t := topo.New().
@@ -188,23 +193,13 @@ func E17FlowAnalytics(duration sim.Duration) *stats.Table {
 			cm.Add(rec.Hash, 1)
 		})
 
-		g, err := gen.New(t.Port("tx:0"), gen.Config{
+		consumed := drive(e, sim.Time(duration), startGen(t.Port("tx:0"), gen.Config{
 			Source:         &gen.SliceSource{Frames: w.frames, Loop: true},
 			Spacing:        gen.CBRForLoad(e17FrameSize, wire.Rate40G, 1.0),
 			EmbedTimestamp: true,
-			Pool:           wire.DefaultPool,
 			Seed:           runner.PointSeed(0xe17, i),
-		})
-		if err != nil {
-			panic(err)
-		}
-		g.Start(0)
-		e.RunUntil(sim.Time(duration))
-		g.Stop()
-		e.Run() // drain the DUT and every capture ring
+		}))
 		merge.Flush()
-
-		consumed := g.Sent().Packets + g.Dropped()
 		lm := stats.NewLossMap(consumed, m.Seen().Packets, t.Drops())
 		top := ft.Top(e17TopK)
 		ok := merge.OrderViolations() == 0 && m.RingDrops() == 0 &&
@@ -216,21 +211,13 @@ func E17FlowAnalytics(duration sim.Duration) *stats.Table {
 			ok = ok && cm.Estimate(f.Digest) >= f.Packets
 		}
 
-		rows := make([][]string, 0, len(top))
+		rows := make([][]any, 0, len(top))
 		for rank, f := range top {
 			off := w.offered(consumed, f.Digest)
-			rows = append(rows, []string{
-				fmt.Sprintf("%d", nq),
-				fmt.Sprintf("%d", rank+1),
-				w.names[f.Digest],
-				fmt.Sprintf("%d", f.Packets),
-				fmt.Sprintf("%.2f", float64(off-f.Packets)/float64(off)*100),
-				fmt.Sprintf("%.2f", float64(f.Holes)/float64(off)*100),
-				fmt.Sprintf("%.2f", f.LatencyMean().Seconds()*1e6),
-				fmt.Sprintf("%d", f.Reorders),
-				fmt.Sprintf("%d", merge.Emitted()),
-				fmt.Sprintf("%016x", streamDigest),
-				fmt.Sprintf("%v", ok),
+			rows = append(rows, []any{
+				nq, rank + 1, w.names[f.Digest], f.Packets, float64(off-f.Packets) / float64(off) * 100,
+				float64(f.Holes) / float64(off) * 100, f.LatencyMean().Seconds() * 1e6, f.Reorders,
+				merge.Emitted(), streamDigest, ok,
 			})
 		}
 		return rows
@@ -263,21 +250,13 @@ func MergeMicroBench(duration sim.Duration) uint64 {
 		Queues:  queues,
 	})
 	merge := mon.NewMerge(m, func(mon.Record) {})
-	g, err := gen.New(t.Port("osnt:0"), gen.Config{
+	drive(e, sim.Time(duration), startGen(t.Port("osnt:0"), gen.Config{
 		Source:   &gen.UDPFlowSource{Spec: probeSpec, NumFlows: e14Flows, FrameSize: 64},
 		Spacing:  gen.CBRForLoad(64, wire.Rate10G, 1.0),
-		Pool:     wire.DefaultPool,
 		Seed:     runner.PointSeed(0xe17, 0x5eed),
 		MaxTrain: 64,
 		Until:    sim.Time(duration),
-	})
-	if err != nil {
-		panic(err)
-	}
-	g.Start(0)
-	e.RunUntil(sim.Time(duration))
-	g.Stop()
-	e.Run()
+	}))
 	merge.Flush()
 	return merge.Emitted()
 }

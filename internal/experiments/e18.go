@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"osnt/internal/gen"
 	"osnt/internal/mon"
 	"osnt/internal/netfpga"
@@ -57,12 +55,16 @@ func E18TrainSpeedup(duration sim.Duration) *stats.Table {
 		duration = 2 * sim.Millisecond
 	}
 	tbl := &stats.Table{
-		Title:   "E18: frame-train coalescing at 100G — events per frame vs train cap (single flow at 100% load, bit-exact across caps)",
-		Columns: []string{"frame(B)", "cap", "host(Mpps)", "ev/frame", "ev-x", "digest", "ok"},
+		Title: "E18: frame-train coalescing at 100G — events per frame vs train cap (single flow at 100% load, bit-exact across caps)",
+		Columns: []stats.Column{
+			{Name: "frame(B)", Verb: "%d"}, {Name: "cap", Verb: "%d"}, {Name: "host(Mpps)", Verb: "%.3f"},
+			{Name: "ev/frame", Verb: "%.3f"}, {Name: "ev-x", Verb: "%.2f"}, {Name: "digest", Verb: "%016x"},
+			{Name: "ok", Verb: "%v"},
+		},
 	}
-	tbl.Rows = sweeper().Rows(len(E18FrameSizes), func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(len(E18FrameSizes), func(i int) [][]any {
 		fs := E18FrameSizes[i]
-		rows := make([][]string, 0, len(E18TrainCaps))
+		rows := make([][]any, 0, len(E18TrainCaps))
 		var refDigest uint64
 		var refEvPerFrame float64
 		for _, cap := range E18TrainCaps {
@@ -91,21 +93,13 @@ func E18TrainSpeedup(duration sim.Duration) *stats.Table {
 				},
 			})
 
-			g, err := gen.New(t.Port("tx:0"), gen.Config{
+			drive(e, sim.Time(duration), startGen(t.Port("tx:0"), gen.Config{
 				Source:   &gen.UDPFlowSource{Spec: probeSpec, NumFlows: 1, FrameSize: fs},
 				Spacing:  gen.CBRForLoad(fs, wire.Rate100G, 1.0),
-				Pool:     wire.DefaultPool,
 				Seed:     runner.PointSeed(0xe18, i),
 				MaxTrain: cap,
 				Until:    sim.Time(duration),
-			})
-			if err != nil {
-				panic(err)
-			}
-			g.Start(0)
-			e.RunUntil(sim.Time(duration))
-			g.Stop()
-			e.Run() // drain the DUT and the capture ring
+			}))
 
 			frames := m.Delivered().Packets
 			evPerFrame := 0.0
@@ -120,14 +114,8 @@ func E18TrainSpeedup(duration sim.Duration) *stats.Table {
 			if evPerFrame > 0 {
 				evX = refEvPerFrame / evPerFrame
 			}
-			rows = append(rows, []string{
-				fmt.Sprintf("%d", fs),
-				fmt.Sprintf("%d", cap),
-				fmt.Sprintf("%.3f", float64(frames)/duration.Seconds()/1e6),
-				fmt.Sprintf("%.3f", evPerFrame),
-				fmt.Sprintf("%.2f", evX),
-				fmt.Sprintf("%016x", digest),
-				fmt.Sprintf("%v", digest == refDigest),
+			rows = append(rows, []any{
+				fs, cap, float64(frames) / duration.Seconds() / 1e6, evPerFrame, evX, digest, digest == refDigest,
 			})
 		}
 		return rows

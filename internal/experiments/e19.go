@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"osnt/internal/fabric"
 	"osnt/internal/gen"
 	"osnt/internal/runner"
@@ -74,27 +72,14 @@ func e19Point(duration sim.Duration, k int, matrix string, load float64, pointSe
 		if src == nil {
 			continue
 		}
-		g, err := gen.New(f.HostPort(i), gen.Config{
+		gens = append(gens, startGen(f.HostPort(i), gen.Config{
 			Source:         src,
 			Spacing:        gen.Poisson{Mean: sim.Duration(float64(slot) / load)},
 			EmbedTimestamp: true,
-			Pool:           wire.DefaultPool,
 			Seed:           runner.PointSeed(0xe19, pointSeed*256+i),
-		})
-		if err != nil {
-			panic(err)
-		}
-		g.Start(0)
-		gens = append(gens, g)
+		}))
 	}
-	e.RunUntil(sim.Time(duration))
-	var offered uint64
-	for _, g := range gens {
-		g.Stop()
-		offered += g.Sent().Packets + g.Dropped()
-	}
-	e.Run() // drain the fabric
-
+	offered := drive(e, sim.Time(duration), gens...)
 	lm := stats.NewLossMap(offered, f.Delivered(), f.Drops())
 	return lm, f.TierDrops(), lat, offered
 }
@@ -106,11 +91,16 @@ func e19Point(duration sim.Duration, k int, matrix string, load float64, pointSe
 func e19Table(ks []int, duration sim.Duration) *stats.Table {
 	tbl := &stats.Table{
 		Title: "E19: synthesized fat-tree fabrics under permutation / incast / hot-spot (512B Poisson per host)",
-		Columns: []string{"k", "switches", "hosts", "matrix", "load(%)", "offered(Mpps)",
-			"delivered(Mpps)", "loss(%)", "edge(%)", "agg(%)", "core(%)", "p99(µs)", "conserved"},
+		Columns: []stats.Column{
+			{Name: "k", Verb: "%d"}, {Name: "switches", Verb: "%d"}, {Name: "hosts", Verb: "%d"},
+			{Name: "matrix", Verb: "%s"}, {Name: "load(%)", Verb: "%.0f"}, {Name: "offered(Mpps)", Verb: "%.3f"},
+			{Name: "delivered(Mpps)", Verb: "%.3f"}, {Name: "loss(%)", Verb: "%.2f"}, {Name: "edge(%)", Verb: "%.1f"},
+			{Name: "agg(%)", Verb: "%.1f"}, {Name: "core(%)", Verb: "%.1f"}, {Name: "p99(µs)", Verb: "%.2f"},
+			{Name: "conserved", Verb: "%v"},
+		},
 	}
 	perK := len(e19Matrices) * len(E19Loads)
-	tbl.Rows = sweeper().Rows(len(ks)*perK, func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(len(ks)*perK, func(i int) [][]any {
 		k := ks[i/perK]
 		matrix := e19Matrices[(i%perK)/len(E19Loads)]
 		load := E19Loads[i%len(E19Loads)]
@@ -126,20 +116,11 @@ func e19Table(ks []int, duration sim.Duration) *stats.Table {
 		}
 		spec := fabric.Spec{K: k}
 		secs := duration.Seconds()
-		return [][]string{{
-			fmt.Sprintf("%d", k),
-			fmt.Sprintf("%d", spec.NumSwitches()),
-			fmt.Sprintf("%d", spec.NumHosts()),
-			matrix,
-			fmt.Sprintf("%.0f", load*100),
-			fmt.Sprintf("%.3f", float64(offered)/secs/1e6),
-			fmt.Sprintf("%.3f", float64(lm.Delivered)/secs/1e6),
-			fmt.Sprintf("%.2f", lm.LossFraction()*100),
-			fmt.Sprintf("%.1f", share(fabric.TierEdge)),
-			fmt.Sprintf("%.1f", share(fabric.TierAgg)),
-			fmt.Sprintf("%.1f", share(fabric.TierCore)),
-			fmt.Sprintf("%.2f", float64(lat.Percentile(99))/1e6),
-			fmt.Sprintf("%v", lm.Conserved()),
+		return [][]any{{
+			k, spec.NumSwitches(), spec.NumHosts(), matrix, load * 100,
+			float64(offered) / secs / 1e6, float64(lm.Delivered) / secs / 1e6, lm.LossFraction() * 100,
+			share(fabric.TierEdge), share(fabric.TierAgg), share(fabric.TierCore),
+			float64(lat.Percentile(99)) / 1e6, lm.Conserved(),
 		}}
 	})
 	return tbl

@@ -123,26 +123,14 @@ func e20Point(duration sim.Duration, k int, matrix string, load float64, delay s
 		if src == nil {
 			continue
 		}
-		g, err := gen.New(f.HostPort(i), gen.Config{
+		gens = append(gens, startGen(f.HostPort(i), gen.Config{
 			Source:         src,
 			Spacing:        gen.Poisson{Mean: sim.Duration(float64(slot) / load)},
 			EmbedTimestamp: true,
-			Pool:           wire.DefaultPool,
 			Seed:           runner.PointSeed(0xe20, pointSeed*256+i),
-		})
-		if err != nil {
-			panic(err)
-		}
-		g.Start(0)
-		gens = append(gens, g)
+		}))
 	}
-	cl.RunUntil(sim.Time(duration))
-	var offered uint64
-	for _, g := range gens {
-		g.Stop()
-		offered += g.Sent().Packets + g.Dropped()
-	}
-	cl.Run() // drain the fabric
+	offered := drive(cl, sim.Time(duration), gens...)
 
 	lat := lats[0]
 	for _, h := range lats[1:] {
@@ -190,8 +178,12 @@ func E20ShardedFabric(duration sim.Duration) *stats.Table {
 	counts := e20shardCounts()
 	tbl := &stats.Table{
 		Title: "E20: sharded conservative-lookahead execution — E19's k=8 matrices at 1/2/4/8 shards (1µs cables, load 90%)",
-		Columns: []string{"k", "matrix", "shards", "lookahead(µs)", "offered(Mpps)",
-			"delivered(Mpps)", "loss(%)", "p99(µs)", "digest", "match"},
+		Columns: []stats.Column{
+			{Name: "k", Verb: "%d"}, {Name: "matrix", Verb: "%s"}, {Name: "shards", Verb: "%d"},
+			{Name: "lookahead(µs)", Verb: "%.1f"}, {Name: "offered(Mpps)", Verb: "%.3f"},
+			{Name: "delivered(Mpps)", Verb: "%.3f"}, {Name: "loss(%)", Verb: "%.2f"}, {Name: "p99(µs)", Verb: "%.2f"},
+			{Name: "digest", Verb: "%016x"}, {Name: "match", Verb: "%v"},
+		},
 	}
 	n := len(e19Matrices) * len(counts)
 	results := runner.Sweep(e20Runner(), n, func(i int) e20Result {
@@ -206,21 +198,14 @@ func E20ShardedFabric(duration sim.Duration) *stats.Table {
 		matrix := e19Matrices[i/len(counts)]
 		shards := counts[i%len(counts)]
 		ref := results[(i/len(counts))*len(counts)] // the shards=1 point of this matrix
-		match := "ref"
+		var match any = "ref"
 		if shards != 1 {
-			match = fmt.Sprintf("%v", r.digest == ref.digest)
+			match = r.digest == ref.digest
 		}
 		tbl.AddRow(
-			fmt.Sprintf("%d", k),
-			matrix,
-			fmt.Sprintf("%d", shards),
-			fmt.Sprintf("%.1f", float64(e20LinkDelay)/1e6),
-			fmt.Sprintf("%.3f", float64(r.offered)/secs/1e6),
-			fmt.Sprintf("%.3f", float64(r.lm.Delivered)/secs/1e6),
-			fmt.Sprintf("%.2f", r.lm.LossFraction()*100),
-			fmt.Sprintf("%.2f", float64(r.lat.Percentile(99))/1e6),
-			fmt.Sprintf("%016x", r.digest),
-			match,
+			k, matrix, shards, float64(e20LinkDelay)/1e6, float64(r.offered)/secs/1e6,
+			float64(r.lm.Delivered)/secs/1e6, r.lm.LossFraction()*100, float64(r.lat.Percentile(99))/1e6,
+			r.digest, match,
 		)
 	}
 	return tbl
@@ -251,25 +236,21 @@ func E19FatTreeK4Sharded(duration sim.Duration, shards int) *stats.Table {
 	}
 	tbl := &stats.Table{
 		Title: fmt.Sprintf("E19-class sharded benchmark: k=4, 5µs cables, %d shards", shards),
-		Columns: []string{"k", "matrix", "load(%)", "offered(Mpps)", "delivered(Mpps)",
-			"loss(%)", "p99(µs)", "digest", "conserved"},
+		Columns: []stats.Column{
+			{Name: "k", Verb: "%d"}, {Name: "matrix", Verb: "%s"}, {Name: "load(%)", Verb: "%.0f"},
+			{Name: "offered(Mpps)", Verb: "%.3f"}, {Name: "delivered(Mpps)", Verb: "%.3f"}, {Name: "loss(%)", Verb: "%.2f"},
+			{Name: "p99(µs)", Verb: "%.2f"}, {Name: "digest", Verb: "%016x"}, {Name: "conserved", Verb: "%v"},
+		},
 	}
 	perK := len(e19Matrices) * len(E19Loads)
 	secs := duration.Seconds()
-	tbl.Rows = sweeper().Rows(perK, func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(perK, func(i int) [][]any {
 		matrix := e19Matrices[i/len(E19Loads)]
 		load := E19Loads[i%len(E19Loads)]
 		r := e20Point(duration, 4, matrix, load, e19ShardedLinkDelay, i, shards)
-		return [][]string{{
-			"4",
-			matrix,
-			fmt.Sprintf("%.0f", load*100),
-			fmt.Sprintf("%.3f", float64(r.offered)/secs/1e6),
-			fmt.Sprintf("%.3f", float64(r.lm.Delivered)/secs/1e6),
-			fmt.Sprintf("%.2f", r.lm.LossFraction()*100),
-			fmt.Sprintf("%.2f", float64(r.lat.Percentile(99))/1e6),
-			fmt.Sprintf("%016x", r.digest),
-			fmt.Sprintf("%v", r.lm.Conserved()),
+		return [][]any{{
+			4, matrix, load * 100, float64(r.offered) / secs / 1e6, float64(r.lm.Delivered) / secs / 1e6,
+			r.lm.LossFraction() * 100, float64(r.lat.Percentile(99)) / 1e6, r.digest, r.lm.Conserved(),
 		}}
 	})
 	return tbl

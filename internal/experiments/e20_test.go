@@ -32,7 +32,7 @@ func TestE20ShardDigestsByteIdentical(t *testing.T) {
 	serial := withWorkers(1, func() *stats.Table { return E20ShardedFabric(dur) })
 	matchCol := len(serial.Columns) - 1
 	for _, row := range serial.Rows {
-		if m := row[matchCol]; m != "ref" && m != "true" {
+		if m := row[matchCol]; m != "ref" && m != true {
 			t.Errorf("matrix %s at %s shards: digest diverged from the 1-shard reference\n%s",
 				row[1], row[2], serial.String())
 		}

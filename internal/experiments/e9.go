@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"osnt/internal/gen"
 	"osnt/internal/mon"
 	"osnt/internal/netfpga"
@@ -45,11 +43,15 @@ func pairScalingSweep(title string, rate wire.Rate, pairCounts, frameSizes []int
 		duration = 2 * sim.Millisecond
 	}
 	tbl := &stats.Table{
-		Title:   title,
-		Columns: []string{"pairs", "frame(B)", "offered(Mpps)", "mac-rx(Mpps)", "agg(Gb/s)", "host(%)", "ok"},
+		Title: title,
+		Columns: []stats.Column{
+			{Name: "pairs", Verb: "%d"}, {Name: "frame(B)", Verb: "%d"}, {Name: "offered(Mpps)", Verb: "%.3f"},
+			{Name: "mac-rx(Mpps)", Verb: "%.3f"}, {Name: "agg(Gb/s)", Verb: "%.3f"}, {Name: "host(%)", Verb: "%.1f"},
+			{Name: "ok", Verb: "%v"},
+		},
 	}
 	points := len(pairCounts) * len(frameSizes)
-	tbl.Rows = sweeper().Rows(points, func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(points, func(i int) [][]any {
 		pairs := pairCounts[i/len(frameSizes)]
 		fs := frameSizes[i%len(frameSizes)]
 		e := sim.NewEngine()
@@ -61,31 +63,19 @@ func pairScalingSweep(title string, rate wire.Rate, pairCounts, frameSizes []int
 		gens := make([]*gen.Generator, pairs)
 		mons := make([]*mon.Monitor, pairs)
 		for p := 0; p < pairs; p++ {
-			txp := t.Port(osntPorts[2*p])
 			mons[p] = t.AttachMonitor(osntPorts[2*p+1], mon.Config{SnapLen: 64})
 			spec := probeSpec
 			spec.SrcPort = uint16(5000 + p)
-			g, err := gen.New(txp, gen.Config{
+			gens[p] = startGen(t.Port(osntPorts[2*p]), gen.Config{
 				Source:  &gen.UDPFlowSource{Spec: spec, FrameSize: fs},
 				Spacing: gen.CBRForLoad(fs, rate, 1.0),
-				Pool:    wire.DefaultPool,
 				Seed:    runner.PointSeed(seedBase, i*16+p),
 			})
-			if err != nil {
-				panic(err)
-			}
-			g.Start(0)
-			gens[p] = g
 		}
-		e.RunUntil(sim.Time(duration))
-		for _, g := range gens {
-			g.Stop()
-		}
-		e.Run() // drain in-flight frames and capture rings
+		offered := drive(e, sim.Time(duration), gens...)
 
-		var offered, macRx, hostRx uint64
+		var macRx, hostRx uint64
 		for p := 0; p < pairs; p++ {
-			offered += gens[p].Sent().Packets
 			macRx += mons[p].Seen().Packets
 			hostRx += mons[p].Delivered().Packets
 		}
@@ -100,15 +90,7 @@ func pairScalingSweep(title string, rate wire.Rate, pairCounts, frameSizes []int
 		// Linear scaling check: aggregate MAC capture within 0.1% of
 		// pairs × theoretical line rate.
 		ok := rxMpps*1e6 > wire.MaxPPS(fs, rate)*float64(pairs)*0.999
-		return [][]string{{
-			fmt.Sprintf("%d", pairs),
-			fmt.Sprintf("%d", fs),
-			fmt.Sprintf("%.3f", offMpps),
-			fmt.Sprintf("%.3f", rxMpps),
-			fmt.Sprintf("%.3f", gbps),
-			fmt.Sprintf("%.1f", hostPct),
-			fmt.Sprintf("%v", ok),
-		}}
+		return [][]any{{pairs, fs, offMpps, rxMpps, gbps, hostPct, ok}}
 	})
 	return tbl
 }

@@ -1,15 +1,16 @@
 // Package experiments regenerates every quantitative claim of the paper
-// (DESIGN.md's per-experiment index, E1–E8) plus the scaling sweeps the
+// (E1–E8; EXPERIMENTS.md records each table) plus the scaling sweeps the
 // testbed enables beyond it. Each driver declares its rig as an
-// internal/topo scenario graph, runs the workload in virtual time and
-// returns a printable table whose shape can be compared against the
-// paper. Registry (registry.go) is the one list of experiments and
-// Drivers the one list of timed runs: cmd/osnt-bench, EXPERIMENTS.md,
-// the repository-level BenchmarkDrivers and cmd/benchgate all iterate
-// them. Sweep points run on the internal/runner worker pool (see
-// Workers) and draw per-packet frames from a shared wire.Pool, so
-// regenerating the full evaluation costs neither serial wall time nor
-// per-packet garbage.
+// internal/topo scenario graph, runs the workload in virtual time
+// (startGen and drive are every generator rig's one start, run, stop
+// and drain) and returns a table of values whose shape can be compared
+// against the paper and whose checks compare those values exactly.
+// Registry (registry.go) is the one list of experiments and Drivers the
+// one list of timed runs: cmd/osnt-bench, EXPERIMENTS.md, the
+// repository-level BenchmarkDrivers and cmd/benchgate all iterate them.
+// Sweep points run on the internal/runner worker pool (see Workers) and
+// draw per-packet frames from a shared wire.Pool, so regenerating the
+// full evaluation costs neither serial wall time nor per-packet garbage.
 package experiments
 
 import (
@@ -80,6 +81,45 @@ func idealCapture(sink func(mon.Record)) mon.Config {
 	}
 }
 
+// startGen builds a generator on port, drawing its frames from the
+// shared pool, and starts it at 0. A config error is a bug in the rig,
+// so it panics.
+func startGen(port *netfpga.Port, cfg gen.Config) *gen.Generator {
+	cfg.Pool = wire.DefaultPool
+	g, err := gen.New(port, cfg)
+	if err != nil {
+		panic(err)
+	}
+	g.Start(0)
+	return g
+}
+
+// drive is every generator rig's run: it runs eng to until, stops
+// gens, drains what is still in flight and returns what gens offered.
+// *sim.Engine and *shard.Cluster both drive a rig.
+func drive(eng interface {
+	RunUntil(sim.Time)
+	Run()
+}, until sim.Time, gens ...*gen.Generator) uint64 {
+	eng.RunUntil(until)
+	for _, g := range gens {
+		g.Stop()
+	}
+	eng.Run()
+	return offered(gens...)
+}
+
+// offered is what gens put into the rig: every frame the MAC queue
+// accepted plus every frame it refused, which the card ledgers as
+// tx-overflow, so a loss map over it conserves either way.
+func offered(gens ...*gen.Generator) uint64 {
+	var n uint64
+	for _, g := range gens {
+		n += g.Sent().Packets + g.Dropped()
+	}
+	return n
+}
+
 var probeSpec = packet.UDPSpec{
 	SrcMAC:  packet.MAC{0x02, 0x05, 0x17, 0, 0, 0x01},
 	DstMAC:  packet.MAC{0x02, 0x05, 0x17, 0, 0, 0x02},
@@ -97,11 +137,15 @@ func E1LineRate(duration sim.Duration) *stats.Table {
 		duration = 2 * sim.Millisecond
 	}
 	tbl := &stats.Table{
-		Title:   "E1: line-rate generation vs frame size (offered 100%)",
-		Columns: []string{"frame(B)", "ports", "theoretical(Mpps)", "achieved(Mpps)", "rate(Gb/s)", "ok"},
+		Title: "E1: line-rate generation vs frame size (offered 100%)",
+		Columns: []stats.Column{
+			{Name: "frame(B)", Verb: "%d"}, {Name: "ports", Verb: "%d"},
+			{Name: "theoretical(Mpps)", Verb: "%.3f"}, {Name: "achieved(Mpps)", Verb: "%.3f"},
+			{Name: "rate(Gb/s)", Verb: "%.3f"}, {Name: "ok", Verb: "%v"},
+		},
 	}
 	portCounts := []int{1, 4}
-	tbl.Rows = sweeper().Rows(len(FrameSizes)*len(portCounts), func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(len(FrameSizes)*len(portCounts), func(i int) [][]any {
 		fs := FrameSizes[i/len(portCounts)]
 		nports := portCounts[i%len(portCounts)]
 		e := sim.NewEngine()
@@ -110,41 +154,31 @@ func E1LineRate(duration sim.Duration) *stats.Table {
 			b.Sink(sinkNames[p]).Link(osntPorts[p], sinkNames[p])
 		}
 		t := b.MustBuild(e)
-		gens := make([]*gen.Generator, 0, nports)
-		for p := 0; p < nports; p++ {
+		gens := make([]*gen.Generator, nports)
+		for p := range gens {
 			spec := probeSpec
 			spec.SrcPort = uint16(5000 + p)
-			g, err := gen.New(t.Port(osntPorts[p]), gen.Config{
+			gens[p] = startGen(t.Port(osntPorts[p]), gen.Config{
 				Source:  &gen.UDPFlowSource{Spec: spec, FrameSize: fs},
 				Spacing: gen.CBRForLoad(fs, wire.Rate10G, 1.0),
-				Pool:    wire.DefaultPool,
 			})
-			if err != nil {
-				panic(err)
-			}
-			g.Start(0)
-			gens = append(gens, g)
 		}
-		e.RunUntil(sim.Time(duration))
-		for _, g := range gens {
-			g.Stop()
-		}
+		// achieved counts what the sinks received within the window, so a
+		// frame still on the wire at its end does not count: the read
+		// fires one picosecond past the window, after every delivery at
+		// its last instant and before the drain delivers the rest.
 		var total uint64
-		for p := 0; p < nports; p++ {
-			total += t.Sink(sinkNames[p]).Received().Packets
-		}
+		e.Schedule(sim.Time(duration).Add(sim.Picosecond), func() {
+			for p := 0; p < nports; p++ {
+				total += t.Sink(sinkNames[p]).Received().Packets
+			}
+		})
+		drive(e, sim.Time(duration), gens...)
 		perPort := float64(total) / float64(nports) / duration.Seconds()
 		theo := wire.MaxPPS(fs, wire.Rate10G)
 		gbps := perPort * float64(wire.WireBytes(fs)) * 8 / 1e9
 		ok := perPort > theo*0.999
-		return [][]string{{
-			fmt.Sprintf("%d", fs),
-			fmt.Sprintf("%d", nports),
-			fmt.Sprintf("%.3f", theo/1e6),
-			fmt.Sprintf("%.3f", perPort/1e6),
-			fmt.Sprintf("%.3f", gbps),
-			fmt.Sprintf("%v", ok),
-		}}
+		return [][]any{{fs, nports, theo / 1e6, perPort / 1e6, gbps, ok}}
 	})
 	return tbl
 }
@@ -158,8 +192,11 @@ func E2ClockDiscipline(duration sim.Duration) *stats.Table {
 		duration = 120 * sim.Second
 	}
 	tbl := &stats.Table{
-		Title:   "E2: clock error — free-running vs GPS-disciplined (50ppm oscillator)",
-		Columns: []string{"t(s)", "free-running(µs)", "disciplined(µs)"},
+		Title: "E2: clock error — free-running vs GPS-disciplined (50ppm oscillator)",
+		Columns: []stats.Column{
+			{Name: "t(s)", Verb: "%.1f"}, {Name: "free-running(µs)", Verb: "%.3f"},
+			{Name: "disciplined(µs)", Verb: "%.3f"},
+		},
 	}
 	e := sim.NewEngine()
 	free := timing.NewOscillator(50, 0.01, 100*sim.Millisecond, 21)
@@ -180,11 +217,7 @@ func E2ClockDiscipline(duration sim.Duration) *stats.Table {
 		now := e.Now()
 		freeErr := absDur(free.DeviceTimeAt(now).Sub(now))
 		discErr := absDur(disc.DeviceTimeAt(now).Sub(now))
-		tbl.AddRow(
-			fmt.Sprintf("%.1f", now.Seconds()),
-			fmt.Sprintf("%.3f", freeErr.Seconds()*1e6),
-			fmt.Sprintf("%.3f", discErr.Seconds()*1e6),
-		)
+		tbl.AddRow(now.Seconds(), freeErr.Seconds()*1e6, discErr.Seconds()*1e6)
 	}
 	return tbl
 }
@@ -226,11 +259,14 @@ func E3SwitchLatency(duration sim.Duration) *stats.Table {
 		duration = 20 * sim.Millisecond
 	}
 	tbl := &stats.Table{
-		Title:   "E3: legacy switch latency vs offered load (512B Poisson, store-and-forward DUT)",
-		Columns: []string{"load(%)", "mean(µs)", "p50(µs)", "p99(µs)", "max(µs)", "loss(%)"},
+		Title: "E3: legacy switch latency vs offered load (512B Poisson, store-and-forward DUT)",
+		Columns: []stats.Column{
+			{Name: "load(%)", Verb: "%.0f"}, {Name: "mean(µs)", Verb: "%.2f"}, {Name: "p50(µs)", Verb: "%.2f"},
+			{Name: "p99(µs)", Verb: "%.2f"}, {Name: "max(µs)", Verb: "%.2f"}, {Name: "loss(%)", Verb: "%.2f"},
+		},
 	}
 	loads := []float64{0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 1.0}
-	tbl.Rows = sweeper().Rows(len(loads), func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(len(loads), func(i int) [][]any {
 		load := loads[i]
 		e := sim.NewEngine()
 		dev, _ := E3Topology(e, switchsim.Config{
@@ -249,13 +285,9 @@ func E3SwitchLatency(duration sim.Duration) *stats.Table {
 			panic(err)
 		}
 		h := res.Latency
-		return [][]string{{
-			fmt.Sprintf("%.0f", load*100),
-			fmt.Sprintf("%.2f", h.Mean()/1e6),
-			fmt.Sprintf("%.2f", float64(h.Percentile(50))/1e6),
-			fmt.Sprintf("%.2f", float64(h.Percentile(99))/1e6),
-			fmt.Sprintf("%.2f", float64(h.Max())/1e6),
-			fmt.Sprintf("%.2f", res.LossFraction()*100),
+		return [][]any{{
+			load * 100, h.Mean() / 1e6, float64(h.Percentile(50)) / 1e6,
+			float64(h.Percentile(99)) / 1e6, float64(h.Max()) / 1e6, res.LossFraction() * 100,
 		}}
 	})
 	return tbl
@@ -265,13 +297,17 @@ func E3SwitchLatency(duration sim.Duration) *stats.Table {
 // data-plane flow-table update latency as the batch size grows.
 func E4FlowModLatency() *stats.Table {
 	tbl := &stats.Table{
-		Title:   "E4: flow_mod batch latency — control plane (barrier) vs data plane (first packet)",
-		Columns: []string{"batch", "control(ms)", "data p50(ms)", "data max(ms)", "confirmed"},
+		Title: "E4: flow_mod batch latency — control plane (barrier) vs data plane (first packet)",
+		Columns: []stats.Column{
+			{Name: "batch", Verb: "%d"}, {Name: "control(ms)", Verb: "%.3f"},
+			{Name: "data p50(ms)", Verb: "%.3f"}, {Name: "data max(ms)", Verb: "%.3f"},
+			{Name: "confirmed", Verb: "%s"},
+		},
 	}
 	// Largest batch first: it dominates the sweep's serial cost, so the
 	// worker pool starts the long pole immediately.
 	batches := []int{512, 128, 32, 8, 1}
-	rows := sweeper().Rows(len(batches), func(i int) [][]string {
+	rows := sweeper().Rows(len(batches), func(i int) [][]any {
 		n := batches[i]
 		r := oflops.NewRunner(oflops.Config{Timeout: 10 * sim.Second})
 		m := &oflops.FlowInsertLatency{Rules: n}
@@ -279,12 +315,9 @@ func E4FlowModLatency() *stats.Table {
 			panic(err)
 		}
 		h, seen := m.DataLatencies()
-		return [][]string{{
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.3f", m.ControlLatency().Seconds()*1e3),
-			fmt.Sprintf("%.3f", float64(h.Percentile(50))/1e9),
-			fmt.Sprintf("%.3f", float64(h.Max())/1e9),
-			fmt.Sprintf("%d/%d", seen, n),
+		return [][]any{{
+			n, m.ControlLatency().Seconds() * 1e3, float64(h.Percentile(50)) / 1e9,
+			float64(h.Max()) / 1e9, fmt.Sprintf("%d/%d", seen, n),
 		}}
 	})
 	// Present in ascending batch order, as the paper's figure does.
@@ -298,12 +331,15 @@ func E4FlowModLatency() *stats.Table {
 // consistency during large flow-table updates.
 func E5Consistency() *stats.Table {
 	tbl := &stats.Table{
-		Title:   "E5: forwarding consistency during table updates (old-marker packets after barrier)",
-		Columns: []string{"rules", "hw-lag", "old-after-barrier", "window(ms)", "old-pkts", "new-pkts"},
+		Title: "E5: forwarding consistency during table updates (old-marker packets after barrier)",
+		Columns: []stats.Column{
+			{Name: "rules", Verb: "%d"}, {Name: "hw-lag", Verb: "%v"}, {Name: "old-after-barrier", Verb: "%d"},
+			{Name: "window(ms)", Verb: "%.3f"}, {Name: "old-pkts", Verb: "%d"}, {Name: "new-pkts", Verb: "%d"},
+		},
 	}
 	ruleCounts := []int{64, 256, 512}
 	lags := []sim.Duration{sim.Nanosecond, 1500 * sim.Microsecond}
-	tbl.Rows = sweeper().Rows(len(ruleCounts)*len(lags), func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(len(ruleCounts)*len(lags), func(i int) [][]any {
 		n := ruleCounts[i/len(lags)]
 		lag := lags[i%len(lags)]
 		r := oflops.NewRunner(oflops.Config{
@@ -315,17 +351,12 @@ func E5Consistency() *stats.Table {
 			panic(err)
 		}
 		res := m.Result()
-		lagName := "none"
-		if lag > sim.Microsecond {
-			lagName = lag.String()
+		var hwLag any = lag
+		if lag <= sim.Microsecond {
+			hwLag = "none"
 		}
-		return [][]string{{
-			fmt.Sprintf("%d", n),
-			lagName,
-			fmt.Sprintf("%d", res.OldAfterBarrier),
-			fmt.Sprintf("%.3f", res.TransitionWindow.Seconds()*1e3),
-			fmt.Sprintf("%d", res.OldTotal),
-			fmt.Sprintf("%d", res.NewTotal),
+		return [][]any{{
+			n, hwLag, res.OldAfterBarrier, res.TransitionWindow.Seconds() * 1e3, res.OldTotal, res.NewTotal,
 		}}
 	})
 	return tbl
@@ -339,8 +370,10 @@ func E6TimestampNoise(packets int) *stats.Table {
 		packets = 2000
 	}
 	tbl := &stats.Table{
-		Title:   "E6: timestamp error vs true arrival — OSNT hardware vs software stack",
-		Columns: []string{"method", "mean", "p99", "max"},
+		Title: "E6: timestamp error vs true arrival — OSNT hardware vs software stack",
+		Columns: []stats.Column{
+			{Name: "method", Verb: "%s"}, {Name: "mean", Verb: "%v"}, {Name: "p99", Verb: "%v"}, {Name: "max", Verb: "%v"},
+		},
 	}
 
 	// Hardware: card RX timestamps vs ground truth.
@@ -354,7 +387,7 @@ func E6TimestampNoise(packets int) *stats.Table {
 		l := wire.NewLink(e, wire.Rate10G, 0, card.Port(0))
 		feedProbes(e, l, packets)
 		e.Run()
-		tbl.AddRow("OSNT (MAC timestamp)", fmtDur(h.Mean()), fmtDur(float64(h.Percentile(99))), fmtDur(float64(h.Max())))
+		tbl.AddRow("OSNT (MAC timestamp)", sim.Duration(h.Mean()), sim.Duration(h.Percentile(99)), sim.Duration(h.Max()))
 	}
 
 	// Software: hostnic path.
@@ -367,7 +400,7 @@ func E6TimestampNoise(packets int) *stats.Table {
 		l := wire.NewLink(e, wire.Rate10G, 0, nic)
 		feedProbes(e, l, packets)
 		e.Run()
-		tbl.AddRow("software stack", fmtDur(h.Mean()), fmtDur(float64(h.Percentile(99))), fmtDur(float64(h.Max())))
+		tbl.AddRow("software stack", sim.Duration(h.Mean()), sim.Duration(h.Percentile(99)), sim.Duration(h.Max()))
 	}
 	return tbl
 }
@@ -384,10 +417,6 @@ func feedProbes(e *sim.Engine, l *wire.Link, n int) {
 	}
 }
 
-func fmtDur(ps float64) string {
-	return sim.Duration(ps).String()
-}
-
 // E7CapturePath reproduces the loss-limited capture path behaviour:
 // capture loss vs offered rate, with thinning and filtering as the
 // hardware remedies.
@@ -396,8 +425,11 @@ func E7CapturePath(duration sim.Duration) *stats.Table {
 		duration = 5 * sim.Millisecond
 	}
 	tbl := &stats.Table{
-		Title:   "E7: capture-path loss vs offered load (1518B frames)",
-		Columns: []string{"load(%)", "pipeline", "captured", "ring-drops", "loss(%)"},
+		Title: "E7: capture-path loss vs offered load (1518B frames)",
+		Columns: []stats.Column{
+			{Name: "load(%)", Verb: "%.0f"}, {Name: "pipeline", Verb: "%s"}, {Name: "captured", Verb: "%d"},
+			{Name: "ring-drops", Verb: "%d"}, {Name: "loss(%)", Verb: "%.1f"},
+		},
 	}
 	type pipeline struct {
 		name string
@@ -408,7 +440,7 @@ func E7CapturePath(duration sim.Duration) *stats.Table {
 		{"thin 64B", mon.Config{Queues: []mon.QueueConfig{{RingSize: 128}}, SnapLen: 64}},
 	}
 	loads := []float64{0.2, 0.5, 0.8, 1.0}
-	tbl.Rows = sweeper().Rows(len(loads)*len(pipes), func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(len(loads)*len(pipes), func(i int) [][]any {
 		load := loads[i/len(pipes)]
 		p := pipes[i%len(pipes)]
 		e := sim.NewEngine()
@@ -418,25 +450,11 @@ func E7CapturePath(duration sim.Duration) *stats.Table {
 			Link("tx:0", "rx:0").
 			MustBuild(e)
 		monitor := t.AttachMonitor("rx:0", p.cfg)
-		g, err := gen.New(t.Port("tx:0"), gen.Config{
+		drive(e, sim.Time(duration), startGen(t.Port("tx:0"), gen.Config{
 			Source:  &gen.UDPFlowSource{Spec: probeSpec, FrameSize: 1518},
 			Spacing: gen.CBRForLoad(1518, wire.Rate10G, load),
-			Pool:    wire.DefaultPool,
-		})
-		if err != nil {
-			panic(err)
-		}
-		g.Start(0)
-		e.RunUntil(sim.Time(duration))
-		g.Stop()
-		e.Run()
-		return [][]string{{
-			fmt.Sprintf("%.0f", load*100),
-			p.name,
-			fmt.Sprintf("%d", monitor.Delivered().Packets),
-			fmt.Sprintf("%d", monitor.RingDrops()),
-			fmt.Sprintf("%.1f", monitor.LossFraction()*100),
-		}}
+		}))
+		return [][]any{{load * 100, p.name, monitor.Delivered().Packets, monitor.RingDrops(), monitor.LossFraction() * 100}}
 	})
 	return tbl
 }
@@ -446,11 +464,14 @@ func E7CapturePath(duration sim.Duration) *stats.Table {
 // a per-packet tax.
 func E8ControlUnderLoad() *stats.Table {
 	tbl := &stats.Table{
-		Title:   "E8: OpenFlow echo RTT vs dataplane load (CPU-coupled switch)",
-		Columns: []string{"load(%)", "rtt mean(µs)", "rtt p99(µs)", "rtt max(µs)"},
+		Title: "E8: OpenFlow echo RTT vs dataplane load (CPU-coupled switch)",
+		Columns: []stats.Column{
+			{Name: "load(%)", Verb: "%.0f"}, {Name: "rtt mean(µs)", Verb: "%.1f"},
+			{Name: "rtt p99(µs)", Verb: "%.1f"}, {Name: "rtt max(µs)", Verb: "%.1f"},
+		},
 	}
 	loads := []float64{0, 0.25, 0.5, 0.75, 0.9}
-	tbl.Rows = sweeper().Rows(len(loads), func(i int) [][]string {
+	tbl.Rows = sweeper().Rows(len(loads), func(i int) [][]any {
 		load := loads[i]
 		r := oflops.NewRunner(oflops.Config{
 			Timeout: 10 * sim.Second,
@@ -461,12 +482,7 @@ func E8ControlUnderLoad() *stats.Table {
 			panic(err)
 		}
 		h := m.RTTs()
-		return [][]string{{
-			fmt.Sprintf("%.0f", load*100),
-			fmt.Sprintf("%.1f", h.Mean()/1e6),
-			fmt.Sprintf("%.1f", float64(h.Percentile(99))/1e6),
-			fmt.Sprintf("%.1f", float64(h.Max())/1e6),
-		}}
+		return [][]any{{load * 100, h.Mean() / 1e6, float64(h.Percentile(99)) / 1e6, float64(h.Max()) / 1e6}}
 	})
 	return tbl
 }

@@ -1,29 +1,28 @@
 package experiments
 
 import (
-	"strconv"
-	"strings"
+	"fmt"
 	"testing"
 
+	"osnt/internal/gen"
+	"osnt/internal/netfpga"
 	"osnt/internal/sim"
+	"osnt/internal/stats"
+	"osnt/internal/topo"
 	"osnt/internal/wire"
 )
 
-func cell(t *testing.T, tbl interface{ String() string }, row, col int) string {
+// val returns row r's cell in the column named col as a T, failing the
+// test when the table has no such column or the cell holds another type.
+func val[T any](t *testing.T, tbl *stats.Table, r int, col string) T {
 	t.Helper()
-	lines := strings.Split(strings.TrimRight(tbl.String(), "\n"), "\n")
-	fields := strings.Fields(lines[2+row]) // title + header
-	if col >= len(fields) {
-		t.Fatalf("row %d has %d fields: %q", row, len(fields), lines[2+row])
+	c := tbl.Col(col)
+	if c < 0 {
+		t.Fatalf("%s: no %q column", tbl.Title, col)
 	}
-	return fields[col]
-}
-
-func parseF(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil {
-		t.Fatalf("parse %q: %v", s, err)
+	v, ok := tbl.Rows[r][c].(T)
+	if !ok {
+		t.Fatalf("%s: row %d %s holds %T, want %T", tbl.Title, r, col, tbl.Rows[r][c], v)
 	}
 	return v
 }
@@ -33,25 +32,24 @@ func TestE1EveryRowHitsLineRate(t *testing.T) {
 	if len(tbl.Rows) != len(FrameSizes)*2 {
 		t.Fatalf("rows %d", len(tbl.Rows))
 	}
-	for _, row := range tbl.Rows {
-		if row[5] != "true" {
+	for r, row := range tbl.Rows {
+		if !val[bool](t, tbl, r, "ok") {
 			t.Fatalf("row failed line rate: %v", row)
 		}
 	}
 	// Wire rate must be ≈10G at the extremes.
-	for _, ri := range []int{0, len(tbl.Rows) - 1} {
-		g := parseF(t, tbl.Rows[ri][4])
-		if g < 9.98 || g > 10.02 {
-			t.Fatalf("wire rate %v", tbl.Rows[ri])
+	for _, r := range []int{0, len(tbl.Rows) - 1} {
+		if g := val[float64](t, tbl, r, "rate(Gb/s)"); g < 9.98 || g > 10.02 {
+			t.Fatalf("wire rate %v", tbl.Rows[r])
 		}
 	}
 }
 
 func TestE2DisciplinedStaysSubMicrosecond(t *testing.T) {
 	tbl := E2ClockDiscipline(80 * sim.Second)
-	last := tbl.Rows[len(tbl.Rows)-1]
-	free := parseF(t, last[1])
-	disc := parseF(t, last[2])
+	last := len(tbl.Rows) - 1
+	free := val[float64](t, tbl, last, "free-running(µs)")
+	disc := val[float64](t, tbl, last, "disciplined(µs)")
 	if free < 1000 {
 		t.Fatalf("free-running error %vµs, expected ms-scale at 50ppm", free)
 	}
@@ -62,11 +60,11 @@ func TestE2DisciplinedStaysSubMicrosecond(t *testing.T) {
 
 func TestE3LatencyHockeyStick(t *testing.T) {
 	tbl := E3SwitchLatency(10 * sim.Millisecond)
-	first := parseF(t, tbl.Rows[0][1])
+	first := val[float64](t, tbl, 0, "mean(µs)")
 	var at95 float64
-	for _, row := range tbl.Rows {
-		if row[0] == "95" {
-			at95 = parseF(t, row[1])
+	for r := range tbl.Rows {
+		if val[float64](t, tbl, r, "load(%)") == 95 {
+			at95 = val[float64](t, tbl, r, "mean(µs)")
 		}
 	}
 	if at95 < first*1.5 {
@@ -74,9 +72,9 @@ func TestE3LatencyHockeyStick(t *testing.T) {
 	}
 	// Monotone-ish growth of p99 with load (allowing small noise).
 	prev := 0.0
-	for i, row := range tbl.Rows {
-		p99 := parseF(t, row[3])
-		if i > 0 && p99 < prev*0.7 {
+	for r := range tbl.Rows {
+		p99 := val[float64](t, tbl, r, "p99(µs)")
+		if r > 0 && p99 < prev*0.7 {
 			t.Fatalf("p99 collapsed between loads: %v", tbl.Rows)
 		}
 		prev = p99
@@ -86,17 +84,17 @@ func TestE3LatencyHockeyStick(t *testing.T) {
 func TestE4ControlPrecedesDataAndScales(t *testing.T) {
 	tbl := E4FlowModLatency()
 	var ctl1, ctl512, dmax1 float64
-	for _, row := range tbl.Rows {
-		switch row[0] {
-		case "1":
-			ctl1 = parseF(t, row[1])
-			dmax1 = parseF(t, row[3])
-		case "512":
-			ctl512 = parseF(t, row[1])
+	for r, row := range tbl.Rows {
+		n := val[int](t, tbl, r, "batch")
+		switch n {
+		case 1:
+			ctl1 = val[float64](t, tbl, r, "control(ms)")
+			dmax1 = val[float64](t, tbl, r, "data max(ms)")
+		case 512:
+			ctl512 = val[float64](t, tbl, r, "control(ms)")
 		}
 		// every batch fully confirmed on the dataplane
-		parts := strings.Split(row[4], "/")
-		if parts[0] != parts[1] {
+		if val[string](t, tbl, r, "confirmed") != fmt.Sprintf("%d/%d", n, n) {
 			t.Fatalf("unconfirmed rules: %v", row)
 		}
 	}
@@ -110,12 +108,13 @@ func TestE4ControlPrecedesDataAndScales(t *testing.T) {
 
 func TestE5InconsistencyRequiresHWLag(t *testing.T) {
 	tbl := E5Consistency()
-	for _, row := range tbl.Rows {
-		old := parseF(t, row[2])
-		if row[1] == "none" && old != 0 {
+	for r, row := range tbl.Rows {
+		old := val[uint64](t, tbl, r, "old-after-barrier")
+		noLag := val[any](t, tbl, r, "hw-lag") == "none"
+		if noLag && old != 0 {
 			t.Fatalf("inconsistency without HW lag: %v", row)
 		}
-		if row[1] != "none" && old == 0 {
+		if !noLag && old == 0 {
 			t.Fatalf("no inconsistency with HW lag: %v", row)
 		}
 	}
@@ -126,28 +125,27 @@ func TestE6SoftwareNoiseDominates(t *testing.T) {
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows %d", len(tbl.Rows))
 	}
-	// Hardware row must be ns-scale, software µs/ms-scale. Compare by
-	// unit suffix: hardware mean ends in "ns" (or ps), software in µs+.
-	hw, sw := tbl.Rows[0][3], tbl.Rows[1][3]
-	if !strings.Contains(hw, "ns") && !strings.Contains(hw, "ps") {
-		t.Fatalf("hardware max error %q not ns-scale", hw)
+	// Hardware error must be ns-scale, software µs-scale or worse.
+	if hw := val[sim.Duration](t, tbl, 0, "max"); hw >= sim.Microsecond {
+		t.Fatalf("hardware max error %v not ns-scale", hw)
 	}
-	if strings.Contains(sw, "ns") || strings.Contains(sw, "ps") {
-		t.Fatalf("software max error %q implausibly small", sw)
+	if sw := val[sim.Duration](t, tbl, 1, "max"); sw < sim.Microsecond {
+		t.Fatalf("software max error %v implausibly small", sw)
 	}
 }
 
 func TestE7ThinningRemovesLoss(t *testing.T) {
 	tbl := E7CapturePath(0)
-	var fullAt100, thinAt100 float64
-	for _, row := range tbl.Rows {
-		if row[0] == "100" {
-			switch row[1] {
-			case "full packets":
-				fullAt100 = parseF(t, row[4])
-			case "thin 64B":
-				thinAt100 = parseF(t, row[4])
-			}
+	fullAt100, thinAt100 := -1.0, -1.0
+	for r := range tbl.Rows {
+		if val[float64](t, tbl, r, "load(%)") != 100 {
+			continue
+		}
+		switch val[string](t, tbl, r, "pipeline") {
+		case "full packets":
+			fullAt100 = val[float64](t, tbl, r, "loss(%)")
+		case "thin 64B":
+			thinAt100 = val[float64](t, tbl, r, "loss(%)")
 		}
 	}
 	if fullAt100 <= 0 {
@@ -160,8 +158,8 @@ func TestE7ThinningRemovesLoss(t *testing.T) {
 
 func TestE8EchoInflatesWithLoad(t *testing.T) {
 	tbl := E8ControlUnderLoad()
-	idle := parseF(t, tbl.Rows[0][1])
-	loaded := parseF(t, tbl.Rows[len(tbl.Rows)-1][1])
+	idle := val[float64](t, tbl, 0, "rtt mean(µs)")
+	loaded := val[float64](t, tbl, len(tbl.Rows)-1, "rtt mean(µs)")
 	if loaded < idle*2 {
 		t.Fatalf("echo RTT idle %vµs vs 90%% load %vµs", idle, loaded)
 	}
@@ -177,11 +175,11 @@ func TestE12ConversionKneeAndDropOnset(t *testing.T) {
 	}
 	for r, row := range tbl.Rows {
 		load := E12DownLoads[r]
-		if upDrops := row[3]; upDrops != "0" {
+		if val[uint64](t, tbl, r, "up-drops") != 0 {
 			t.Fatalf("fan-in direction dropped at down-load %.0f%%: %v", load*100, row)
 		}
-		qdrops := parseF(t, row[7])
-		lossPct := parseF(t, row[8])
+		qdrops := val[uint64](t, tbl, r, "down-qdrops")
+		lossPct := val[float64](t, tbl, r, "down-loss(%)")
 		if load > 0.26 {
 			if qdrops == 0 || lossPct == 0 {
 				t.Fatalf("down-load %.0f%% above the knee shows no tail drop: %v", load*100, row)
@@ -201,7 +199,7 @@ func TestE12ConversionKneeAndDropOnset(t *testing.T) {
 		if E12DownLoads[r] <= 0.26 {
 			continue
 		}
-		if p99 := parseF(t, row[6]); p99 > bound {
+		if p99 := val[float64](t, tbl, r, "down-p99(µs)"); p99 > bound {
 			t.Fatalf("down-p99 %vµs exceeds the bounded-FIFO ceiling %.1fµs: %v", p99, bound, row)
 		}
 	}
@@ -210,7 +208,8 @@ func TestE12ConversionKneeAndDropOnset(t *testing.T) {
 // E13: every chain length is lossless, hop 1 carries the most queueing
 // (the raw Poisson stream), later hops see smoothed traffic, and the
 // per-hop means must sum to the end-to-end mean (the decomposition is
-// exact because the final hop closes on the MAC RX timestamp).
+// exact because the final hop closes on the MAC RX timestamp). A chain
+// shorter than four leaves its later hop cells empty.
 func TestE13DecompositionSumsToTotal(t *testing.T) {
 	tbl := E13MultiDUTChain(5 * sim.Millisecond)
 	if len(tbl.Rows) != len(E13ChainLengths) {
@@ -218,19 +217,26 @@ func TestE13DecompositionSumsToTotal(t *testing.T) {
 	}
 	for r, row := range tbl.Rows {
 		n := E13ChainLengths[r]
-		if loss := parseF(t, row[7]); loss != 0 {
+		if loss := val[float64](t, tbl, r, "loss(%)"); loss != 0 {
 			t.Fatalf("chain of %d lost packets: %v", n, row)
 		}
 		var sum float64
-		for h := 0; h < n; h++ {
-			sum += parseF(t, row[1+h])
+		for h := 1; h <= 4; h++ {
+			col := fmt.Sprintf("hop%d(µs)", h)
+			if h > n {
+				if v := row[tbl.Col(col)]; v != nil {
+					t.Fatalf("chain of %d: %s holds %v, want no value", n, col, v)
+				}
+				continue
+			}
+			sum += val[float64](t, tbl, r, col)
 		}
-		total := parseF(t, row[5])
+		total := val[float64](t, tbl, r, "total(µs)")
 		if diff := sum - total; diff > 0.05 || diff < -0.05 {
 			t.Fatalf("chain of %d: hops sum to %.2fµs but total is %.2fµs: %v", n, sum, total, row)
 		}
 		if n >= 2 {
-			if hop1, hop2 := parseF(t, row[1]), parseF(t, row[2]); hop1 <= hop2 {
+			if hop1, hop2 := val[float64](t, tbl, r, "hop1(µs)"), val[float64](t, tbl, r, "hop2(µs)"); hop1 <= hop2 {
 				t.Fatalf("chain of %d: hop1 %.2fµs not above hop2 %.2fµs (queueing should concentrate at hop 1): %v",
 					n, hop1, hop2, row)
 			}
@@ -249,13 +255,13 @@ func TestE15KneeAndExactAttribution(t *testing.T) {
 	}
 	for r, row := range tbl.Rows {
 		load := E15Loads[r]
-		if row[8] != "true" {
+		if !val[bool](t, tbl, r, "conserved") {
 			t.Fatalf("load %.0f%% does not conserve: %v", load*100, row)
 		}
-		if other := row[6]; other != "0" {
+		if val[uint64](t, tbl, r, "other-drops") != 0 {
 			t.Fatalf("load %.0f%% attributes drops off the uplinks: %v", load*100, row)
 		}
-		loss := parseF(t, row[7])
+		loss := val[float64](t, tbl, r, "loss(%)")
 		if load >= 0.6 && loss == 0 {
 			t.Fatalf("load %.0f%% above the knee shows no loss: %v", load*100, row)
 		}
@@ -293,27 +299,27 @@ func TestE16AttributionExact(t *testing.T) {
 	}
 	for r, row := range tbl.Rows {
 		load := E16Loads[r]
-		if row[10] != "true" {
+		if !val[bool](t, tbl, r, "conserved") {
 			t.Fatalf("load %.0f%% does not conserve: %v", load*100, row)
 		}
-		if other := row[9]; other != "0" {
+		if val[uint64](t, tbl, r, "other") != 0 {
 			t.Fatalf("load %.0f%% has unattributed reasons: %v", load*100, row)
 		}
-		if runts := row[2]; parseF(t, row[6]) != parseF(t, runts) {
-			t.Fatalf("load %.0f%%: injected runts %s but hop 1 counted %s: %v", load*100, runts, row[6], row)
+		if runts, counted := val[uint64](t, tbl, r, "runts"), val[uint64](t, tbl, r, "h1-runt"); counted != runts {
+			t.Fatalf("load %.0f%%: injected runts %d but hop 1 counted %d: %v", load*100, runts, counted, row)
 		}
-		rateDrops := parseF(t, row[5])
+		rateDrops := val[uint64](t, tbl, r, "h1-rate-boundary")
 		if load > 0.26 && rateDrops == 0 {
 			t.Fatalf("load %.0f%% above the conversion knee shows no rate-boundary drops: %v", load*100, row)
 		}
 		if load < 0.25 && rateDrops != 0 {
 			t.Fatalf("load %.0f%% below the knee drops at the boundary: %v", load*100, row)
 		}
-		hairpins := parseF(t, row[7])
-		if load <= 0.25 && hairpins != parseF(t, row[3]) {
+		hairpins := val[uint64](t, tbl, r, "h2-hairpin")
+		if load <= 0.25 && hairpins != val[uint64](t, tbl, r, "hairpins") {
 			t.Fatalf("load %.0f%%: hairpin probes did not all reach hop 2: %v", load*100, row)
 		}
-		lookups := parseF(t, row[8])
+		lookups := val[uint64](t, tbl, r, "h3-lookup")
 		if load >= 0.25 && lookups == 0 {
 			t.Fatalf("load %.0f%%: starved hop-3 lookup dropped nothing: %v", load*100, row)
 		}
@@ -353,20 +359,20 @@ func TestE17AnalyticsQueueInvariant(t *testing.T) {
 			// 8-queue reference block cell for cell.
 			for c := 1; c < len(tbl.Columns); c++ {
 				if blk[r][c] != ref[r][c] {
-					t.Fatalf("queue count %s diverged at rank %d col %s: %q vs %q",
-						blk[r][0], r+1, tbl.Columns[c], blk[r][c], ref[r][c])
+					t.Fatalf("queue count %v diverged at rank %d col %s: %v vs %v",
+						blk[r][0], r+1, tbl.Columns[c].Name, blk[r][c], ref[r][c])
 				}
 			}
 		}
 	}
-	for _, row := range tbl.Rows {
-		if row[10] != "true" {
+	for r, row := range tbl.Rows {
+		if !val[bool](t, tbl, r, "ok") {
 			t.Fatalf("row failed its invariants: %v", row)
 		}
-		if row[7] != "0" {
+		if val[uint64](t, tbl, r, "reorders") != 0 {
 			t.Fatalf("store-and-forward DUT reordered a flow: %v", row)
 		}
-		lossEx, lossInf := parseF(t, row[4]), parseF(t, row[5])
+		lossEx, lossInf := val[float64](t, tbl, r, "loss-ex(%)"), val[float64](t, tbl, r, "loss-inf(%)")
 		if lossEx <= 0 {
 			t.Fatalf("starved lookup lost nothing — the workload no longer exercises inference: %v", row)
 		}
@@ -388,5 +394,30 @@ func TestMergeMicroBenchEmitsLineRate(t *testing.T) {
 func TestFlowTableMicroBenchTracksAll(t *testing.T) {
 	if got := FlowTableMicroBench(); got != 1<<20 {
 		t.Fatalf("tracked %d of %d samples", got, 1<<20)
+	}
+}
+
+// drive's offered count is Sent + Dropped: a generator offering 1.5×
+// line rate overruns its 64-frame TX queue, the card ledgers every
+// refused frame as tx-overflow, and only that count closes the loss map
+// exactly.
+func TestDriveCountsRefusedFramesAsOffered(t *testing.T) {
+	e := sim.NewEngine()
+	tp := topo.New().
+		Tester("osnt", netfpga.Config{Ports: 1, TxQueueCap: 64}).
+		Sink("sink").
+		Link("osnt:0", "sink").
+		MustBuild(e)
+	g := startGen(tp.Port("osnt:0"), gen.Config{
+		Source:  &gen.UDPFlowSource{Spec: probeSpec, FrameSize: 512},
+		Spacing: gen.CBRForLoad(512, wire.Rate10G, 1.5),
+	})
+	offered := drive(e, sim.Time(sim.Millisecond), g)
+	if g.Dropped() == 0 {
+		t.Fatal("1.5× line rate never overran the TX queue")
+	}
+	lm := stats.NewLossMap(offered, tp.Sink("sink").Received().Packets, tp.Drops())
+	if !lm.Conserved() {
+		t.Fatalf("offered %d, delivered %d, attributed %d", lm.Sent, lm.Delivered, lm.Attributed())
 	}
 }

@@ -36,7 +36,7 @@ type Driver struct {
 // lists, selects, prints and writes these tables, and
 // TestAllTablesWellFormed holds each full-length table to its checks.
 var Registry = []Experiment{
-	{"e1", "line-rate generation vs frame size", E1LineRate, every("ok", "true")},
+	{"e1", "line-rate generation vs frame size", E1LineRate, every("ok", true)},
 	{"e2", "GPS clock discipline", E2ClockDiscipline, nil},
 	{"e3", "legacy switch latency vs load (Demo Part I)", E3SwitchLatency, nil},
 	{"e4", "flow_mod control vs data plane latency (Demo Part II)",
@@ -48,26 +48,26 @@ var Registry = []Experiment{
 	{"e7", "loss-limited capture path", E7CapturePath, nil},
 	{"e8", "control channel under dataplane load",
 		func(sim.Duration) *stats.Table { return E8ControlUnderLoad() }, nil},
-	{"e9", "multi-port scaling: 1/2/4/8 gen→mon pairs at line rate", E9PortScaling, every("ok", "true")},
-	{"e10", "tester mesh: 2/4 cards full-mesh through a DUT", E10TesterMesh, every("ok", "true")},
-	{"e11", "40G ports: gen→mon pairs at 40 Gb/s line rate", E11Rate40G, every("ok", "true")},
+	{"e9", "multi-port scaling: 1/2/4/8 gen→mon pairs at line rate", E9PortScaling, every("ok", true)},
+	{"e10", "tester mesh: 2/4 cards full-mesh through a DUT", E10TesterMesh, every("ok", true)},
+	{"e11", "40G ports: gen→mon pairs at 40 Gb/s line rate", E11Rate40G, every("ok", true)},
 	{"e12", "mixed-rate fan-in: 4×10G into a 40G uplink through a converting DUT",
-		E12MixedRateFanIn, every("up-drops", "0")},
+		E12MixedRateFanIn, every("up-drops", uint64(0))},
 	{"e13", "multi-DUT chain: per-hop latency decomposition over 1-4 switches",
-		E13MultiDUTChain, every("loss(%)", "0.00")},
+		E13MultiDUTChain, every("loss(%)", 0.0)},
 	{"e14", "100G capture: 1/2/4/8 DMA queues vs the loss-limited host path", E14Capture100G, checkE14},
 	{"e15", "oversubscribed fabric: 4×40G leaves ECMP-sprayed over 2×40G uplinks",
-		E15Oversubscribed, every("conserved", "true")},
+		E15Oversubscribed, every("conserved", true)},
 	{"e16", "per-hop loss attribution through a 4-deep converting chain",
-		E16LossAttribution, every("conserved", "true")},
+		E16LossAttribution, every("conserved", true)},
 	{"e17", "per-flow analytics over merged multi-queue capture: elephants and mice through a lossy DUT",
-		E17FlowAnalytics, every("ok", "true")},
+		E17FlowAnalytics, every("ok", true)},
 	{"e18", "frame-train coalescing at 100G: events per frame vs train cap, bit-exact across caps",
-		E18TrainSpeedup, every("ok", "true")},
+		E18TrainSpeedup, every("ok", true)},
 	{"e19", "synthesized fat-trees: k=8/k=4 under permutation/incast/hot-spot with per-tier loss attribution",
-		E19FatTree, every("conserved", "true")},
+		E19FatTree, every("conserved", true)},
 	{"e20", "sharded conservative-lookahead execution: k=8 matrices at 1/2/4/8 shards, digests proven identical",
-		E20ShardedFabric, every("match", "ref", "true")},
+		E20ShardedFabric, every("match", "ref", true)},
 }
 
 // Drivers are the timed runs. A table driver runs its experiment at a
@@ -104,7 +104,7 @@ var Drivers = []Driver{
 	// serial figure in BENCH_PRESHARD.json, so its name and call stay
 	// as they were when that snapshot was taken.
 	timedTable("E19FatTreeK4", func() *stats.Table { return E19FatTreeK4Sharded(250*sim.Microsecond, 4) },
-		rows(9), every("conserved", "true")),
+		rows(9), every("conserved", true)),
 	{"E20ShardScaling", E20ShardMicroBench},
 	{"FabricSynthK8", func() error {
 		if n := FabricSynthMicroBench(); n != 80 {
@@ -149,7 +149,9 @@ func timedTable(name string, build func() *stats.Table, checks ...func(*stats.Ta
 
 // verify holds tbl to the shape contract osnt-bench and EXPERIMENTS.md
 // rely on — a titled table with columns and rows, every row as wide as
-// the header, no empty cell — and then to each non-nil check.
+// the header, every cell that holds a value rendering non-empty and
+// without a fmt error under its column's verb — and then to each
+// non-nil check.
 func verify(tbl *stats.Table, checks ...func(*stats.Table) error) error {
 	switch {
 	case tbl.Title == "":
@@ -163,8 +165,10 @@ func verify(tbl *stats.Table, checks ...func(*stats.Table) error) error {
 		if len(row) != len(tbl.Columns) {
 			return fmt.Errorf("%s: row %d has %d cells, header has %d", tbl.Title, r, len(row), len(tbl.Columns))
 		}
-		if c := slices.Index(row, ""); c >= 0 {
-			return fmt.Errorf("%s: empty cell at row %d col %d (%s)", tbl.Title, r, c, tbl.Columns[c])
+		for c := range row {
+			if s := tbl.Cell(r, c); s == "" || strings.Contains(s, "%!") {
+				return fmt.Errorf("%s: cell at row %d col %d (%s) renders %q", tbl.Title, r, c, tbl.Columns[c].Name, s)
+			}
 		}
 	}
 	for _, check := range checks {
@@ -178,16 +182,18 @@ func verify(tbl *stats.Table, checks ...func(*stats.Table) error) error {
 	return nil
 }
 
-// every is the Check that each row's cell in column col is one of want.
-func every(col string, want ...string) func(*stats.Table) error {
+// every is the Check that each row's cell in column col equals one of
+// want. Cells compare as values, so a want of another type than the
+// column's cells never matches.
+func every(col string, want ...any) func(*stats.Table) error {
 	return func(tbl *stats.Table) error {
-		c := slices.Index(tbl.Columns, col)
+		c := tbl.Col(col)
 		if c < 0 {
 			return fmt.Errorf("%s: no %q column", tbl.Title, col)
 		}
 		for _, row := range tbl.Rows {
 			if !slices.Contains(want, row[c]) {
-				return fmt.Errorf("%s: %s is %q, want %s: %v", tbl.Title, col, row[c], strings.Join(want, " or "), row)
+				return fmt.Errorf("%s: %s is %T %v, want one of %v: %v", tbl.Title, col, row[c], row[c], want, row)
 			}
 		}
 		return nil
@@ -208,18 +214,22 @@ func rows(n int) func(*stats.Table) error {
 // size: one DMA queue saturates, two or more restore lossless thinned
 // capture.
 func checkE14(tbl *stats.Table) error {
+	queues, frame, lossless := tbl.Col("queues"), tbl.Col("frame(B)"), tbl.Col("lossless")
+	if queues < 0 || frame < 0 || lossless < 0 {
+		return fmt.Errorf("%s: want queues, frame(B) and lossless columns", tbl.Title)
+	}
+	seen := false
 	for _, row := range tbl.Rows {
-		queues, frame, lossless := row[0], row[1], row[8]
-		if frame != "1518" {
+		if row[frame] != 1518 {
 			continue
 		}
-		want := "true"
-		if queues == "1" {
-			want = "false"
+		seen = true
+		if want := row[queues] != 1; row[lossless] != want {
+			return fmt.Errorf("%s: %v queues at 1518 B: lossless=%v, want %v: %v", tbl.Title, row[queues], row[lossless], want, row)
 		}
-		if lossless != want {
-			return fmt.Errorf("%s: %s queues at 1518 B: lossless=%s, want %s: %v", tbl.Title, queues, lossless, want, row)
-		}
+	}
+	if !seen {
+		return fmt.Errorf("%s: no 1518 B row", tbl.Title)
 	}
 	return nil
 }

@@ -43,14 +43,6 @@ func CBRForLoad(frameSize int, rate wire.Rate, load float64) CBR {
 	return CBR{Interval: sim.Duration(float64(slot) / load)}
 }
 
-// CBRForPPS returns constant spacing at the given packets per second.
-func CBRForPPS(pps float64) CBR {
-	if pps <= 0 {
-		panic("gen: non-positive pps")
-	}
-	return CBR{Interval: sim.Duration(1e12 / pps)}
-}
-
 // Poisson spaces packets with exponentially distributed gaps of the given
 // mean, the classic open-loop arrival model.
 type Poisson struct{ Mean sim.Duration }

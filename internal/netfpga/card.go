@@ -267,7 +267,7 @@ type Registers struct {
 func NewRegisters() *Registers { return &Registers{idx: make(map[string]int)} }
 
 // Index resolves a register name to its stable array index, creating the
-// register at zero if needed. Resolve once, then use AddAt/GetAt on the
+// register at zero if needed. Resolve once, then use AddAt on the
 // per-packet path.
 func (r *Registers) Index(name string) int {
 	i, ok := r.idx[name]
@@ -297,9 +297,6 @@ func (r *Registers) Get(name string) uint64 {
 	}
 	return r.vals[i]
 }
-
-// GetAt reads the register at a previously resolved index.
-func (r *Registers) GetAt(i int) uint64 { return r.vals[i] }
 
 // Names returns the registers in creation order.
 func (r *Registers) Names() []string { return append([]string(nil), r.order...) }

@@ -32,8 +32,10 @@ type Entry struct {
 }
 
 // FlowTable is a priority-ordered OpenFlow 1.0 table with an optional
-// exact-match hash fast path (the linear-scan-vs-hash ablation from
-// DESIGN.md).
+// exact-match hash fast path: the linear-scan-vs-hash ablation that
+// BenchmarkLookupLinear64Rules and BenchmarkLookupExactPath64Rules
+// compare. docs/ARCHITECTURE.md places ofswitch among the devices
+// under test.
 type FlowTable struct {
 	// entries sorted by descending priority; stable insertion order
 	// within equal priority.

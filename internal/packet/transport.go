@@ -2,27 +2,19 @@ package packet
 
 // This file holds the transport-layer codecs: UDP, TCP and ICMPv4.
 
-// pseudoHeader describes the network-layer context a transport checksum
-// covers. Either v4 or v6 addresses are set.
+// pseudoHeader describes the IPv4 network-layer context a transport
+// checksum covers.
 type pseudoHeader struct {
-	v6       bool
 	src4     IP4
 	dst4     IP4
-	src6     IP6
-	dst6     IP6
 	proto    byte
 	totalLen uint32
 }
 
 func (p *pseudoHeader) sum() uint32 {
 	var s uint32
-	if p.v6 {
-		s += sumBytes(p.src6[:])
-		s += sumBytes(p.dst6[:])
-	} else {
-		s += sumBytes(p.src4[:])
-		s += sumBytes(p.dst4[:])
-	}
+	s += sumBytes(p.src4[:])
+	s += sumBytes(p.dst4[:])
 	s += uint32(p.proto)
 	s += p.totalLen & 0xffff
 	s += p.totalLen >> 16
@@ -33,12 +25,6 @@ func (p *pseudoHeader) sum() uint32 {
 // IPv4 between src and dst with the given transport protocol and length.
 func PseudoV4(src, dst IP4, proto byte, length int) uint32 {
 	p := pseudoHeader{src4: src, dst4: dst, proto: proto, totalLen: uint32(length)}
-	return p.sum()
-}
-
-// PseudoV6 is PseudoV4 for IPv6.
-func PseudoV6(src, dst IP6, proto byte, length int) uint32 {
-	p := pseudoHeader{v6: true, src6: src, dst6: dst, proto: proto, totalLen: uint32(length)}
 	return p.sum()
 }
 
@@ -81,11 +67,6 @@ func (u *UDP) Payload() []byte { return u.payload }
 // pseudo-header checksum when serializing with ComputeChecksums.
 func (u *UDP) SetNetworkForChecksum(src, dst IP4) {
 	u.pseudo = &pseudoHeader{src4: src, dst4: dst, proto: ProtoUDP}
-}
-
-// SetNetworkForChecksumV6 is SetNetworkForChecksum for IPv6.
-func (u *UDP) SetNetworkForChecksumV6(src, dst IP6) {
-	u.pseudo = &pseudoHeader{v6: true, src6: src, dst6: dst, proto: ProtoUDP}
 }
 
 // SerializeTo implements SerializableLayer.

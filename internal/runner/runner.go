@@ -113,10 +113,10 @@ func Sweep[T any](r *Runner, n int, fn func(i int) T) []T {
 }
 
 // Rows is Sweep specialised to experiment tables: each point contributes
-// zero or more formatted rows, concatenated in point order.
-func (r *Runner) Rows(n int, fn func(i int) [][]string) [][]string {
+// zero or more rows of cell values, concatenated in point order.
+func (r *Runner) Rows(n int, fn func(i int) [][]any) [][]any {
 	parts := Sweep(r, n, fn)
-	var rows [][]string
+	var rows [][]any
 	for _, p := range parts {
 		rows = append(rows, p...)
 	}

@@ -68,18 +68,18 @@ func TestSweepEnginePerPointDeterminism(t *testing.T) {
 }
 
 func TestRowsConcatenatesInPointOrder(t *testing.T) {
-	rows := New(4).Rows(10, func(i int) [][]string {
+	rows := New(4).Rows(10, func(i int) [][]any {
 		if i%3 == 0 {
 			return nil // points may contribute no rows
 		}
-		return [][]string{{fmt.Sprint(i), "a"}, {fmt.Sprint(i), "b"}}
+		return [][]any{{i, "a"}, {i, "b"}}
 	})
-	var want [][]string
+	var want [][]any
 	for i := 0; i < 10; i++ {
 		if i%3 == 0 {
 			continue
 		}
-		want = append(want, []string{fmt.Sprint(i), "a"}, []string{fmt.Sprint(i), "b"})
+		want = append(want, []any{i, "a"}, []any{i, "b"})
 	}
 	if fmt.Sprint(rows) != fmt.Sprint(want) {
 		t.Fatalf("rows:\n%v\nwant:\n%v", rows, want)

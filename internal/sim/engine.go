@@ -216,7 +216,8 @@ func (e *Engine) fix(ev *Event) {
 //
 // Engine is deliberately not safe for concurrent use: OSNT's hardware
 // pipelines are modelled as a causal sequence of events, and determinism is
-// a design requirement (see DESIGN.md).
+// a design requirement (see "The determinism contract" in
+// docs/ARCHITECTURE.md).
 type Engine struct {
 	now   Time
 	queue []heapEntry

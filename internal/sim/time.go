@@ -88,9 +88,6 @@ func (d Duration) Picoseconds() int64 { return int64(d) }
 // Nanoseconds returns d in nanoseconds, truncated toward zero.
 func (d Duration) Nanoseconds() int64 { return int64(d) / int64(Nanosecond) }
 
-// Microseconds returns d in microseconds, truncated toward zero.
-func (d Duration) Microseconds() int64 { return int64(d) / int64(Microsecond) }
-
 // Seconds returns d as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
@@ -106,9 +103,6 @@ func Picoseconds(ps int64) Duration { return Duration(ps) }
 
 // Nanoseconds builds a Duration from an integer nanosecond count.
 func Nanoseconds(ns int64) Duration { return Duration(ns) * Nanosecond }
-
-// Microseconds builds a Duration from an integer microsecond count.
-func Microseconds(us int64) Duration { return Duration(us) * Microsecond }
 
 // Milliseconds builds a Duration from an integer millisecond count.
 func Milliseconds(ms int64) Duration { return Duration(ms) * Millisecond }

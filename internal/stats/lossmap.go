@@ -90,29 +90,24 @@ func (m *LossMap) Fraction(e LossEntry) float64 {
 // conservation verdict.
 func (m *LossMap) Table() *Table {
 	tbl := &Table{
-		Title:   fmt.Sprintf("loss attribution (sent %d, delivered %d)", m.Sent, m.Delivered),
-		Columns: []string{"hop", "device", "reason", "drops", "of-sent(%)"},
+		Title: fmt.Sprintf("loss attribution (sent %d, delivered %d)", m.Sent, m.Delivered),
+		Columns: []Column{
+			{Name: "hop", Verb: "%d"}, {Name: "device", Verb: "%s"}, {Name: "reason", Verb: "%v"},
+			{Name: "drops", Verb: "%d"}, {Name: "of-sent(%)", Verb: "%.3f"},
+		},
 	}
 	for _, e := range m.entries {
 		label := e.Label
 		if label == "" {
 			label = "(unattributed)"
 		}
-		tbl.AddRow(
-			fmt.Sprintf("%d", e.Hop),
-			label,
-			e.Reason.String(),
-			fmt.Sprintf("%d", e.Count),
-			fmt.Sprintf("%.3f", m.Fraction(e)*100),
-		)
+		tbl.AddRow(e.Hop, label, e.Reason, e.Count, m.Fraction(e)*100)
 	}
 	conserved := "conserved exactly"
 	if !m.Conserved() {
 		conserved = fmt.Sprintf("NOT conserved (off by %d)",
 			int64(m.Sent)-int64(m.Delivered)-int64(m.Attributed()))
 	}
-	tbl.AddRow("-", "total", conserved,
-		fmt.Sprintf("%d", m.Attributed()),
-		fmt.Sprintf("%.3f", m.LossFraction()*100))
+	tbl.AddRow(nil, "total", conserved, m.Attributed(), m.LossFraction()*100)
 	return tbl
 }

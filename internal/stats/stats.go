@@ -262,28 +262,58 @@ func (s *Series) MaxY() float64 {
 	return m
 }
 
-// Table is a printable experiment result: the harness emits one per
-// paper table/figure.
-type Table struct {
-	Title   string
-	Columns []string
-	Rows    [][]string
+// Column is one table column: its header and the fmt verb every cell
+// in it renders with.
+type Column struct {
+	Name string
+	Verb string
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// Table is a printable experiment result: the harness emits one per
+// paper table/figure. Cells hold values, so checks compare them
+// exactly; String renders each with its column's verb, and a nil cell
+// (a value the row does not have) as "-".
+type Table struct {
+	Title   string
+	Columns []Column
+	Rows    [][]any
+}
+
+// AddRow appends a row of values, one per column.
+func (t *Table) AddRow(cells ...any) { t.Rows = append(t.Rows, cells) }
+
+// Col returns the index of the column named name, or -1.
+func (t *Table) Col(name string) int {
+	for i, c := range t.Columns {
+		if c.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// Cell renders the cell at row r, column c as String prints it.
+func (t *Table) Cell(r, c int) string {
+	v := t.Rows[r][c]
+	if v == nil {
+		return "-"
+	}
+	return fmt.Sprintf(t.Columns[c].Verb, v)
+}
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
+	header := make([]string, len(t.Columns))
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		header[i], widths[i] = c.Name, len(c.Name)
 	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+	cells := make([][]string, len(t.Rows))
+	for r, row := range t.Rows {
+		cells[r] = make([]string, len(row))
+		for c := range row {
+			cells[r][c] = t.Cell(r, c)
+			widths[c] = max(widths[c], len(cells[r][c]))
 		}
 	}
 	var b strings.Builder
@@ -299,8 +329,8 @@ func (t *Table) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
+	writeRow(header)
+	for _, row := range cells {
 		writeRow(row)
 	}
 	return b.String()

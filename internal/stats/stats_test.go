@@ -249,9 +249,9 @@ func TestSeries(t *testing.T) {
 }
 
 func TestTableString(t *testing.T) {
-	tb := &Table{Title: "demo", Columns: []string{"size", "rate"}}
-	tb.AddRow("64", "14.88")
-	tb.AddRow("1518", "0.81")
+	tb := &Table{Title: "demo", Columns: []Column{{Name: "size", Verb: "%d"}, {Name: "rate", Verb: "%.2f"}}}
+	tb.AddRow(64, 14.88)
+	tb.AddRow(1518, nil)
 	out := tb.String()
 	if !strings.Contains(out, "== demo ==") {
 		t.Fatalf("missing title: %q", out)
@@ -260,8 +260,14 @@ func TestTableString(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("lines = %d", len(lines))
 	}
-	if !strings.HasPrefix(lines[2], "64  ") {
+	if lines[2] != "64    14.88" {
 		t.Fatalf("row align: %q", lines[2])
+	}
+	if lines[3] != "1518  -    " {
+		t.Fatalf("nil cell: %q", lines[3])
+	}
+	if tb.Col("rate") != 1 || tb.Col("loss") != -1 {
+		t.Fatalf("Col: rate %d, loss %d", tb.Col("rate"), tb.Col("loss"))
 	}
 }
 

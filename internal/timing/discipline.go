@@ -118,10 +118,6 @@ func (d *Discipline) Locked() bool { return d.locked }
 // Edges returns the number of PPS edges processed.
 func (d *Discipline) Edges() int { return d.edges }
 
-// Offsets returns the absolute phase error observed at each PPS edge, in
-// arrival order.
-func (d *Discipline) Offsets() []sim.Duration { return d.offsets }
-
 // MaxOffsetAfter returns the worst absolute PPS offset observed after the
 // first skip edges — the steady-state error bound once lock is reached.
 func (d *Discipline) MaxOffsetAfter(skip int) sim.Duration {

@@ -85,13 +85,6 @@ func (o *Oscillator) DeviceTimeAt(t sim.Time) sim.Time {
 	return sim.Time(o.device)
 }
 
-// OffsetPPMAt returns the instantaneous frequency error at t, after
-// applying any wander steps up to t.
-func (o *Oscillator) OffsetPPMAt(t sim.Time) float64 {
-	o.advance(t)
-	return o.offsetPPM
-}
-
 // AdjustPhase slews the device time by delta immediately. The discipline
 // servo uses this to cancel accumulated phase error at a PPS edge.
 func (o *Oscillator) AdjustPhase(delta sim.Duration) {

@@ -33,7 +33,7 @@
 // ports, and each edge must match the rate of the specific ports it
 // joins. An edge between ports at *different* rates is still an error at
 // a dumb cable, but may be declared as an explicit conversion edge
-// (Convert/ConvertAt) when at least one endpoint is a DUT — the device
+// (Convert) when at least one endpoint is a DUT — the device
 // that store-and-forwards across the rate boundary. A conversion edge
 // serialises at the transmitting port's rate. DUTs are also assigned
 // sequential hop IDs (1, 2, ... in declaration order, unless the config
@@ -220,12 +220,6 @@ func (b *Builder) DuplexAt(a, c string, rate wire.Rate, delay sim.Duration) *Bui
 // DUT, and the wire runs at the transmitting port's rate.
 func (b *Builder) Convert(from, to string) *Builder {
 	b.edges = append(b.edges, Edge{From: from, To: to, Convert: true})
-	return b
-}
-
-// ConvertAt is Convert with an explicit propagation delay.
-func (b *Builder) ConvertAt(from, to string, delay sim.Duration) *Builder {
-	b.edges = append(b.edges, Edge{From: from, To: to, Delay: delay, Convert: true})
 	return b
 }
 

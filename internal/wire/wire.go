@@ -383,9 +383,6 @@ func (l *Link) Drops() uint64 { return l.drops }
 // engine event.
 func (l *Link) InFlight() int { return l.pending.Len() }
 
-// Busy reports whether the link is still serialising at instant t.
-func (l *Link) Busy(t sim.Time) bool { return l.busyUntil > t }
-
 // BusyUntil returns the instant the current transmission completes.
 func (l *Link) BusyUntil() sim.Time { return l.busyUntil }
 

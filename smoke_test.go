@@ -2,6 +2,7 @@ package osnt_test
 
 import (
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -86,5 +87,54 @@ func TestExampleQuickstartSmoke(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("quickstart output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// Out-of-range flags must stop a CLI with a message naming the flag and
+// a non-zero exit, never a panic or a silently truncated value.
+func TestCLIsRejectBadFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	dir := t.TempDir()
+	bin := func(name string) string { return filepath.Join(dir, name) }
+	for _, name := range []string{"osnt-gen", "osnt-mon", "oflops"} {
+		if out, err := exec.Command(gobin, "build", "-o", bin(name), "./cmd/"+name).CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", name, err, out)
+		}
+	}
+	for _, tc := range []struct {
+		cmd  string
+		args []string
+		flag string
+	}{
+		{"osnt-gen", []string{"-load", "0"}, "-load"},
+		{"osnt-gen", []string{"-load", "-1"}, "-load"},
+		{"osnt-gen", []string{"-size", "10"}, "-size"},
+		{"osnt-gen", []string{"-size", "20000"}, "-size"},
+		{"osnt-mon", []string{"-load", "0"}, "-load"},
+		{"osnt-mon", []string{"-filter-dport", "70000"}, "-filter-dport"},
+		{"oflops", []string{"-rules", "-3"}, "-rules"},
+	} {
+		out, err := exec.Command(bin(tc.cmd), tc.args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("%s %v exited 0:\n%s", tc.cmd, tc.args, out)
+		}
+		if s := string(out); !strings.Contains(s, tc.flag) || strings.Contains(s, "panic:") || strings.Contains(s, "goroutine ") {
+			t.Errorf("%s %v: want a message naming %s and no panic, got:\n%s", tc.cmd, tc.args, tc.flag, s)
+		}
+	}
+	// Replay keeps the capture's sizes and spacing, so it ignores -load
+	// and -size.
+	capture := filepath.Join(dir, "wire.pcap")
+	if out, err := exec.Command(bin("osnt-gen"), "-count", "10", "-out", capture).CombinedOutput(); err != nil {
+		t.Fatalf("osnt-gen -out: %v\n%s", err, out)
+	}
+	if out, err := exec.Command(bin("osnt-gen"), "-in", capture, "-load", "0", "-size", "10").CombinedOutput(); err != nil {
+		t.Errorf("osnt-gen -in with unused -load/-size: %v\n%s", err, out)
 	}
 }
