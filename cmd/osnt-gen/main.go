@@ -39,13 +39,17 @@ func main() {
 	flag.Parse()
 
 	// -load and -size shape synthesised traffic only; -in replay keeps
-	// the capture's own sizes and spacing.
+	// the capture's own sizes and spacing, and ends with its records.
+	// Synthesised traffic never runs dry, so it needs a bound.
 	if *in == "" {
 		if *load <= 0 {
 			log.Fatalf("-load %g: need a positive fraction of line rate", *load)
 		}
 		if *size < wire.MinFrame || *size > wire.MaxFrame {
 			log.Fatalf("-size %d: need %d-%d bytes", *size, wire.MinFrame, wire.MaxFrame)
+		}
+		if *count == 0 && *durMS <= 0 {
+			log.Fatalf("-count 0: synthesised traffic needs a positive -count or -dur")
 		}
 	}
 

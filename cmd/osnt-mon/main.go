@@ -46,7 +46,7 @@ func main() {
 	snap := flag.Int("snap", 0, "thinning snap length in bytes (0 = full packets)")
 	hashBytes := flag.Int("hash", 64, "hash the first N bytes of each capture (0 = off)")
 	load := flag.Float64("load", 0.5, "traffic source load fraction of line rate")
-	size := flag.Int("size", 512, "traffic frame size")
+	size := flag.Int("size", 512, "traffic frame size, FCS inclusive (64-1518)")
 	durMS := flag.Int("dur", 10, "capture duration in virtual milliseconds")
 	dport := flag.Int("filter-dport", 0, "capture only this UDP destination port (0 = all)")
 	ring := flag.Int("ring", 1024, "per-queue DMA descriptor ring size")
@@ -62,6 +62,9 @@ func main() {
 	}
 	if *load <= 0 {
 		log.Fatalf("-load %g: need a positive fraction of line rate", *load)
+	}
+	if *size < wire.MinFrame || *size > wire.MaxFrame {
+		log.Fatalf("-size %d: need %d-%d bytes", *size, wire.MinFrame, wire.MaxFrame)
 	}
 	if *dport < 0 || *dport > 65535 {
 		log.Fatalf("-filter-dport %d: need a UDP port 0-65535 (0 = all)", *dport)

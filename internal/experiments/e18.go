@@ -42,7 +42,11 @@ func e18DUT() switchsim.Config {
 // generator emits full trains and every hot-path layer — generator MAC,
 // link, switch lookup and egress, capture steering and ring — handles
 // one event per train instead of one per frame; cap 1 is the unchanged
-// per-frame path.
+// per-frame path. A bare frame costs 5 events: the generator emit, the
+// two link deliveries (each also runs its zero-delay hop's
+// transmit-done, see wire.Egress), the switch lookup and the capture
+// drain. A train costs 7, because both transmit-dones keep their own
+// events.
 //
 // The table is the proof obligation, not just the speedup: ev/frame is
 // engine events fired per frame delivered (the cost batching removes),

@@ -23,9 +23,11 @@ type Latcher interface {
 // earliest departure instant, drained onto one Link by a MAC that
 // serialises one entry at a time. An entry leaves at the later of its
 // earliest instant and the end of the previous transmission, a train
-// back-to-back in one MAC pass. The MAC re-arms one reusable
-// transmit-done event, so at most one transmission is in flight and
-// steady-state transmission allocates nothing.
+// back-to-back in one MAC pass. At most one transmission is in flight,
+// and steady-state transmission allocates nothing. Its end — the
+// transmit-done, which frees the MAC for the next entry — is either one
+// reusable event, or, when the link's delivery of a bare frame falls at
+// that same instant and priority, the tail of that delivery (see send).
 //
 // A device port holds one by value. The Egress embeds its event, so it
 // must be initialised in place with Init and not copied afterwards.
@@ -112,6 +114,17 @@ func (e *Egress) Push(r Run, earliest sim.Time, reason DropReason) bool {
 // its delivery), then arms the transmit-done event at the end of the
 // run, clamped to the present.
 //
+// A bare frame on a zero-delay, unkeyed local link, alone in flight,
+// arms no transmit-done: Transmit has just armed its delivery for the
+// run's end at the default priority, so the transmit-done would be armed
+// for the same instant and priority with the next sequence number and
+// fire right after it. The Egress leaves itself on the link instead, and
+// Link.deliver runs txDone once the peer's Receive returns. Delayed
+// links fail the first comparison, and so do keyed links as topo builds
+// them; a train fails the second, since its delivery is armed at its
+// first frame's last bit; export and unterminated links put nothing in
+// flight.
+//
 //lint:hotpath
 func (e *Egress) send() {
 	if e.busy || e.queue.Len() == 0 {
@@ -130,6 +143,10 @@ func (e *Egress) send() {
 		start = next
 	}
 	end := l.Transmit(q.run, q.earliest)
+	if l.Delay == 0 && n == 1 && l.deliverPrio == sim.PrioDefault && l.pending.Len() == 1 {
+		l.done = e
+		return
+	}
 	if now := e.engine.Now(); end < now {
 		end = now
 	}

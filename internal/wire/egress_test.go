@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"osnt/internal/race"
@@ -223,5 +225,181 @@ func TestEgressSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if n != 32*22 {
 		t.Fatalf("latched %d frames, want %d", n, 32*22)
+	}
+}
+
+// hopFrames is how many frames each hop test pushes through its Egress.
+const hopFrames = 8
+
+// A bare frame on a zero-delay, unkeyed link costs one event: its
+// delivery carries the Egress's transmit-done. A delayed link, a keyed
+// link, an export link and a train keep the transmit-done as an event
+// of its own.
+func TestEgressEventsPerHop(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		link  func(*sim.Engine, Endpoint) *Link
+		train bool
+		want  uint64 // events fired for hopFrames frames
+	}{
+		{name: "zero-delay", want: hopFrames,
+			link: func(e *sim.Engine, p Endpoint) *Link { return NewLink(e, Rate10G, 0, p) }},
+		{name: "1us", want: 2 * hopFrames,
+			link: func(e *sim.Engine, p Endpoint) *Link { return NewLink(e, Rate10G, sim.Microsecond, p) }},
+		{name: "keyed", want: 2 * hopFrames,
+			link: func(e *sim.Engine, p Endpoint) *Link {
+				l := NewLink(e, Rate10G, 0, p)
+				l.SetDeliveryKey(1)
+				return l
+			}},
+		// Only the transmit-dones fire locally; delivery is the
+		// destination shard's.
+		{name: "export", want: hopFrames,
+			link: func(e *sim.Engine, _ Endpoint) *Link {
+				return NewExportLink(e, Rate10G, sim.Microsecond, &captureExporter{})
+			}},
+		// Trains of two: one delivery and one transmit-done per train.
+		{name: "train", train: true, want: hopFrames,
+			link: func(e *sim.Engine, p Endpoint) *Link { return NewLink(e, Rate10G, 0, p) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			var latched countLatch
+			delivered := 0
+			eg := &Egress{}
+			eg.Init(e, hopFrames, &latched)
+			eg.SetLink(tc.link(e, EndpointFunc(func(*Frame, sim.Time, sim.Time) { delivered++ })))
+			for i := 0; i < hopFrames; {
+				if tc.train {
+					eg.Push(trainRun(60, 60), 0, DropEgressOverflow)
+					i += 2
+				} else {
+					eg.Push(One(NewFrame(make([]byte, 60))), 0, DropEgressOverflow)
+					i++
+				}
+			}
+			e.Run()
+			if int(latched) != hopFrames || eg.Link().TxFrames() != hopFrames || !eg.Idle() {
+				t.Fatalf("latched %d, link carried %d, idle %v; want %d frames and an idle MAC",
+					latched, eg.Link().TxFrames(), eg.Idle(), hopFrames)
+			}
+			if eg.Link().exporter == nil && delivered != hopFrames {
+				t.Fatalf("delivered %d frames, want %d", delivered, hopFrames)
+			}
+			if got := e.Fired(); got != tc.want {
+				t.Fatalf("fired %d events for %d frames, want %d", got, hopFrames, tc.want)
+			}
+		})
+	}
+}
+
+// The transmit-done a zero-delay delivery carries runs where its own
+// event fired: after the peer's Receive and after every event armed
+// earlier for the instant, before any event Receive arms for it. A
+// keyed link's delivery sorts ahead of the instant's default-priority
+// events, so its transmit-done stays an event and fires among them in
+// arming order. The log is the sequence the two-event Egress records;
+// instants are in picoseconds.
+func TestEgressTransmitDoneOrder(t *testing.T) {
+	t1 := sim.Time(0).Add(SerializationTime(64, Rate10G)) // 67,200 ps
+	for _, tc := range []struct {
+		name string
+		key  uint64
+		want []string
+	}{
+		{name: "unkeyed", key: sim.PrioDefault, want: []string{
+			"latch 1 [0,67200]",
+			"early @67200 idle=false frames=1",
+			"receive 1 @67200 idle=false frames=1",
+			"latch 2 [67200,134400]",
+			"peer event @67200 idle=false frames=0",
+			"receive 2 @134400 idle=false frames=0",
+			"peer event @134400 idle=true frames=0",
+		}},
+		{name: "keyed", key: 1, want: []string{
+			"latch 1 [0,67200]",
+			"receive 1 @67200 idle=false frames=1",
+			"early @67200 idle=false frames=1",
+			"latch 2 [67200,134400]",
+			"peer event @67200 idle=false frames=0",
+			"receive 2 @134400 idle=false frames=0",
+			"peer event @134400 idle=true frames=0",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			var log []string
+			eg := &Egress{}
+			state := func(what string) {
+				log = append(log, fmt.Sprintf("%s @%d idle=%v frames=%d", what, e.Now(), eg.Idle(), eg.Frames()))
+			}
+			eg.Init(e, 8, latchFunc(func(f *Frame, start, end sim.Time) {
+				log = append(log, fmt.Sprintf("latch %d [%d,%d]", f.SrcPort, start, end))
+			}))
+			l := NewLink(e, Rate10G, 0, EndpointFunc(func(f *Frame, _, _ sim.Time) {
+				state(fmt.Sprintf("receive %d", f.SrcPort))
+				e.Schedule(e.Now(), func() { state("peer event") })
+			}))
+			if tc.key != sim.PrioDefault {
+				l.SetDeliveryKey(tc.key)
+			}
+			eg.SetLink(l)
+			e.Schedule(t1, func() { state("early") })
+			for i := 1; i <= 2; i++ {
+				f := NewFrame(make([]byte, 60))
+				f.SrcPort = i
+				eg.Push(One(f), 0, DropEgressOverflow)
+			}
+			e.Run()
+			if len(log) != len(tc.want) {
+				t.Fatalf("recorded %d steps, want %d:\n%s", len(log), len(tc.want), strings.Join(log, "\n"))
+			}
+			for i := range tc.want {
+				if log[i] != tc.want[i] {
+					t.Fatalf("step %d: %q, want %q; full log:\n%s", i, log[i], tc.want[i], strings.Join(log, "\n"))
+				}
+			}
+		})
+	}
+}
+
+// latchFunc adapts a function to the Latcher interface.
+type latchFunc func(f *Frame, start, end sim.Time)
+
+func (fn latchFunc) Latch(f *Frame, start, end sim.Time) { fn(f, start, end) }
+
+// BenchmarkEgressHop pushes bursts of pooled bare frames through an
+// Egress onto a zero-delay link, whose deliveries carry the
+// transmit-dones, and onto a 1 µs link, which fires both events per
+// frame. One op is one frame; events/frame reports the engine events it
+// cost.
+func BenchmarkEgressHop(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		delay sim.Duration
+	}{{"zero-delay", 0}, {"1us", sim.Microsecond}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const burst = 64
+			e := sim.NewEngine()
+			pool := NewPool()
+			var n countLatch
+			eg := &Egress{}
+			eg.Init(e, burst, &n)
+			eg.SetLink(NewLink(e, Rate10G, bc.delay, EndpointFunc(func(f *Frame, _, _ sim.Time) { f.Release() })))
+			hop := func(frames int) {
+				for j := 0; j < frames; j++ {
+					eg.Push(One(pool.Get(60)), e.Now(), DropEgressOverflow)
+				}
+				e.Run()
+			}
+			hop(burst) // warm the pool and the FIFOs
+			fired := e.Fired()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += burst {
+				hop(min(burst, b.N-i))
+			}
+			b.ReportMetric(float64(e.Fired()-fired)/float64(b.N), "events/frame")
+		})
 	}
 }

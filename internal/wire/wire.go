@@ -185,7 +185,12 @@ type Endpoint interface {
 	// instant at. start is the instant that frame's first bit arrived,
 	// which cut-through devices use to begin forwarding before at; later
 	// frames of a train follow arithmetically (Run.Walk). The endpoint
-	// owns the run from here.
+	// owns the run from here. Receive must not arm an event for the
+	// present instant with an explicit priority (sim.Event.SetPrio): a
+	// zero-delay link runs its sender's transmit-done as soon as Receive
+	// returns (Egress.send), and such an event would have fired first.
+	// Every device's Receive-time transmit starts no earlier than now, so
+	// its keyed delivery lands at least one serialisation later.
 	Receive(r Run, start, at sim.Time)
 }
 
@@ -245,6 +250,12 @@ type Link struct {
 	// Export links deliver nowhere locally: their event is never built.
 	pending   ring.FIFO[inflight]
 	deliverEv sim.Event
+
+	// done is the Egress whose transmit-done rides the next delivery:
+	// set by Egress.send when that delivery and the transmit-done fall
+	// at one instant and priority, run by deliver after the peer's
+	// Receive.
+	done *Egress
 }
 
 // inflight is one run in flight on the link, held by value in the
@@ -256,7 +267,12 @@ type inflight struct {
 }
 
 // deliver is the single delivery-event callback: it hands the head run
-// to the peer and re-arms for the next pending entry, if any.
+// to the peer and re-arms for the next pending entry, if any. When an
+// Egress left its transmit-done on the link (Egress.send), it runs once
+// Receive returns, where its own event would have fired: the two were
+// armed back to back for one instant and priority, and only an event
+// that Receive arms for the present with an explicit priority could
+// sort between them, which Endpoint rules out.
 //
 //lint:hotpath
 func (l *Link) deliver() {
@@ -273,6 +289,10 @@ func (l *Link) deliver() {
 		l.Engine.Arm(&l.deliverEv, eventAt)
 	}
 	l.Peer.Receive(d.run, d.firstBit, d.lastBit)
+	if e := l.done; e != nil {
+		l.done = nil
+		e.txDone()
+	}
 }
 
 // NewLink builds a link on engine e at rate r with propagation delay d,

@@ -1,10 +1,13 @@
 package osnt_test
 
 import (
+	"context"
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"osnt/internal/experiments"
 )
@@ -91,7 +94,9 @@ func TestExampleQuickstartSmoke(t *testing.T) {
 }
 
 // Out-of-range flags must stop a CLI with a message naming the flag and
-// a non-zero exit, never a panic or a silently truncated value.
+// a non-zero exit, never a panic, a silently truncated value or a run
+// without end. Every case runs under a timeout, so a CLI that stops
+// checking an unbounded run fails here instead of hanging.
 func TestCLIsRejectBadFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs binaries")
@@ -107,6 +112,15 @@ func TestCLIsRejectBadFlags(t *testing.T) {
 			t.Fatalf("build %s: %v\n%s", name, err, out)
 		}
 	}
+	run := func(name string, args ...string) ([]byte, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		out, err := exec.CommandContext(ctx, bin(name), args...).CombinedOutput()
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			t.Errorf("%s %v still running after 30s", name, args)
+		}
+		return out, err
+	}
 	for _, tc := range []struct {
 		cmd  string
 		args []string
@@ -116,11 +130,14 @@ func TestCLIsRejectBadFlags(t *testing.T) {
 		{"osnt-gen", []string{"-load", "-1"}, "-load"},
 		{"osnt-gen", []string{"-size", "10"}, "-size"},
 		{"osnt-gen", []string{"-size", "20000"}, "-size"},
+		{"osnt-gen", []string{"-count", "0"}, "-count"}, // no -out: a regression must not fill a disk
 		{"osnt-mon", []string{"-load", "0"}, "-load"},
+		{"osnt-mon", []string{"-size", "10"}, "-size"},
+		{"osnt-mon", []string{"-size", "20000"}, "-size"},
 		{"osnt-mon", []string{"-filter-dport", "70000"}, "-filter-dport"},
 		{"oflops", []string{"-rules", "-3"}, "-rules"},
 	} {
-		out, err := exec.Command(bin(tc.cmd), tc.args...).CombinedOutput()
+		out, err := run(tc.cmd, tc.args...)
 		if err == nil {
 			t.Errorf("%s %v exited 0:\n%s", tc.cmd, tc.args, out)
 		}
@@ -129,12 +146,16 @@ func TestCLIsRejectBadFlags(t *testing.T) {
 		}
 	}
 	// Replay keeps the capture's sizes and spacing, so it ignores -load
-	// and -size.
+	// and -size, and it ends when its records run out, so -count 0 is
+	// bounded.
 	capture := filepath.Join(dir, "wire.pcap")
-	if out, err := exec.Command(bin("osnt-gen"), "-count", "10", "-out", capture).CombinedOutput(); err != nil {
+	if out, err := run("osnt-gen", "-count", "10", "-out", capture); err != nil {
 		t.Fatalf("osnt-gen -out: %v\n%s", err, out)
 	}
-	if out, err := exec.Command(bin("osnt-gen"), "-in", capture, "-load", "0", "-size", "10").CombinedOutput(); err != nil {
+	if out, err := run("osnt-gen", "-in", capture, "-load", "0", "-size", "10"); err != nil {
 		t.Errorf("osnt-gen -in with unused -load/-size: %v\n%s", err, out)
+	}
+	if out, err := run("osnt-gen", "-in", capture, "-count", "0"); err != nil || !strings.Contains(string(out), "sent 10 packets") {
+		t.Errorf("osnt-gen -in with -count 0: %v, want the capture's 10 packets sent:\n%s", err, out)
 	}
 }
