@@ -51,6 +51,11 @@ func main() {
 		if *count == 0 && *durMS <= 0 {
 			log.Fatalf("-count 0: synthesised traffic needs a positive -count or -dur")
 		}
+		if *flows < 1 {
+			log.Fatalf("-flows %d: need at least one flow", *flows)
+		}
+	} else if *scale <= 0 {
+		log.Fatalf("-scale %g: need a positive inter-departure factor", *scale)
 	}
 
 	e := sim.NewEngine()

@@ -69,6 +69,21 @@ func main() {
 	if *dport < 0 || *dport > 65535 {
 		log.Fatalf("-filter-dport %d: need a UDP port 0-65535 (0 = all)", *dport)
 	}
+	if *durMS <= 0 {
+		log.Fatalf("-dur %d: need a positive capture duration", *durMS)
+	}
+	if *snap < 0 {
+		log.Fatalf("-snap %d: need a snap length ≥ 0 (0 = full packets)", *snap)
+	}
+	if *hashBytes < 0 {
+		log.Fatalf("-hash %d: need a byte count ≥ 0 (0 = off)", *hashBytes)
+	}
+	if *flows < 0 {
+		log.Fatalf("-flows %d: need a flow count ≥ 0 (0 = off)", *flows)
+	}
+	if *flows > 0 && *heavy < 1 {
+		log.Fatalf("-heavy %d: -flows needs a heavy-hitter summary of at least one flow", *heavy)
+	}
 	if *flows > 0 {
 		if *size < gen.DefaultTimestampOffset+gen.TimestampLen {
 			log.Fatalf("-flows needs -size ≥ %d to carry the embedded TX timestamp", gen.DefaultTimestampOffset+gen.TimestampLen)

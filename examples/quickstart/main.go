@@ -43,7 +43,7 @@ func main() {
 	t.DUT("sw").Learn(probe.DstMAC, 1)
 
 	result, err := (&core.LatencyTest{
-		Device: t.Tester("osnt"),
+		Card:   t.Tester("osnt"),
 		TxPort: 0, RxPort: 1,
 		Spec:      probe,
 		FrameSize: 512,

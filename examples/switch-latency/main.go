@@ -50,11 +50,10 @@ func measure(mode switchsim.ForwardingMode, frameSize int, load float64) *core.L
 		Link("osnt:0", "sw:0").
 		Duplex("sw:1", "osnt:1").
 		MustBuild(engine)
-	device := t.Tester("osnt")
 	t.DUT("sw").Learn(probe.DstMAC, 1)
 	slot := wire.SerializationTime(frameSize, wire.Rate10G)
 	res, err := (&core.LatencyTest{
-		Device: device, TxPort: 0, RxPort: 1,
+		Card: t.Tester("osnt"), TxPort: 0, RxPort: 1,
 		Spec: probe, FrameSize: frameSize, Load: load,
 		Spacing:  gen.Poisson{Mean: sim.Duration(float64(slot) / load)},
 		Duration: 20 * sim.Millisecond,

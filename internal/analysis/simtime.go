@@ -14,7 +14,7 @@ import (
 //     keep instants and spans distinct (t+t, t*2 and untyped-constant
 //     mixing like t+800 are all meaningless or unit-unsafe);
 //   - time arguments of every call that queues an event — Engine.Schedule,
-//     Engine.Arm, Engine.ScheduleEvery and Ticker.Reset — built from a
+//     Engine.Arm and Engine.ScheduleEvery — built from a
 //     subtraction or a negated Add offset are flagged: a time that can
 //     precede the engine's now is the statically visible half of the
 //     causality-violation panic.
@@ -57,10 +57,6 @@ func runSimTime(pass *Pass) error {
 				switch fn.Name() {
 				case "Schedule", "Arm", "ScheduleEvery":
 					if !isNamedFrom(recv, "sim", "Engine") {
-						return true
-					}
-				case "Reset":
-					if !isNamedFrom(recv, "sim", "Ticker") {
 						return true
 					}
 				default:

@@ -39,6 +39,3 @@ func (e *Engine) ScheduleEvery(t0 Time, period Duration, fn func()) *Ticker { re
 
 // Ticker fires a callback at a fixed period.
 type Ticker struct{}
-
-// Reset re-arms the ticker to fire at t0 and every period after.
-func (t *Ticker) Reset(t0 Time) {}

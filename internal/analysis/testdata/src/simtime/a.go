@@ -67,11 +67,6 @@ func armForward(e *sim.Engine, d sim.Duration) {
 	e.Arm(&ev, e.Now().Add(d))
 }
 
-// tickerResetBackward moves a ticker's next firing before now.
-func tickerResetBackward(e *sim.Engine, tk *sim.Ticker, d sim.Duration) {
-	tk.Reset(e.Now().Add(-d)) // want "Reset time argument adds a negated duration"
-}
-
 // scheduleEveryBackward starts a ticker before now.
 func scheduleEveryBackward(e *sim.Engine, d sim.Duration) {
 	e.ScheduleEvery(e.Now().Add(-d), d, func() {}) // want "ScheduleEvery time argument adds a negated duration"

@@ -3,10 +3,9 @@
 // monitoring functionality of the OSNT design, enabling the realisation
 // of high precision and throughput measurement tests in software".
 //
-// A Device wraps one simulated NetFPGA-10G card and hands out per-port
-// generators and monitors. On top of that the package provides the two
-// measurements the demo performs on switches: latency (from embedded
-// transmit timestamps, Demo Part I) and achievable throughput.
+// On top of one simulated NetFPGA-10G card the package provides the
+// measurement the demo performs on switches in Part I: latency, from the
+// transmit timestamp the generator embeds in each probe.
 package core
 
 import (
@@ -20,65 +19,6 @@ import (
 	"osnt/internal/stats"
 	"osnt/internal/wire"
 )
-
-// Device is one OSNT tester: a NetFPGA-10G card plus the host-side
-// generator/monitor drivers.
-type Device struct {
-	Engine *sim.Engine
-	Card   *netfpga.Card
-
-	gens map[int]*gen.Generator
-	mons map[int]*mon.Monitor
-}
-
-// NewDevice builds a tester on the engine. The driver maps are created
-// lazily: topology sweeps build thousands of Devices whose ports are
-// driven directly through gen.New/mon.Attach.
-func NewDevice(e *sim.Engine, cfg netfpga.Config) *Device {
-	return &Device{Engine: e, Card: netfpga.New(e, cfg)}
-}
-
-// ConfigureGenerator installs a traffic generator on a port, replacing
-// any previous one.
-func (d *Device) ConfigureGenerator(port int, cfg gen.Config) (*gen.Generator, error) {
-	if port < 0 || port >= d.Card.NumPorts() {
-		return nil, fmt.Errorf("core: port %d out of range", port)
-	}
-	g, err := gen.New(d.Card.Port(port), cfg)
-	if err != nil {
-		return nil, err
-	}
-	if d.gens == nil {
-		d.gens = make(map[int]*gen.Generator)
-	}
-	d.gens[port] = g
-	return g, nil
-}
-
-// ConfigureMonitor installs a capture engine on a port, replacing any
-// previous one. Invalid capture configurations (mon.New's validation,
-// including queue counts beyond the card's DMA budget) surface as
-// errors.
-func (d *Device) ConfigureMonitor(port int, cfg mon.Config) (*mon.Monitor, error) {
-	if port < 0 || port >= d.Card.NumPorts() {
-		return nil, fmt.Errorf("core: port %d out of range", port)
-	}
-	m, err := mon.New(d.Card.Port(port), cfg)
-	if err != nil {
-		return nil, err
-	}
-	if d.mons == nil {
-		d.mons = make(map[int]*mon.Monitor)
-	}
-	d.mons[port] = m
-	return m, nil
-}
-
-// Generator returns the generator installed on the port, or nil.
-func (d *Device) Generator(port int) *gen.Generator { return d.gens[port] }
-
-// Monitor returns the monitor installed on the port, or nil.
-func (d *Device) Monitor(port int) *mon.Monitor { return d.mons[port] }
 
 // LatencyResult summarises one latency measurement.
 type LatencyResult struct {
@@ -120,8 +60,8 @@ func (r *LatencyResult) LossFraction() float64 {
 // transmission timestamp embedded in each packet, while the other port
 // will be used to capture packets after they traverse the switch".
 type LatencyTest struct {
-	Device *Device
-	// TxPort generates, RxPort captures.
+	// Card is the tester: TxPort generates, RxPort captures.
+	Card           *netfpga.Card
 	TxPort, RxPort int
 	// Spec is the packet template (MACs must match the DUT's learned
 	// stations; IPs/ports identify the probe flow).
@@ -140,13 +80,15 @@ type LatencyTest struct {
 	Count uint64
 	// Seed feeds stochastic spacings.
 	Seed uint64
-	// Monitor optionally tunes the capture pipeline (Sink is owned by
-	// the test).
-	Monitor mon.Config
 }
 
 // Run executes the measurement to completion and returns the result.
 func (t *LatencyTest) Run() (*LatencyResult, error) {
+	for _, port := range []int{t.TxPort, t.RxPort} {
+		if port < 0 || port >= t.Card.NumPorts() {
+			return nil, fmt.Errorf("core: port %d out of range", port)
+		}
+	}
 	if t.FrameSize == 0 {
 		t.FrameSize = 512
 	}
@@ -158,29 +100,29 @@ func (t *LatencyTest) Run() (*LatencyResult, error) {
 	}
 	res := &LatencyResult{Latency: stats.NewHistogram()}
 
-	mcfg := t.Monitor
-	// The sink only extracts the embedded timestamp, so record buffers
-	// can be recycled as soon as it returns.
-	mcfg.RecycleRecords = true
-	mcfg.Sink = func(rec mon.Record) {
-		ts, ok := gen.ExtractTimestamp(rec.Data, gen.DefaultTimestampOffset)
-		if !ok {
-			return
-		}
-		res.Latency.Record(int64(rec.TS.Sub(ts)))
-	}
-	m, err := t.Device.ConfigureMonitor(t.RxPort, mcfg)
+	m, err := mon.New(t.Card.Port(t.RxPort), mon.Config{
+		// The sink only extracts the embedded timestamp, so record
+		// buffers can be recycled as soon as it returns.
+		RecycleRecords: true,
+		Sink: func(rec mon.Record) {
+			ts, ok := gen.ExtractTimestamp(rec.Data, gen.DefaultTimestampOffset)
+			if !ok {
+				return
+			}
+			res.Latency.Record(int64(rec.TS.Sub(ts)))
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	spacing := t.Spacing
 	if spacing == nil {
-		spacing = gen.CBRForLoad(t.FrameSize, t.Device.Card.Rate(), t.Load)
+		spacing = gen.CBRForLoad(t.FrameSize, t.Card.Rate(), t.Load)
 	}
 	spec := t.Spec
 	spec.FrameSize = t.FrameSize
-	g, err := t.Device.ConfigureGenerator(t.TxPort, gen.Config{
+	g, err := gen.New(t.Card.Port(t.TxPort), gen.Config{
 		Source:         &gen.UDPFlowSource{Spec: spec, FrameSize: t.FrameSize},
 		Spacing:        spacing,
 		Count:          t.Count,
@@ -192,7 +134,7 @@ func (t *LatencyTest) Run() (*LatencyResult, error) {
 		return nil, err
 	}
 
-	e := t.Device.Engine
+	e := t.Card.Engine
 	start := e.Now()
 	g.Start(start)
 	if t.Count > 0 {
@@ -209,100 +151,4 @@ func (t *LatencyTest) Run() (*LatencyResult, error) {
 	res.RxPackets = m.Delivered().Packets
 	res.CaptureDrops = m.RingDrops()
 	return res, nil
-}
-
-// ThroughputResult summarises one achievable-rate measurement.
-type ThroughputResult struct {
-	// OfferedPPS and OfferedBPS describe the generator's output on the
-	// wire (including preamble/IFG overhead for BPS).
-	OfferedPPS, OfferedBPS float64
-	// DeliveredPPS and DeliveredBPS describe what arrived at the capture
-	// port.
-	DeliveredPPS, DeliveredBPS float64
-	// LossFraction is 1 - delivered/offered packets.
-	LossFraction float64
-}
-
-// ThroughputTest measures the rate a DUT sustains between two tester
-// ports at a fixed offered load.
-type ThroughputTest struct {
-	Device         *Device
-	TxPort, RxPort int
-	Spec           packet.UDPSpec
-	FrameSize      int
-	Load           float64
-	Duration       sim.Duration
-	Seed           uint64
-}
-
-// Run executes the measurement.
-func (t *ThroughputTest) Run() (*ThroughputResult, error) {
-	if t.FrameSize == 0 {
-		t.FrameSize = 512
-	}
-	if t.Load == 0 {
-		t.Load = 1.0
-	}
-	if t.Duration == 0 {
-		t.Duration = 10 * sim.Millisecond
-	}
-	// Counting at the RX MAC (not the host ring) measures the DUT, not
-	// the capture path: one capture queue with an effectively infinite
-	// host.
-	m, err := t.Device.ConfigureMonitor(t.RxPort, mon.Config{
-		Queues: []mon.QueueConfig{{
-			RingSize:      1 << 30,
-			HostPerPacket: sim.Picosecond,
-			HostPerByte:   -1, // negative = zero cost (see mon.QueueConfig)
-		}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	spec := t.Spec
-	spec.FrameSize = t.FrameSize
-	g, err := t.Device.ConfigureGenerator(t.TxPort, gen.Config{
-		Source:  &gen.UDPFlowSource{Spec: spec, FrameSize: t.FrameSize},
-		Spacing: gen.CBRForLoad(t.FrameSize, t.Device.Card.Rate(), t.Load),
-		Seed:    t.Seed,
-		Pool:    wire.DefaultPool,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	e := t.Device.Engine
-	start := e.Now()
-	txBefore := g.Sent()
-	rxBefore := m.Seen()
-	g.Start(start)
-	e.RunUntil(start.Add(t.Duration))
-	g.Stop()
-	e.Run()
-
-	elapsed := t.Duration.Seconds()
-	tx := g.Sent().Sub(txBefore)
-	rx := m.Seen().Sub(rxBefore)
-	res := &ThroughputResult{
-		OfferedPPS:   tx.PacketsPerSecond(elapsed),
-		OfferedBPS:   tx.BitsPerSecond(elapsed),
-		DeliveredPPS: rx.PacketsPerSecond(elapsed),
-		DeliveredBPS: rx.BitsPerSecond(elapsed),
-	}
-	if tx.Packets > 0 {
-		lost := float64(tx.Packets) - float64(rx.Packets)
-		if lost < 0 {
-			lost = 0
-		}
-		res.LossFraction = lost / float64(tx.Packets)
-	}
-	return res, nil
-}
-
-// WireUp connects tester port tx straight to tester port rx with the
-// given propagation delay (a loopback cable), a convenience for
-// self-test topologies.
-func (d *Device) WireUp(tx, rx int, delay sim.Duration) {
-	l := wire.NewLink(d.Engine, d.Card.Rate(), delay, d.Card.Port(rx))
-	d.Card.Port(tx).SetLink(l)
 }

@@ -200,6 +200,6 @@ func SprayMicroBench(duration sim.Duration) (member0, member1 uint64) {
 		Spacing: gen.CBRForLoad(64, wire.Rate10G, 1.0),
 		Seed:    runner.PointSeed(0xe15, 0x5eed),
 	}))
-	rx := t.Tester("rx").Card
+	rx := t.Tester("rx")
 	return rx.Port(0).RxStats().Packets, rx.Port(1).RxStats().Packets
 }

@@ -62,10 +62,10 @@ func init() {
 }
 
 // idealCapture is the monitor configuration for sweeps that measure the
-// DUT rather than the capture path (cf. core.ThroughputTest): one
-// capture queue with an effectively infinite ring drained at zero cost,
-// thinned to 64 B (the embedded timestamp at offset 42..50 survives), so
-// every MAC-captured frame reaches the sink. E12 and E13 share it;
+// DUT rather than the capture path: one capture queue with an
+// effectively infinite ring drained at zero cost, thinned to 64 B (the
+// embedded timestamp at offset 42..50 survives), so every MAC-captured
+// frame reaches the sink. E12 and E13 share it;
 // changing the idealisation recipe in one place keeps their figures
 // comparable.
 func idealCapture(sink func(mon.Record)) mon.Config {
@@ -230,24 +230,24 @@ func absDur(d sim.Duration) sim.Duration {
 }
 
 // E3Topology builds the Demo Part I rig: OSNT port 0 → legacy switch →
-// OSNT port 1, with station MACs pre-learned, returning the device.
-func E3Topology(e *sim.Engine, swCfg switchsim.Config) (*core.Device, *switchsim.Switch) {
+// OSNT port 1, with station MACs pre-learned, returning the tester card.
+func E3Topology(e *sim.Engine, swCfg switchsim.Config) (*netfpga.Card, *switchsim.Switch) {
 	t := topo.New().
 		Tester("osnt", netfpga.Config{}).
 		DUT("sw", swCfg).
 		Link("osnt:0", "sw:0").
 		Duplex("sw:1", "osnt:1").
 		MustBuild(e)
-	dev, sw := t.Tester("osnt"), t.DUT("sw")
+	card, sw := t.Tester("osnt"), t.DUT("sw")
 	// Teach the switch the capture-side station with a real warm-up frame
 	// (the paper's rig does the same; the generator-side station is
 	// learned from the first probe).
 	teach := probeSpec
 	teach.SrcMAC, teach.DstMAC = probeSpec.DstMAC, probeSpec.SrcMAC
 	teach.FrameSize = 64
-	dev.Card.Port(1).Enqueue(wire.One(wire.NewFrame(teach.Build())))
+	card.Port(1).Enqueue(wire.One(wire.NewFrame(teach.Build())))
 	e.Run()
-	return dev, sw
+	return card, sw
 }
 
 // E3SwitchLatency is Demo Part I: "accurately measure the packet-
@@ -269,14 +269,14 @@ func E3SwitchLatency(duration sim.Duration) *stats.Table {
 	tbl.Rows = sweeper().Rows(len(loads), func(i int) [][]any {
 		load := loads[i]
 		e := sim.NewEngine()
-		dev, _ := E3Topology(e, switchsim.Config{
+		card, _ := E3Topology(e, switchsim.Config{
 			LookupPerByte: sim.Picoseconds(820), // capacity just below line rate
 			LookupJitter:  0.5,
 			Seed:          31,
 		})
 		slot := wire.SerializationTime(512, wire.Rate10G)
 		res, err := (&core.LatencyTest{
-			Device: dev, TxPort: 0, RxPort: 1, Spec: probeSpec,
+			Card: card, TxPort: 0, RxPort: 1, Spec: probeSpec,
 			FrameSize: 512, Load: load,
 			Spacing:  gen.Poisson{Mean: sim.Duration(float64(slot) / load)},
 			Duration: duration, Seed: 77,

@@ -425,7 +425,7 @@ func (s Spec) PodShard(n int) func(name string) int {
 // HostPort returns host i's single NIC port (generators transmit on it,
 // its RxStats/OnReceive are the delivery side).
 func (f *Fabric) HostPort(i int) *netfpga.Port {
-	return f.Tester(f.Hosts[i].Name).Card.Port(0)
+	return f.Tester(f.Hosts[i].Name).Port(0)
 }
 
 // TierOf classifies a ledger hop ID.

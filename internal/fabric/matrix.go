@@ -26,17 +26,6 @@ type TrafficMatrix struct {
 // member.
 const flowsPerSlot = 4
 
-// Senders counts hosts with a non-empty schedule.
-func (m TrafficMatrix) Senders() int {
-	n := 0
-	for _, d := range m.Dests {
-		if len(d) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Permutation is the classic all-to-all stress pattern: host i sends to
 // host (i + hostsPerPod) mod N, so every host sends and receives
 // exactly one unit of load and every byte crosses the core.

@@ -161,33 +161,8 @@ func (t *Table) Hits(i int) uint64 { return t.hits[i] }
 // action.
 func (t *Table) DefaultHits() uint64 { return t.defaultHits }
 
-// DropHits returns how many matches resolved to the Drop verdict: the
-// hit counters of every Drop rule plus the default hits when the
-// default action drops. The monitor reports the same quantity into the
-// loss ledger as filter-reject, so the two stay cross-checkable.
-func (t *Table) DropHits() uint64 {
-	var n uint64
-	for i, r := range t.rules {
-		if r.Action == Drop {
-			n += t.hits[i]
-		}
-	}
-	if t.DefaultAction == Drop {
-		n += t.defaultHits
-	}
-	return n
-}
-
 // Rule returns rule i.
 func (t *Table) Rule(i int) *Rule { return t.rules[i] }
-
-// Reset clears all hit counters.
-func (t *Table) Reset() {
-	for i := range t.hits {
-		t.hits[i] = 0
-	}
-	t.defaultHits = 0
-}
 
 // Match evaluates the frame against the table in order and returns the
 // verdict, the matching rule index (-1 for the default action), and the
@@ -342,6 +317,3 @@ func prefixMatches(got, want packet.IP4, plen int) bool {
 	mask := ^uint32(0) << uint(32-plen)
 	return got.Uint32()&mask == want.Uint32()&mask
 }
-
-// ExactMAC is the all-ones mask for exact MAC matching.
-var ExactMAC = packet.MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}

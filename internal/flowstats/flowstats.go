@@ -69,14 +69,9 @@ type Flow struct {
 	minGap sim.Duration
 	latSum int64 // picoseconds
 	latCnt uint64
-	latMin sim.Duration
 	latMax sim.Duration
 	used   bool
 }
-
-// LatencyCount returns how many samples carried a usable latency
-// reference.
-func (f *Flow) LatencyCount() uint64 { return f.latCnt }
 
 // LatencyMean returns the mean one-way latency, or 0 with no samples.
 func (f *Flow) LatencyMean() sim.Duration {
@@ -86,8 +81,7 @@ func (f *Flow) LatencyMean() sim.Duration {
 	return sim.Duration(f.latSum / int64(f.latCnt))
 }
 
-// LatencyMin and LatencyMax bound the observed one-way latency.
-func (f *Flow) LatencyMin() sim.Duration { return f.latMin }
+// LatencyMax returns the largest observed one-way latency.
 func (f *Flow) LatencyMax() sim.Duration { return f.latMax }
 
 // FlowTable is an exact per-flow state table built for the per-packet
@@ -143,15 +137,6 @@ func (t *FlowTable) lookup(digest uint64) *Flow {
 	}
 }
 
-// Lookup returns the flow tracked under digest, or nil.
-func (t *FlowTable) Lookup(digest uint64) *Flow {
-	f := t.lookup(digest)
-	if !f.used {
-		return nil
-	}
-	return f
-}
-
 // Observe folds one sample into its flow's state, admitting the flow if
 // the table has room. It reports whether the sample was tracked.
 func (t *FlowTable) Observe(s Sample) bool {
@@ -182,9 +167,6 @@ func (t *FlowTable) Observe(s Sample) bool {
 		lat := s.RxTS.Sub(txRef)
 		if lat < 0 {
 			lat = 0
-		}
-		if f.latCnt == 0 || lat < f.latMin {
-			f.latMin = lat
 		}
 		if lat > f.latMax {
 			f.latMax = lat

@@ -132,9 +132,6 @@ func (s *SpaceSaving) Add(digest uint64, n uint64) {
 	s.counts[minIdx] += n
 }
 
-// Len returns the number of monitored flows.
-func (s *SpaceSaving) Len() int { return s.n }
-
 // Monitored reports whether digest is currently tracked.
 func (s *SpaceSaving) Monitored(digest uint64) bool {
 	return slices.Contains(s.digests[:s.n], digest)

@@ -52,25 +52,6 @@ func (p Poisson) Next(r *sim.Rand) sim.Duration {
 	return sim.Duration(float64(p.Mean) * r.ExpFloat64())
 }
 
-// Burst alternates On periods of back-to-back CBR traffic with silent Off
-// periods, modelling on/off applications.
-type Burst struct {
-	Interval sim.Duration // spacing inside a burst
-	On, Off  sim.Duration
-
-	elapsed sim.Duration
-}
-
-// Next implements Spacing.
-func (b *Burst) Next(*sim.Rand) sim.Duration {
-	b.elapsed += b.Interval
-	if b.elapsed >= b.On {
-		b.elapsed = 0
-		return b.Interval + b.Off
-	}
-	return b.Interval
-}
-
 // Source produces the frames to transmit. Next returns nil when the
 // stream is exhausted.
 type Source interface {
@@ -142,10 +123,6 @@ type UDPFlowSource struct {
 	pos   int
 }
 
-// IMIXSizes is the classic 7:4:1 Internet mix of 64, 570 and 1518 byte
-// frames.
-var IMIXSizes = []int{64, 64, 64, 64, 64, 64, 64, 570, 570, 570, 570, 1518}
-
 // Next implements Source.
 func (u *UDPFlowSource) Next() *wire.Frame {
 	return u.advance().Clone()
@@ -190,22 +167,17 @@ func (u *UDPFlowSource) advance() *wire.Frame {
 	return t
 }
 
-// PCAPSource replays records from a capture. ScaleGap rescales the
-// recorded inter-departure gaps (1.0 = as captured); when a Spacing
-// override is set on the Generator, recorded gaps are ignored entirely.
+// PCAPSource replays the frames of a capture once, in order. It sets no
+// timing: pair it with RecordedSpacing to keep the capture's gaps.
 type PCAPSource struct {
 	Records []pcap.Record
-	Loop    bool
 	pos     int
 }
 
 // Next implements Source.
 func (p *PCAPSource) Next() *wire.Frame {
 	if p.pos >= len(p.Records) {
-		if !p.Loop || len(p.Records) == 0 {
-			return nil
-		}
-		p.pos = 0
+		return nil
 	}
 	rec := p.Records[p.pos]
 	p.pos++
@@ -224,7 +196,6 @@ func (p *PCAPSource) Next() *wire.Frame {
 type RecordedSpacing struct {
 	Records []pcap.Record
 	Scale   float64
-	Loop    bool
 	pos     int
 }
 
@@ -240,9 +211,6 @@ func (r *RecordedSpacing) Next(*sim.Rand) sim.Duration {
 	i := r.pos
 	r.pos++
 	if i+1 >= len(r.Records) {
-		if r.Loop {
-			r.pos = 0
-		}
 		i = len(r.Records) - 2
 	}
 	gap := r.Records[i+1].TS.Sub(r.Records[i].TS)
@@ -292,11 +260,8 @@ type Config struct {
 	// source is exhausted or Stop is called).
 	Count uint64
 	// EmbedTimestamp enables per-packet TX timestamp embedding at
-	// TimestampOffset.
+	// DefaultTimestampOffset.
 	EmbedTimestamp bool
-	// TimestampOffset is the embed location (default
-	// DefaultTimestampOffset).
-	TimestampOffset int
 	// Seed feeds the spacing model's random stream.
 	Seed uint64
 	// Pool, when set, recycles per-packet frames: emit draws frames from
@@ -334,7 +299,6 @@ type Generator struct {
 	sent    stats.Counter
 	dropped uint64
 	running bool
-	done    func()
 	next    sim.Event
 }
 
@@ -347,9 +311,6 @@ func New(port *netfpga.Port, cfg Config) (*Generator, error) {
 	if cfg.Spacing == nil {
 		return nil, fmt.Errorf("gen: no spacing configured")
 	}
-	if cfg.TimestampOffset == 0 {
-		cfg.TimestampOffset = DefaultTimestampOffset
-	}
 	g := &Generator{port: port, cfg: cfg, rand: sim.NewRand(cfg.Seed ^ 0x05170)}
 	g.next = sim.NewEvent(g.emit)
 	if cfg.Pool != nil {
@@ -360,19 +321,14 @@ func New(port *netfpga.Port, cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// OnDone registers a callback fired when the generator finishes (count
-// reached or source exhausted).
-func (g *Generator) OnDone(fn func()) { g.done = fn }
-
 // Start begins transmission at instant at (which must not be in the
 // past).
 func (g *Generator) Start(at sim.Time) {
 	e := g.port.Card().Engine
 	g.running = true
 	if g.cfg.EmbedTimestamp {
-		off := g.cfg.TimestampOffset
 		g.port.OnTransmit = func(f *wire.Frame, _ sim.Time, ts timing.Timestamp) {
-			EmbedTimestamp(f.Data, off, ts)
+			EmbedTimestamp(f.Data, DefaultTimestampOffset, ts)
 		}
 	}
 	e.Arm(&g.next, at)
@@ -487,12 +443,7 @@ func (g *Generator) train(first, second *wire.Frame) *wire.Train {
 	return t
 }
 
-func (g *Generator) finish() {
-	g.running = false
-	if g.done != nil {
-		g.done()
-	}
-}
+func (g *Generator) finish() { g.running = false }
 
 // Running reports whether the generator is still scheduled.
 func (g *Generator) Running() bool { return g.running }

@@ -20,7 +20,7 @@ type trainCollector struct {
 func (c *trainCollector) Receive(r wire.Run, _, _ sim.Time) {
 	c.frames += uint64(r.Len())
 	if t := r.Train(); t != nil {
-		c.trainLens = append(c.trainLens, t.Len())
+		c.trainLens = append(c.trainLens, len(t.Frames))
 		c.uniforms = append(c.uniforms, t.Uniform)
 	} else {
 		c.singles++
@@ -161,10 +161,9 @@ func TestTrainUniformityAcrossFlows(t *testing.T) {
 
 // TestTrainCountBudget checks that the Count limit binds mid-train: the
 // run stops at exactly Count frames no matter where the train boundary
-// falls, and the done callback still fires.
+// falls, and the generator finishes.
 func TestTrainCountBudget(t *testing.T) {
 	e, card, rx := trainRig()
-	done := false
 	g, err := New(card.Port(0), Config{
 		Source:   &UDPFlowSource{Spec: spec, FrameSize: 64},
 		Spacing:  CBRForLoad(64, wire.Rate10G, 1.0),
@@ -176,7 +175,6 @@ func TestTrainCountBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.OnDone(func() { done = true })
 	g.Start(0)
 	e.Run()
 	if rx.frames != 21 {
@@ -185,8 +183,8 @@ func TestTrainCountBudget(t *testing.T) {
 	if g.Sent().Packets != 21 {
 		t.Fatalf("sent counter %d, want 21", g.Sent().Packets)
 	}
-	if !done || g.Running() {
-		t.Fatal("done callback / running state wrong")
+	if g.Running() {
+		t.Fatal("generator still running after its count")
 	}
 }
 

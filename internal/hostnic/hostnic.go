@@ -9,7 +9,6 @@ package hostnic
 
 import (
 	"osnt/internal/sim"
-	"osnt/internal/stats"
 	"osnt/internal/wire"
 )
 
@@ -21,11 +20,6 @@ type Config struct {
 	// CoalesceTimeout delivers an interrupt this long after the first
 	// frame of a batch (default 50 µs, a typical rx-usecs setting).
 	CoalesceTimeout sim.Duration
-	// IRQOverhead is the fixed interrupt-to-handler delay (default 4 µs).
-	IRQOverhead sim.Duration
-	// SchedJitterMean is the mean of the exponential scheduling delay
-	// before the userspace handler timestamps the batch (default 15 µs).
-	SchedJitterMean sim.Duration
 	// Seed feeds the jitter stream.
 	Seed uint64
 	// Sink receives each packet with its software timestamp and the true
@@ -40,13 +34,15 @@ func (c *Config) fill() {
 	if c.CoalesceTimeout == 0 {
 		c.CoalesceTimeout = 50 * sim.Microsecond
 	}
-	if c.IRQOverhead == 0 {
-		c.IRQOverhead = 4 * sim.Microsecond
-	}
-	if c.SchedJitterMean == 0 {
-		c.SchedJitterMean = 15 * sim.Microsecond
-	}
 }
+
+const (
+	// irqOverhead is the fixed interrupt-to-handler delay.
+	irqOverhead = 4 * sim.Microsecond
+	// schedJitterMean is the mean of the exponential scheduling delay
+	// before the userspace handler timestamps the batch.
+	schedJitterMean = 15 * sim.Microsecond
+)
 
 // NIC is one software-timestamping capture interface. It implements
 // wire.Endpoint so it can terminate a link exactly like an OSNT port.
@@ -55,10 +51,8 @@ type NIC struct {
 	cfg    Config
 	rand   *sim.Rand
 
-	batch      []pending
-	timeoutEv  sim.Event // the coalescing timer, armed by a batch's first frame
-	interrupts uint64
-	captured   stats.Counter
+	batch     []pending
+	timeoutEv sim.Event // the coalescing timer, armed by a batch's first frame
 }
 
 type pending struct {
@@ -73,12 +67,6 @@ func New(e *sim.Engine, cfg Config) *NIC {
 	n.timeoutEv = sim.NewEvent(n.fire)
 	return n
 }
-
-// Interrupts returns how many interrupts fired.
-func (n *NIC) Interrupts() uint64 { return n.interrupts }
-
-// Captured returns counters over delivered packets.
-func (n *NIC) Captured() stats.Counter { return n.captured }
 
 // Receive implements wire.Endpoint: every frame of the run joins the
 // interrupt batch at its own arrival instant.
@@ -106,13 +94,10 @@ func (n *NIC) fire() {
 	}
 	batch := n.batch
 	n.batch = nil
-	n.interrupts++
-	delay := n.cfg.IRQOverhead +
-		sim.Duration(float64(n.cfg.SchedJitterMean)*n.rand.ExpFloat64())
+	delay := irqOverhead + sim.Duration(float64(schedJitterMean)*n.rand.ExpFloat64())
 	n.engine.ScheduleAfter(delay, func() {
 		ts := n.engine.Now()
 		for _, p := range batch {
-			n.captured.Add(len(p.data))
 			if n.cfg.Sink != nil {
 				n.cfg.Sink(p.data, ts, p.arrival)
 			}

@@ -50,14 +50,14 @@ func TestPerPacketPathZeroAlloc(t *testing.T) {
 	e, _, m := perPacketRig(t, pool)
 
 	// Warm-up: populate the pool, queue capacity, and register file.
-	e.RunFor(200 * sim.Microsecond)
+	e.RunUntil(e.Now().Add(200 * sim.Microsecond))
 
 	const span = sim.Millisecond
 	interval := gen.CBRForLoad(64, wire.Rate10G, 1.0).Interval
 	pktPerSpan := float64(span) / float64(interval) // ≈ 14881
 
 	avg := testing.AllocsPerRun(5, func() {
-		e.RunFor(span)
+		e.RunUntil(e.Now().Add(span))
 	})
 	perPacket := avg / pktPerSpan
 	t.Logf("allocs: %.1f per %0.f-packet span = %.4f/packet", avg, pktPerSpan, perPacket)
@@ -101,13 +101,13 @@ func TestMultiQueuePathZeroAlloc(t *testing.T) {
 	}
 	g.Start(0)
 
-	e.RunFor(200 * sim.Microsecond) // warm-up
+	e.RunUntil(e.Now().Add(200 * sim.Microsecond)) // warm-up
 
 	const span = sim.Millisecond
 	interval := gen.CBRForLoad(64, wire.Rate10G, 1.0).Interval
 	pktPerSpan := float64(span) / float64(interval)
 	avg := testing.AllocsPerRun(5, func() {
-		e.RunFor(span)
+		e.RunUntil(e.Now().Add(span))
 	})
 	perPacket := avg / pktPerSpan
 	t.Logf("allocs: %.1f per %0.f-packet span = %.4f/packet", avg, pktPerSpan, perPacket)
@@ -150,13 +150,13 @@ func TestOFSwitchDataplaneZeroAlloc(t *testing.T) {
 	}
 	g.Start(0)
 
-	e.RunFor(200 * sim.Microsecond) // warm-up
+	e.RunUntil(e.Now().Add(200 * sim.Microsecond)) // warm-up
 
 	const span = sim.Millisecond
 	interval := gen.CBRForLoad(64, wire.Rate10G, 1.0).Interval
 	pktPerSpan := float64(span) / float64(interval)
 	avg := testing.AllocsPerRun(5, func() {
-		e.RunFor(span)
+		e.RunUntil(e.Now().Add(span))
 	})
 	perPacket := avg / pktPerSpan
 	t.Logf("allocs: %.1f per %0.f-packet span = %.4f/packet", avg, pktPerSpan, perPacket)
@@ -166,7 +166,7 @@ func TestOFSwitchDataplaneZeroAlloc(t *testing.T) {
 	if m.Seen().Packets == 0 {
 		t.Fatal("monitor saw no packets — rig is miswired")
 	}
-	if sw.Forwarded().Packets == 0 {
+	if sw.Port(1).TxStats().Packets == 0 {
 		t.Fatal("switch forwarded nothing")
 	}
 }
@@ -204,14 +204,14 @@ func TestTrainPathZeroAlloc(t *testing.T) {
 	}
 	g.Start(0)
 
-	e.RunFor(200 * sim.Microsecond) // warm-up
+	e.RunUntil(e.Now().Add(200 * sim.Microsecond)) // warm-up
 
 	const span = sim.Millisecond
 	interval := gen.CBRForLoad(64, wire.Rate100G, 1.0).Interval
 	pktPerSpan := float64(span) / float64(interval) // ≈ 148810
 	firedBefore, sentBefore := e.Fired(), g.Sent().Packets
 	avg := testing.AllocsPerRun(5, func() {
-		e.RunFor(span)
+		e.RunUntil(e.Now().Add(span))
 	})
 	perPacket := avg / pktPerSpan
 	t.Logf("allocs: %.1f per %0.f-packet span = %.4f/packet", avg, pktPerSpan, perPacket)
@@ -233,7 +233,7 @@ func TestTrainPathZeroAlloc(t *testing.T) {
 // optimisation, not a requirement.
 func TestUnpooledPathStillWorks(t *testing.T) {
 	e, g, m := perPacketRig(t, nil)
-	e.RunFor(100 * sim.Microsecond)
+	e.RunUntil(e.Now().Add(100 * sim.Microsecond))
 	g.Stop()
 	e.Run()
 	if m.Seen().Packets != g.Sent().Packets {
@@ -247,7 +247,7 @@ func TestUnpooledPathStillWorks(t *testing.T) {
 func TestPooledAndUnpooledAgree(t *testing.T) {
 	run := func(pool *wire.Pool) (sent, seen, delivered uint64, bytes uint64) {
 		e, g, m := perPacketRig(t, pool)
-		e.RunFor(500 * sim.Microsecond)
+		e.RunUntil(e.Now().Add(500 * sim.Microsecond))
 		g.Stop()
 		e.Run()
 		return g.Sent().Packets, m.Seen().Packets, m.Delivered().Packets, m.Seen().Bytes
@@ -302,13 +302,13 @@ func TestDropLedgerPathZeroAlloc(t *testing.T) {
 		g.Start(0)
 	}
 
-	e.RunFor(200 * sim.Microsecond) // warm-up
+	e.RunUntil(e.Now().Add(200 * sim.Microsecond)) // warm-up
 
 	const span = sim.Millisecond
 	interval := gen.CBRForLoad(64, wire.Rate10G, 1.0).Interval
 	pktPerSpan := 2 * float64(span) / float64(interval) // both generators
 	avg := testing.AllocsPerRun(5, func() {
-		e.RunFor(span)
+		e.RunUntil(e.Now().Add(span))
 	})
 	perPacket := avg / pktPerSpan
 	t.Logf("allocs: %.1f per %0.f-packet span = %.4f/packet", avg, pktPerSpan, perPacket)
@@ -366,13 +366,13 @@ func TestMergedFlowPathZeroAlloc(t *testing.T) {
 	}
 	g.Start(0)
 
-	e.RunFor(200 * sim.Microsecond) // warm-up
+	e.RunUntil(e.Now().Add(200 * sim.Microsecond)) // warm-up
 
 	const span = sim.Millisecond
 	interval := gen.CBRForLoad(64, wire.Rate10G, 1.0).Interval
 	pktPerSpan := float64(span) / float64(interval)
 	avg := testing.AllocsPerRun(5, func() {
-		e.RunFor(span)
+		e.RunUntil(e.Now().Add(span))
 	})
 	perPacket := avg / pktPerSpan
 	t.Logf("allocs: %.1f per %0.f-packet span = %.4f/packet", avg, pktPerSpan, perPacket)

@@ -191,11 +191,11 @@ func TestCrossCardLatencyWithDisciplinedClocks(t *testing.T) {
 // forwarding rule installed over the real control channel.
 func TestOSNTMeasuresOpenFlowSwitchDataplane(t *testing.T) {
 	e := sim.NewEngine()
-	dev := core.NewDevice(e, netfpga.Config{})
+	card := netfpga.New(e, netfpga.Config{})
 	sw := ofswitch.New(e, ofswitch.Config{})
-	dev.Card.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, 0, sw.Port(0)))
-	sw.Port(1).SetLink(wire.NewLink(e, wire.Rate10G, 0, dev.Card.Port(1)))
-	dev.Card.Port(1).SetLink(wire.NewLink(e, wire.Rate10G, 0, sw.Port(1)))
+	card.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, 0, sw.Port(0)))
+	sw.Port(1).SetLink(wire.NewLink(e, wire.Rate10G, 0, card.Port(1)))
+	card.Port(1).SetLink(wire.NewLink(e, wire.Rate10G, 0, sw.Port(1)))
 	ctl := ofswitch.Connect(sw)
 
 	// Install "everything → OF port 2" over the wire protocol.
@@ -207,7 +207,7 @@ func TestOSNTMeasuresOpenFlowSwitchDataplane(t *testing.T) {
 	e.Run() // control latency + CPU + HW install
 
 	res, err := (&core.LatencyTest{
-		Device: dev, TxPort: 0, RxPort: 1,
+		Card: card, TxPort: 0, RxPort: 1,
 		Spec: spec, FrameSize: 256, Load: 0.05,
 		Duration: 5 * sim.Millisecond,
 	}).Run()
@@ -237,9 +237,8 @@ func TestFourPortBidirectionalSaturation(t *testing.T) {
 	var gens []*gen.Generator
 	for p := 0; p < 4; p++ {
 		p := p
-		ab, ba := wire.Connect(e, wire.Rate10G, 0, a.Port(p), b.Port(p))
-		a.Port(p).SetLink(ab)
-		b.Port(p).SetLink(ba)
+		a.Port(p).SetLink(wire.NewLink(e, wire.Rate10G, 0, b.Port(p)))
+		b.Port(p).SetLink(wire.NewLink(e, wire.Rate10G, 0, a.Port(p)))
 		a.Port(p).OnReceive = func(*wire.Frame, sim.Time, timing.Timestamp) { counts[p]++ }
 		b.Port(p).OnReceive = func(*wire.Frame, sim.Time, timing.Timestamp) { counts[4+p]++ }
 		for _, card := range []*netfpga.Card{a, b} {
@@ -285,7 +284,8 @@ func TestMonitorPcapChainMatchesGeneratorCounts(t *testing.T) {
 		_ = w.Write(pcap.Record{TS: rec.TS.Sim(), Data: rec.Data, OrigLen: rec.WireSize - wire.FCSLen})
 	}})
 	g, _ := gen.New(tx.Port(0), gen.Config{
-		Source:  &gen.UDPFlowSource{Spec: spec, Sizes: gen.IMIXSizes},
+		// The classic 7:4:1 Internet mix.
+		Source:  &gen.UDPFlowSource{Spec: spec, Sizes: []int{64, 64, 64, 64, 64, 64, 64, 570, 570, 570, 570, 1518}},
 		Spacing: gen.CBR{Interval: 5 * sim.Microsecond},
 		Count:   120,
 	})

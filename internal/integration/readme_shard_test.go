@@ -23,7 +23,7 @@ func runReadmeShard(shards int) (*stats.LossMap, uint64) {
 	// Delayed cables make every pod-aligned cut legal; the 1 µs delay is
 	// the lookahead budget (and the barrier cadence).
 	spec := fabric.Spec{K: 4, LinkDelay: sim.Microsecond}
-	f := fabric.MustBuildPartitioned(cl.Partition(spec.PodShard(cl.Shards())), spec)
+	f := fabric.MustBuildPartitioned(cl.Partition(spec.PodShard(shards)), spec)
 
 	const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
 	mix := func(h, v uint64) uint64 {

@@ -31,21 +31,13 @@ func TestPropertyPacketDecodersNeverPanic(t *testing.T) {
 	f := func(seed uint64, n uint16) bool {
 		data := mutated(seed, int(n%2048))
 		var eth packet.Ethernet
-		if err := eth.DecodeFromBytes(data); err == nil {
+		if err := eth.DecodeFromBytes(data); err == nil && eth.EtherType == packet.EtherTypeIPv4 {
 			var ip4 packet.IPv4
-			var ip6 packet.IPv6
-			switch eth.EtherType {
-			case packet.EtherTypeIPv4:
-				if ip4.DecodeFromBytes(eth.Payload()) == nil {
-					var udp packet.UDP
-					var tcp packet.TCP
-					var icmp packet.ICMPv4
-					_ = udp.DecodeFromBytes(ip4.Payload())
-					_ = tcp.DecodeFromBytes(ip4.Payload())
-					_ = icmp.DecodeFromBytes(ip4.Payload())
-				}
-			case packet.EtherTypeIPv6:
-				_ = ip6.DecodeFromBytes(eth.Payload())
+			if ip4.DecodeFromBytes(eth.Payload()) == nil {
+				var udp packet.UDP
+				var tcp packet.TCP
+				_ = udp.DecodeFromBytes(ip4.Payload())
+				_ = tcp.DecodeFromBytes(ip4.Payload())
 			}
 		}
 		var vlan packet.VLAN

@@ -129,7 +129,6 @@ type Port struct {
 	// per frame. The port releases the run when the hook returns.
 	OnReceiveRun func(r wire.Run, at sim.Time)
 
-	txStats stats.Counter
 	rxStats stats.Counter
 
 	// Pre-resolved register indices (see New) keep the per-packet counter
@@ -191,7 +190,6 @@ func (p *Port) Latch(f *wire.Frame, start, _ sim.Time) {
 	if p.OnTransmit != nil {
 		p.OnTransmit(f, start, ts)
 	}
-	p.txStats.Add(wire.WireBytes(f.Size))
 	p.card.Regs.AddAt(p.regTxPackets, 1)
 	p.card.Regs.AddAt(p.regTxBytes, uint64(f.Size))
 }
@@ -234,17 +232,8 @@ func (p *Port) Receive(r wire.Run, start, at sim.Time) {
 	}
 }
 
-// TxStats returns cumulative transmit counters (wire bytes).
-func (p *Port) TxStats() stats.Counter { return p.txStats }
-
 // RxStats returns cumulative receive counters (wire bytes).
 func (p *Port) RxStats() stats.Counter { return p.rxStats }
-
-// TxDrops returns frames dropped at the TX queue.
-func (p *Port) TxDrops() uint64 { return p.mac.Drops() }
-
-// TxQueueDepth returns the instantaneous TX queue occupancy.
-func (p *Port) TxQueueDepth() int { return p.mac.Frames() }
 
 func (p *Port) regName(suffix string) string {
 	return fmt.Sprintf("port%d.%s", p.index, suffix)
@@ -282,9 +271,6 @@ func (r *Registers) Index(name string) int {
 
 // Set stores a register value, creating the register if needed.
 func (r *Registers) Set(name string, v uint64) { r.vals[r.Index(name)] = v }
-
-// Add increments a register, creating it at zero if needed.
-func (r *Registers) Add(name string, delta uint64) { r.vals[r.Index(name)] += delta }
 
 // AddAt increments the register at a previously resolved index.
 func (r *Registers) AddAt(i int, delta uint64) { r.vals[i] += delta }

@@ -69,20 +69,19 @@ func TestPortTransmitTimestampLatch(t *testing.T) {
 	if rxFrames != 3 {
 		t.Fatalf("delivered %d", rxFrames)
 	}
-	if got := p.TxStats().Packets; got != 3 {
-		t.Fatalf("tx packets = %d", got)
+	if got := c.Regs.Get("port0.tx_packets"); got != 3 {
+		t.Fatalf("tx_packets register = %d, want 3", got)
 	}
-	if got := p.TxStats().Bytes; got != 3*84 {
-		t.Fatalf("tx wire bytes = %d", got)
-	}
-	if c.Regs.Get("port0.tx_packets") != 3 {
-		t.Fatal("tx register not updated")
+	if got := c.Regs.Get("port0.tx_bytes"); got != 3*64 {
+		t.Fatalf("tx_bytes register = %d, want %d", got, 3*64)
 	}
 }
 
 func TestPortTxQueueOverflow(t *testing.T) {
 	e := sim.NewEngine()
 	c := New(e, Config{TxQueueCap: 4})
+	var ledger wire.DropLedger
+	c.SetDropSite(&ledger, 1)
 	p := c.Port(0)
 	p.SetLink(wire.NewLink(e, wire.Rate10G, 0, nil))
 
@@ -96,14 +95,14 @@ func TestPortTxQueueOverflow(t *testing.T) {
 	if accepted != 5 {
 		t.Fatalf("accepted = %d, want 5", accepted)
 	}
-	if p.TxDrops() != 5 {
-		t.Fatalf("drops = %d, want 5", p.TxDrops())
+	if got := ledger.Count(1, wire.DropTxOverflow); got != 5 {
+		t.Fatalf("ledger tx-overflow drops = %d, want 5", got)
 	}
 	if c.Regs.Get("port0.tx_drops") != 5 {
 		t.Fatal("drop register")
 	}
 	e.Run()
-	if p.TxQueueDepth() != 0 {
+	if !p.TxIdle() {
 		t.Fatal("queue not drained")
 	}
 }
@@ -170,8 +169,8 @@ func TestRegisters(t *testing.T) {
 		t.Fatal("absent register must read 0")
 	}
 	r.Set("a", 5)
-	r.Add("a", 3)
-	r.Add("b", 1)
+	r.AddAt(r.Index("a"), 3)
+	r.AddAt(r.Index("b"), 1)
 	if r.Get("a") != 8 || r.Get("b") != 1 {
 		t.Fatal("set/add")
 	}
@@ -187,9 +186,8 @@ func TestFullDuplexPair(t *testing.T) {
 	e := sim.NewEngine()
 	a := New(e, Config{})
 	b := New(e, Config{})
-	ab, ba := wire.Connect(e, wire.Rate10G, sim.Microsecond, a.Port(0), b.Port(0))
-	a.Port(0).SetLink(ab)
-	b.Port(0).SetLink(ba)
+	a.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, sim.Microsecond, b.Port(0)))
+	b.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, sim.Microsecond, a.Port(0)))
 
 	var aGot, bGot int
 	a.Port(0).OnReceive = func(*wire.Frame, sim.Time, timing.Timestamp) { aGot++ }

@@ -75,16 +75,11 @@ func installBaseline(ctx *Context, count int, actions []openflow.Action) {
 
 // startProbes arms the OSNT generator with round-robin rule probes.
 func startProbes(ctx *Context, rules int, gap sim.Duration) error {
-	g, err := ctx.OSNT.ConfigureGenerator(ctx.GenPort, gen.Config{
+	return ctx.startGenerator(gen.Config{
 		Source:         newRuleProbeSource(rules),
 		Spacing:        gen.CBR{Interval: gap},
 		EmbedTimestamp: true,
 	})
-	if err != nil {
-		return err
-	}
-	g.Start(ctx.Engine.Now())
-	return nil
 }
 
 // FlowInsertLatency measures the demo's headline Part II quantity: "the
@@ -433,17 +428,12 @@ func (m *PacketInLatency) Start(ctx *Context) error {
 		m.ProbeGap = 1 * sim.Millisecond // keep the slow path unqueued
 	}
 	m.latencies = stats.NewHistogram()
-	g, err := ctx.OSNT.ConfigureGenerator(ctx.GenPort, gen.Config{
+	return ctx.startGenerator(gen.Config{
 		Source:         newRuleProbeSource(1),
 		Spacing:        gen.CBR{Interval: m.ProbeGap},
 		Count:          uint64(m.Count),
 		EmbedTimestamp: true,
 	})
-	if err != nil {
-		return err
-	}
-	g.Start(ctx.Engine.Now())
-	return nil
 }
 
 // HandleDataPlane implements Module.
@@ -477,14 +467,15 @@ type EchoUnderLoad struct {
 	Load float64
 	// Echoes is the sample count (default 20).
 	Echoes int
-	// EchoGap spaces the echo requests (default 5 ms).
-	EchoGap sim.Duration
 
 	rtts    *stats.Histogram
 	sentAt  map[uint32]sim.Time
 	got     int
 	started bool
 }
+
+// echoGap spaces the echo requests.
+const echoGap = 5 * sim.Millisecond
 
 // Name implements Module.
 func (m *EchoUnderLoad) Name() string {
@@ -495,9 +486,6 @@ func (m *EchoUnderLoad) Name() string {
 func (m *EchoUnderLoad) Start(ctx *Context) error {
 	if m.Echoes == 0 {
 		m.Echoes = 20
-	}
-	if m.EchoGap == 0 {
-		m.EchoGap = 5 * sim.Millisecond
 	}
 	m.rtts = stats.NewHistogram()
 	m.sentAt = make(map[uint32]sim.Time)
@@ -510,14 +498,12 @@ func (m *EchoUnderLoad) Start(ctx *Context) error {
 		InstalledAt: ctx.Engine.Now(), LastUsed: ctx.Engine.Now(),
 	})
 	if m.Load > 0 {
-		g, err := ctx.OSNT.ConfigureGenerator(ctx.GenPort, gen.Config{
+		if err := ctx.startGenerator(gen.Config{
 			Source:  newRuleProbeSource(1),
-			Spacing: gen.CBRForLoad(probeFrameSize, ctx.OSNT.Card.Rate(), m.Load),
-		})
-		if err != nil {
+			Spacing: gen.CBRForLoad(probeFrameSize, ctx.Card.Rate(), m.Load),
+		}); err != nil {
 			return err
 		}
-		g.Start(ctx.Engine.Now())
 	}
 
 	var sendEcho func()
@@ -530,7 +516,7 @@ func (m *EchoUnderLoad) Start(ctx *Context) error {
 		xid := ctx.NextXid()
 		m.sentAt[xid] = ctx.Engine.Now()
 		ctx.Ctl.Send(&openflow.EchoRequest{Data: []byte{byte(xid)}}, xid)
-		ctx.Engine.ScheduleAfter(m.EchoGap, sendEcho)
+		ctx.Engine.ScheduleAfter(echoGap, sendEcho)
 	}
 	sendEcho()
 	return nil

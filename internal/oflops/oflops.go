@@ -9,7 +9,7 @@ package oflops
 import (
 	"fmt"
 
-	"osnt/internal/core"
+	"osnt/internal/gen"
 	"osnt/internal/mon"
 	"osnt/internal/netfpga"
 	"osnt/internal/ofswitch"
@@ -25,7 +25,7 @@ import (
 // OSNT port 1, plus control and SNMP channels.
 type Context struct {
 	Engine *sim.Engine
-	OSNT   *core.Device
+	Card   *netfpga.Card
 	Switch *ofswitch.Switch
 	Ctl    *ofswitch.Controller
 	Agent  *snmp.Agent
@@ -37,6 +37,9 @@ type Context struct {
 	done     bool
 	deadline sim.Duration
 	xid      uint32
+	// gen is the generator the running module started on GenPort; Run
+	// stops it when the module finishes.
+	gen *gen.Generator
 }
 
 // Module is one OFLOPS measurement. Start installs state and begins
@@ -55,8 +58,17 @@ type Module interface {
 	Finished(ctx *Context) bool
 }
 
-// Finish marks the run complete before the deadline.
-func (c *Context) Finish() { c.done = true }
+// startGenerator starts a generator on GenPort now, replacing the one a
+// previous module started.
+func (c *Context) startGenerator(cfg gen.Config) error {
+	g, err := gen.New(c.Card.Port(c.GenPort), cfg)
+	if err != nil {
+		return err
+	}
+	c.gen = g
+	g.Start(c.Engine.Now())
+	return nil
+}
 
 // NextXid returns a fresh transaction id.
 func (c *Context) NextXid() uint32 {
@@ -94,15 +106,11 @@ type Config struct {
 	Switch ofswitch.Config
 	// Timeout bounds a module run in virtual time (default 30 s).
 	Timeout sim.Duration
-	// Monitor tunes the OSNT capture pipeline (its Sink is owned by the
-	// harness).
-	Monitor mon.Config
 }
 
 // Runner owns one topology and executes modules on it.
 type Runner struct {
 	ctx *Context
-	cfg Config
 }
 
 // NewRunner builds the Figure 2 topology on a fresh engine.
@@ -119,7 +127,7 @@ func NewRunner(cfg Config) *Runner {
 		Duplex("osnt:0", "sw:0").
 		Duplex("osnt:1", "sw:1").
 		MustBuild(e)
-	dev, sw := t.Tester("osnt"), t.OFSwitch("sw")
+	card, sw := t.Tester("osnt"), t.OFSwitch("sw")
 
 	ctl := ofswitch.Connect(sw)
 
@@ -145,10 +153,10 @@ func NewRunner(cfg Config) *Runner {
 	}
 
 	ctx := &Context{
-		Engine: e, OSNT: dev, Switch: sw, Ctl: ctl, Agent: agent,
+		Engine: e, Card: card, Switch: sw, Ctl: ctl, Agent: agent,
 		GenPort: 0, CapPort: 1, deadline: cfg.Timeout,
 	}
-	return &Runner{ctx: ctx, cfg: cfg}
+	return &Runner{ctx: ctx}
 }
 
 // Context exposes the runner's environment (tests and custom drivers).
@@ -160,13 +168,12 @@ func (r *Runner) Run(m Module) error {
 	ctx.module = m
 	ctx.done = false
 
-	mcfg := r.cfg.Monitor
-	mcfg.Sink = func(rec mon.Record) {
+	sink := func(rec mon.Record) {
 		if !ctx.done {
 			m.HandleDataPlane(ctx, rec)
 		}
 	}
-	if _, err := ctx.OSNT.ConfigureMonitor(ctx.CapPort, mcfg); err != nil {
+	if _, err := mon.New(ctx.Card.Port(ctx.CapPort), mon.Config{Sink: sink}); err != nil {
 		return fmt.Errorf("oflops: monitor: %w", err)
 	}
 	ctx.Ctl.OnMessage = func(msg openflow.Message, xid uint32) {
@@ -187,8 +194,8 @@ func (r *Runner) Run(m Module) error {
 		ctx.Engine.Step()
 	}
 	ctx.done = true
-	if g := ctx.OSNT.Generator(ctx.GenPort); g != nil && g.Running() {
-		g.Stop()
+	if ctx.gen != nil && ctx.gen.Running() {
+		ctx.gen.Stop()
 	}
 	return nil
 }

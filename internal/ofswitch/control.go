@@ -8,8 +8,8 @@ import (
 
 // Controller is the controller-side handle of a simulated OpenFlow
 // control channel. Messages cross the channel as encoded OpenFlow 1.0
-// bytes (the real codec runs on every message) with a configurable
-// one-way latency, and are processed by the switch's serial management
+// bytes (the real codec runs on every message) with a fixed one-way
+// latency, and are processed by the switch's serial management
 // CPU — the pieces whose interplay OFLOPS-turbo measures.
 type Controller struct {
 	sw *Switch
@@ -17,9 +17,6 @@ type Controller struct {
 	// OnMessage receives every switch-to-controller message
 	// (PACKET_IN, FLOW_REMOVED, replies ...).
 	OnMessage func(m openflow.Message, xid uint32)
-
-	sent     uint64
-	received uint64
 }
 
 // Connect attaches a controller to the switch and performs the version
@@ -35,8 +32,7 @@ func Connect(sw *Switch) *Controller {
 // whatever its CPU queue imposes.
 func (c *Controller) Send(m openflow.Message, xid uint32) {
 	raw := openflow.Encode(m, xid)
-	c.sent++
-	c.sw.Engine.ScheduleAfter(c.sw.cfg.CtrlLatency, func() {
+	c.sw.Engine.ScheduleAfter(ctrlLatency, func() {
 		c.sw.handleControl(raw)
 	})
 }
@@ -44,8 +40,7 @@ func (c *Controller) Send(m openflow.Message, xid uint32) {
 // fromSwitch carries a switch-originated message to the controller.
 func (c *Controller) fromSwitch(m openflow.Message, xid uint32) {
 	raw := openflow.Encode(m, xid)
-	c.sw.Engine.ScheduleAfter(c.sw.cfg.CtrlLatency, func() {
-		c.received++
+	c.sw.Engine.ScheduleAfter(ctrlLatency, func() {
 		if c.OnMessage == nil {
 			return
 		}
@@ -57,9 +52,6 @@ func (c *Controller) fromSwitch(m openflow.Message, xid uint32) {
 	})
 }
 
-// Stats returns messages sent to and received from the switch.
-func (c *Controller) Stats() (sent, received uint64) { return c.sent, c.received }
-
 // handleControl runs on the switch when a controller message arrives at
 // the management interface. The message waits for the serial CPU, whose
 // per-type costs model real firmware.
@@ -70,17 +62,17 @@ func (s *Switch) handleControl(raw []byte) {
 	}
 	switch msg := m.(type) {
 	case *openflow.Hello:
-		s.cpuRun(s.cfg.EchoCost, func() {
+		s.cpuRun(echoCost, func() {
 			s.ctl.fromSwitch(&openflow.Hello{}, xid)
 		})
 
 	case *openflow.EchoRequest:
-		s.cpuRun(s.cfg.EchoCost, func() {
+		s.cpuRun(echoCost, func() {
 			s.ctl.fromSwitch(&openflow.EchoReply{Data: msg.Data}, xid)
 		})
 
 	case *openflow.FeaturesRequest:
-		s.cpuRun(s.cfg.EchoCost, func() {
+		s.cpuRun(echoCost, func() {
 			reply := &openflow.FeaturesReply{
 				DatapathID: s.cfg.DatapathID,
 				NBuffers:   0, NTables: 1,
@@ -95,9 +87,9 @@ func (s *Switch) handleControl(raw []byte) {
 		})
 
 	case *openflow.SetConfig:
-		s.cpuRun(s.cfg.EchoCost, func() {
+		s.cpuRun(echoCost, func() {
 			if msg.MissSendLen > 0 {
-				s.cfg.MissSendLen = int(msg.MissSendLen)
+				s.missSendLen = int(msg.MissSendLen)
 			}
 		})
 
@@ -106,26 +98,24 @@ func (s *Switch) handleControl(raw []byte) {
 		// previously queued control work finished on the CPU. Note the
 		// hardware-install lag is NOT covered by the barrier, exactly the
 		// gap the consistency experiment exposes.
-		s.cpuRun(s.cfg.BarrierCost, func() {
+		s.cpuRun(barrierCost, func() {
 			s.ctl.fromSwitch(&openflow.BarrierReply{}, xid)
 		})
 
 	case *openflow.FlowMod:
-		cost := s.cfg.FlowModCost +
-			sim.Duration(s.table.Len())*s.cfg.FlowModPerEntry
+		cost := flowModCost + sim.Duration(s.table.Len())*flowModPerEntry
 		s.cpuRun(cost, func() {
 			s.applyFlowModLater(msg)
 		})
 
 	case *openflow.PacketOut:
-		s.cpuRun(s.cfg.PacketInCost, func() {
+		s.cpuRun(packetInCost, func() {
 			s.injectPacketOut(msg)
 		})
 
 	case *openflow.StatsRequest:
 		// Stats walk the table / ports on the CPU.
-		cost := s.cfg.BarrierCost +
-			sim.Duration(s.table.Len())*s.cfg.FlowModPerEntry
+		cost := barrierCost + sim.Duration(s.table.Len())*flowModPerEntry
 		s.cpuRun(cost, func() {
 			s.ctl.fromSwitch(s.buildStatsReply(msg), xid)
 		})

@@ -18,11 +18,6 @@ type Config struct {
 	Rate wire.Rate
 	// DatapathID identifies the switch in FEATURES_REPLY.
 	DatapathID uint64
-	// TableCap bounds the flow table (default 4096, a typical hardware
-	// TCAM size of the era).
-	TableCap int
-	// ExactFastPath enables the exact-match hash lookup (ablation).
-	ExactFastPath bool
 
 	// PipelineLatency is the fixed dataplane forwarding delay (default
 	// 600 ns).
@@ -30,43 +25,46 @@ type Config struct {
 	// EgressQueueCap bounds each output queue in packets (default 512).
 	EgressQueueCap int
 
-	// --- control plane model ---
-
-	// CtrlLatency is the one-way control channel latency (default
-	// 100 µs, a management-network RTT of 200 µs).
-	CtrlLatency sim.Duration
-	// FlowModCost is the management CPU time to process one FLOW_MOD
-	// (default 150 µs: firmware parsing, validation, driver call).
-	FlowModCost sim.Duration
-	// FlowModPerEntry adds table-scan cost per existing entry (default
-	// 30 ns) — large tables make modifications slower.
-	FlowModPerEntry sim.Duration
 	// HWInstallDelay is the lag between control-plane completion of a
 	// FLOW_MOD and the dataplane actually applying it (default 1.5 ms,
 	// the TCAM-write asynchrony OFLOPS exposed).
 	HWInstallDelay sim.Duration
-	// BarrierCost is the CPU time to process a BARRIER_REQUEST (default
-	// 20 µs).
-	BarrierCost sim.Duration
-	// EchoCost is the CPU time to answer an ECHO_REQUEST (default 5 µs).
-	EchoCost sim.Duration
-	// PacketInCost is the slow-path CPU time per table-miss packet
-	// (default 80 µs).
-	PacketInCost sim.Duration
 	// DataplaneCPUTax is management CPU time consumed per forwarded
 	// packet (counter maintenance etc., default 0: ideal hardware).
 	// Non-zero values reproduce control-plane starvation under
 	// dataplane load (experiment E8).
 	DataplaneCPUTax sim.Duration
-	// CPUBacklogCap bounds the CPU work backlog (default 20 ms): tax
-	// beyond it is shed, protocol messages queue regardless.
-	CPUBacklogCap sim.Duration
-	// MissSendLen is the packet prefix bytes sent in PACKET_IN (default
-	// 128).
-	MissSendLen int
-	// ExpirySweep is the flow-timeout sweep period (default 500 ms).
-	ExpirySweep sim.Duration
 }
+
+// The switch's fixed figures: its table size and the control-plane
+// cost model of the era's firmware.
+const (
+	// tableCap bounds the flow table, a typical hardware TCAM size.
+	tableCap = 4096
+	// ctrlLatency is the one-way control channel latency (a
+	// management-network RTT of 200 µs).
+	ctrlLatency = 100 * sim.Microsecond
+	// flowModCost is the management CPU time to process one FLOW_MOD
+	// (firmware parsing, validation, the call into the ASIC SDK).
+	flowModCost = 150 * sim.Microsecond
+	// flowModPerEntry adds table-scan cost per existing entry: large
+	// tables make modifications slower.
+	flowModPerEntry = 30 * sim.Nanosecond
+	// barrierCost is the CPU time to process a BARRIER_REQUEST.
+	barrierCost = 20 * sim.Microsecond
+	// echoCost is the CPU time to answer an ECHO_REQUEST.
+	echoCost = 5 * sim.Microsecond
+	// packetInCost is the slow-path CPU time per table-miss packet.
+	packetInCost = 80 * sim.Microsecond
+	// cpuBacklogCap bounds the CPU work backlog: tax beyond it is shed,
+	// protocol messages queue regardless.
+	cpuBacklogCap = 20 * sim.Millisecond
+	// defaultMissSendLen is the packet prefix sent in PACKET_IN until a
+	// SET_CONFIG changes it.
+	defaultMissSendLen = 128
+	// expirySweep is the flow-timeout sweep period.
+	expirySweep = 500 * sim.Millisecond
+)
 
 func (c *Config) fill() {
 	if c.Ports == 0 {
@@ -75,44 +73,14 @@ func (c *Config) fill() {
 	if c.Rate == 0 {
 		c.Rate = wire.Rate10G
 	}
-	if c.TableCap == 0 {
-		c.TableCap = 4096
-	}
 	if c.PipelineLatency == 0 {
 		c.PipelineLatency = 600 * sim.Nanosecond
 	}
 	if c.EgressQueueCap == 0 {
 		c.EgressQueueCap = 512
 	}
-	if c.CtrlLatency == 0 {
-		c.CtrlLatency = 100 * sim.Microsecond
-	}
-	if c.FlowModCost == 0 {
-		c.FlowModCost = 150 * sim.Microsecond
-	}
-	if c.FlowModPerEntry == 0 {
-		c.FlowModPerEntry = 30 * sim.Nanosecond
-	}
 	if c.HWInstallDelay == 0 {
 		c.HWInstallDelay = 1500 * sim.Microsecond
-	}
-	if c.BarrierCost == 0 {
-		c.BarrierCost = 20 * sim.Microsecond
-	}
-	if c.EchoCost == 0 {
-		c.EchoCost = 5 * sim.Microsecond
-	}
-	if c.PacketInCost == 0 {
-		c.PacketInCost = 80 * sim.Microsecond
-	}
-	if c.CPUBacklogCap == 0 {
-		c.CPUBacklogCap = 20 * sim.Millisecond
-	}
-	if c.MissSendLen == 0 {
-		c.MissSendLen = 128
-	}
-	if c.ExpirySweep == 0 {
-		c.ExpirySweep = 500 * sim.Millisecond
 	}
 }
 
@@ -131,9 +99,8 @@ type Switch struct {
 
 	// Management CPU: a single serial server.
 	cpuFreeAt sim.Time
-
-	misses         uint64
-	forwarded      stats.Counter
+	// missSendLen is the PACKET_IN prefix length; SET_CONFIG updates it.
+	missSendLen    int
 	sweepScheduled bool
 
 	// Loss attribution: drop paths report (dropHop, reason) into the
@@ -157,9 +124,10 @@ func (s *Switch) SetDropSite(ledger *wire.DropLedger, hop int) {
 func New(e *sim.Engine, cfg Config) *Switch {
 	cfg.fill()
 	s := &Switch{
-		Engine: e,
-		cfg:    cfg,
-		table:  NewFlowTable(cfg.TableCap, cfg.ExactFastPath),
+		Engine:      e,
+		cfg:         cfg,
+		table:       NewFlowTable(tableCap),
+		missSendLen: defaultMissSendLen,
 	}
 	for i := 0; i < cfg.Ports; i++ {
 		p := &Port{sw: s, index: i}
@@ -182,12 +150,6 @@ func (s *Switch) Port(i int) *Port { return s.ports[i] }
 // it).
 func (s *Switch) Table() *FlowTable { return s.table }
 
-// Misses returns the number of table-miss packets.
-func (s *Switch) Misses() uint64 { return s.misses }
-
-// Forwarded returns counters over frames forwarded by the dataplane.
-func (s *Switch) Forwarded() stats.Counter { return s.forwarded }
-
 // cpuRun enqueues cost on the serial management CPU and invokes fn when
 // that work completes. It returns the completion instant.
 func (s *Switch) cpuRun(cost sim.Duration, fn func()) sim.Time {
@@ -209,7 +171,7 @@ func (s *Switch) cpuRun(cost sim.Duration, fn func()) sim.Time {
 // protocol work is not).
 func (s *Switch) cpuTax(cost sim.Duration) {
 	now := s.Engine.Now()
-	if s.cpuFreeAt.Sub(now) > s.cfg.CPUBacklogCap {
+	if s.cpuFreeAt.Sub(now) > cpuBacklogCap {
 		return
 	}
 	if s.cpuFreeAt < now {
@@ -226,7 +188,7 @@ func (s *Switch) ensureSweep() {
 		return
 	}
 	s.sweepScheduled = true
-	s.Engine.ScheduleAfter(s.cfg.ExpirySweep, func() {
+	s.Engine.ScheduleAfter(expirySweep, func() {
 		s.sweepScheduled = false
 		s.sweepExpired()
 		for _, e := range s.table.Entries() {
@@ -269,17 +231,11 @@ type Port struct {
 	tx stats.Counter
 }
 
-// Index returns the port index (OF port Index()+1).
-func (p *Port) Index() int { return p.index }
-
 // OFPort returns the 1-based OpenFlow port number.
 func (p *Port) OFPort() uint16 { return uint16(p.index + 1) }
 
 // SetLink attaches the egress link.
 func (p *Port) SetLink(l *wire.Link) { p.mac.SetLink(l) }
-
-// Drops returns egress queue overflow drops.
-func (p *Port) Drops() uint64 { return p.mac.Drops() }
 
 // RxStats and TxStats return the port counters (frame sizes, FCS
 // inclusive).
@@ -322,7 +278,6 @@ func (p *Port) forward(f *wire.Frame, at sim.Time) {
 	}
 	entry := s.table.Lookup(&key)
 	if entry == nil {
-		s.misses++
 		if s.ctl == nil {
 			s.ledger.Report(s.dropHop, wire.DropNoRule, 1)
 			f.Release()
@@ -331,15 +286,15 @@ func (p *Port) forward(f *wire.Frame, at sim.Time) {
 		// Slow path: the CPU builds a PACKET_IN from a copied prefix;
 		// the frame itself goes no further.
 		data := f.Data
-		if len(data) > s.cfg.MissSendLen {
-			data = data[:s.cfg.MissSendLen]
+		if len(data) > s.missSendLen {
+			data = data[:s.missSendLen]
 		}
 		cp := make([]byte, len(data))
 		copy(cp, data)
 		total := uint16(len(f.Data))
 		inPort := p.OFPort()
 		f.Release()
-		s.cpuRun(s.cfg.PacketInCost, func() {
+		s.cpuRun(packetInCost, func() {
 			s.ctl.fromSwitch(&openflow.PacketIn{
 				BufferID: 0xffffffff, TotalLen: total, InPort: inPort,
 				Reason: openflow.ReasonNoMatch, Data: cp,
@@ -485,7 +440,7 @@ func (s *Switch) output(act *openflow.ActionOutput, f *wire.Frame, in *Port, rea
 			copy(cp, data)
 			total := uint16(len(f.Data))
 			inPort := in.OFPort()
-			s.cpuRun(s.cfg.PacketInCost, func() {
+			s.cpuRun(packetInCost, func() {
 				s.ctl.fromSwitch(&openflow.PacketIn{
 					BufferID: 0xffffffff, TotalLen: total, InPort: inPort,
 					Reason: openflow.ReasonAction, Data: cp,
@@ -530,11 +485,10 @@ func (p *Port) enqueue(f *wire.Frame, earliest sim.Time) {
 func (p *Port) Latch(f *wire.Frame, _, _ sim.Time) {
 	f.SrcPort = p.index
 	p.tx.Add(f.Size)
-	p.sw.forwarded.Add(f.Size)
 }
 
 // String describes the switch.
 func (s *Switch) String() string {
 	return fmt.Sprintf("ofswitch(dpid=%#x ports=%d table=%d/%d)",
-		s.cfg.DatapathID, len(s.ports), s.table.Len(), s.cfg.TableCap)
+		s.cfg.DatapathID, len(s.ports), s.table.Len(), tableCap)
 }

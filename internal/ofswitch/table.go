@@ -31,36 +31,18 @@ type Entry struct {
 	Bytes       uint64
 }
 
-// FlowTable is a priority-ordered OpenFlow 1.0 table with an optional
-// exact-match hash fast path: the linear-scan-vs-hash ablation that
-// BenchmarkLookupLinear64Rules and BenchmarkLookupExactPath64Rules
-// compare. docs/ARCHITECTURE.md places ofswitch among the devices
-// under test.
+// FlowTable is a priority-ordered OpenFlow 1.0 table, searched by a
+// linear scan in match order.
 type FlowTable struct {
 	// entries sorted by descending priority; stable insertion order
 	// within equal priority.
 	entries []*Entry
-	// exact indexes exact-match entries by key when the fast path is on.
-	exact map[openflow.Key]*Entry
 
-	Cap          int
-	UseExactPath bool
-
-	lookups uint64
-	hits    uint64
+	Cap int
 }
 
-// NewFlowTable builds a table bounded to cap entries (0 = 65536).
-func NewFlowTable(cap int, exactPath bool) *FlowTable {
-	if cap == 0 {
-		cap = 65536
-	}
-	t := &FlowTable{Cap: cap, UseExactPath: exactPath}
-	if exactPath {
-		t.exact = make(map[openflow.Key]*Entry)
-	}
-	return t
-}
+// NewFlowTable builds a table bounded to cap entries.
+func NewFlowTable(cap int) *FlowTable { return &FlowTable{Cap: cap} }
 
 // Len returns the number of installed entries.
 func (t *FlowTable) Len() int { return len(t.entries) }
@@ -68,33 +50,10 @@ func (t *FlowTable) Len() int { return len(t.entries) }
 // Entries returns the entries in match order (highest priority first).
 func (t *FlowTable) Entries() []*Entry { return t.entries }
 
-// Stats returns lookup and hit counters.
-func (t *FlowTable) Stats() (lookups, hits uint64) { return t.lookups, t.hits }
-
 // Lookup returns the highest-priority entry covering the key, or nil.
 func (t *FlowTable) Lookup(k *openflow.Key) *Entry {
-	t.lookups++
-	if t.UseExactPath {
-		if e, ok := t.exact[*k]; ok {
-			// A wildcard entry with strictly higher priority could still
-			// shadow the exact entry; check the prefix of the scan.
-			best := e
-			for _, cand := range t.entries {
-				if cand.Priority <= best.Priority {
-					break
-				}
-				if cand.Match.Covers(k) {
-					best = cand
-					break
-				}
-			}
-			t.hits++
-			return best
-		}
-	}
 	for _, e := range t.entries {
 		if e.Match.Covers(k) {
-			t.hits++
 			return e
 		}
 	}
@@ -108,7 +67,6 @@ func (t *FlowTable) Add(e *Entry) bool {
 	for i, old := range t.entries {
 		if old.Priority == e.Priority && old.Match == e.Match {
 			t.entries[i] = e
-			t.reindex(old, e)
 			return true
 		}
 	}
@@ -120,22 +78,7 @@ func (t *FlowTable) Add(e *Entry) bool {
 	sort.SliceStable(t.entries, func(i, j int) bool {
 		return t.entries[i].Priority > t.entries[j].Priority
 	})
-	if t.exact != nil && e.Match.Exact() {
-		t.exact[e.Match.ExactKey()] = e
-	}
 	return true
-}
-
-func (t *FlowTable) reindex(old, new *Entry) {
-	if t.exact == nil {
-		return
-	}
-	if old.Match.Exact() {
-		delete(t.exact, old.Match.ExactKey())
-	}
-	if new != nil && new.Match.Exact() {
-		t.exact[new.Match.ExactKey()] = new
-	}
 }
 
 // Modify updates the actions of matching entries (OFPFC_MODIFY
@@ -176,7 +119,6 @@ func (t *FlowTable) Delete(m openflow.Match, priority uint16, outPort uint16, st
 		}
 		if match {
 			removed = append(removed, e)
-			t.reindex(e, nil)
 		} else {
 			keep = append(keep, e)
 		}
@@ -202,7 +144,6 @@ func (t *FlowTable) Expired(now sim.Time) []*Entry {
 			now.Sub(e.LastUsed) >= sim.Duration(e.IdleTimeout)*sim.Second
 		if hard || idle {
 			out = append(out, e)
-			t.reindex(e, nil)
 		} else {
 			keep = append(keep, e)
 		}

@@ -59,15 +59,8 @@ func (m *Match) NwSrcWildBits() int { return int(m.Wildcards >> wildNwSrcShift &
 // NwDstWildBits returns how many low-order bits of NwDst are wildcarded.
 func (m *Match) NwDstWildBits() int { return int(m.Wildcards >> wildNwDstShift & 0x3f) }
 
-// SetNwSrcPrefix sets an exact-prefix match on the source address
+// SetNwDstPrefix sets an exact-prefix match on the destination address
 // (prefixLen 32 = exact host, 0 = any).
-func (m *Match) SetNwSrcPrefix(addr packet.IP4, prefixLen int) {
-	m.NwSrc = addr.Uint32()
-	m.Wildcards = m.Wildcards&^(uint32(0x3f)<<wildNwSrcShift) |
-		uint32(32-prefixLen)<<wildNwSrcShift
-}
-
-// SetNwDstPrefix sets an exact-prefix match on the destination address.
 func (m *Match) SetNwDstPrefix(addr packet.IP4, prefixLen int) {
 	m.NwDst = addr.Uint32()
 	m.Wildcards = m.Wildcards&^(uint32(0x3f)<<wildNwDstShift) |
@@ -237,24 +230,6 @@ func (m *Match) Covers(k *Key) bool {
 	return true
 }
 
-// Exact reports whether the match wildcards nothing (an exact-match
-// entry, eligible for a hash-table fast path).
-func (m *Match) Exact() bool {
-	return m.Wildcards&^(uint32(0x3f)<<wildNwSrcShift|uint32(0x3f)<<wildNwDstShift) == 0 &&
-		m.NwSrcWildBits() == 0 && m.NwDstWildBits() == 0
-}
-
-// ExactKey converts an exact match into its Key (only meaningful when
-// Exact() is true).
-func (m *Match) ExactKey() Key {
-	return Key{
-		InPort: m.InPort, DlSrc: m.DlSrc, DlDst: m.DlDst,
-		DlVlan: m.DlVlan, DlVlanPcp: m.DlVlanPcp, DlType: m.DlType,
-		NwTos: m.NwTos, NwProto: m.NwProto, NwSrc: m.NwSrc, NwDst: m.NwDst,
-		TpSrc: m.TpSrc, TpDst: m.TpDst,
-	}
-}
-
 // Subsumes reports whether every packet o could accept is also accepted
 // by m — the relation OpenFlow 1.0 non-strict DELETE/MODIFY use to pick
 // table entries ("match" in the loose sense of §4.6).
@@ -306,16 +281,6 @@ func (m *Match) Subsumes(o *Match) bool {
 		}
 	}
 	return true
-}
-
-// MatchFromKey builds the exact match for a key.
-func MatchFromKey(k Key) Match {
-	return Match{
-		InPort: k.InPort, DlSrc: k.DlSrc, DlDst: k.DlDst,
-		DlVlan: k.DlVlan, DlVlanPcp: k.DlVlanPcp, DlType: k.DlType,
-		NwTos: k.NwTos, NwProto: k.NwProto, NwSrc: k.NwSrc, NwDst: k.NwDst,
-		TpSrc: k.TpSrc, TpDst: k.TpDst,
-	}
 }
 
 // String renders the non-wildcarded fields.

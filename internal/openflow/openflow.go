@@ -3,15 +3,13 @@
 // FEATURES, FLOW_MOD with the full ofp_match wildcard semantics,
 // PACKET_IN/PACKET_OUT, FLOW_REMOVED, PORT_STATUS, BARRIER and
 // FLOW/PORT/AGGREGATE statistics. Encoding is exact OpenFlow 1.0
-// big-endian wire format, usable over real TCP connections as well as the
-// simulated control channel.
+// big-endian wire format.
 package openflow
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"osnt/internal/packet"
 )
@@ -195,30 +193,6 @@ func newMessage(t MsgType) Message {
 		return &BarrierReply{}
 	}
 	return nil
-}
-
-// WriteMessage writes one framed message to w.
-func WriteMessage(w io.Writer, m Message, xid uint32) error {
-	_, err := w.Write(Encode(m, xid))
-	return err
-}
-
-// ReadMessage reads one framed message from r.
-func ReadMessage(r io.Reader) (Message, uint32, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
-	}
-	length := int(binary.BigEndian.Uint16(hdr[2:4]))
-	if length < HeaderLen {
-		return nil, 0, ErrBadLength
-	}
-	buf := make([]byte, length)
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[HeaderLen:]); err != nil {
-		return nil, 0, fmt.Errorf("openflow: body: %w", err)
-	}
-	return Decode(buf)
 }
 
 // ---- simple messages ----

@@ -80,13 +80,6 @@ func (f Flow) SrcIP4() IP4 { return IP4{f.Src[0], f.Src[1], f.Src[2], f.Src[3]} 
 // DstIP4 returns the IPv4 destination address of a v4 flow.
 func (f Flow) DstIP4() IP4 { return IP4{f.Dst[0], f.Dst[1], f.Dst[2], f.Dst[3]} }
 
-// Reverse returns the flow with endpoints swapped.
-func (f Flow) Reverse() Flow {
-	f.Src, f.Dst = f.Dst, f.Src
-	f.SrcPort, f.DstPort = f.DstPort, f.SrcPort
-	return f
-}
-
 // String renders the flow as "src:port > dst:port/proto".
 func (f Flow) String() string {
 	if f.V6 {
@@ -101,40 +94,12 @@ const (
 	fnvPrime  uint64 = 1099511628211
 )
 
-// Hash returns a 64-bit FNV-1a hash of the flow, suitable for
-// load-balancing captured packets across rings. Different directions of
-// the same conversation hash differently; see SymmetricHash.
-func (f Flow) Hash() uint64 {
-	h := fnvOffset
-	h = fnvBytes(h, f.Src[:])
-	h = fnvBytes(h, f.Dst[:])
-	h = fnvByte(h, f.Proto)
-	h = fnvByte(h, byte(f.SrcPort>>8))
-	h = fnvByte(h, byte(f.SrcPort))
-	h = fnvByte(h, byte(f.DstPort>>8))
-	h = fnvByte(h, byte(f.DstPort))
-	if f.V6 {
-		h = fnvByte(h, 1)
-	}
-	return h
-}
-
-// SymmetricHash hashes both directions of a conversation to the same
-// value (gopacket's FastHash property), so a load balancer keeps
-// request and response on the same queue.
-func (f Flow) SymmetricHash() uint64 {
-	a, b := f.Hash(), f.Reverse().Hash()
-	return a ^ b
-}
-
 func fnvBytes(h uint64, b []byte) uint64 {
 	for _, v := range b {
 		h = (h ^ uint64(v)) * fnvPrime
 	}
 	return h
 }
-
-func fnvByte(h uint64, v byte) uint64 { return (h ^ uint64(v)) * fnvPrime }
 
 // HeaderDigestBytes covers exactly the L2–L4 headers of an untagged
 // IPv4/UDP probe (Ethernet 14 + IPv4 20 + UDP 8). Hashing this prefix

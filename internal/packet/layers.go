@@ -189,9 +189,6 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 // data when TotalLen is implausible).
 func (ip *IPv4) Payload() []byte { return ip.payload }
 
-// HeaderLen returns the header size implied by Options.
-func (ip *IPv4) HeaderLen() int { return IPv4MinLen + (len(ip.Options)+3)/4*4 }
-
 // VerifyChecksum recomputes the header checksum over data's header bytes
 // and reports whether it is consistent. data must be the same slice the
 // header was decoded from.
@@ -233,58 +230,5 @@ func (ip *IPv4) SerializeTo(b *SerializeBuffer, opts SerializeOptions) error {
 	return nil
 }
 
-// IPv6 is a fixed IPv6 header (extension headers are treated as payload).
-type IPv6 struct {
-	TrafficClass uint8
-	FlowLabel    uint32
-	PayloadLen   uint16
-	NextHeader   byte
-	HopLimit     uint8
-	Src, Dst     IP6
-	payload      []byte
-}
-
 // IPv6HeaderLen is the fixed IPv6 header size.
 const IPv6HeaderLen = 40
-
-// DecodeFromBytes parses an IPv6 header, resetting ip.
-func (ip *IPv6) DecodeFromBytes(data []byte) error {
-	if len(data) < IPv6HeaderLen {
-		return ErrTooShort
-	}
-	if data[0]>>4 != 6 {
-		return ErrVersion
-	}
-	ip.TrafficClass = data[0]<<4 | data[1]>>4
-	ip.FlowLabel = beU32(data[0:4]) & 0xfffff
-	ip.PayloadLen = beU16(data[4:6])
-	ip.NextHeader = data[6]
-	ip.HopLimit = data[7]
-	copy(ip.Src[:], data[8:24])
-	copy(ip.Dst[:], data[24:40])
-	end := len(data)
-	if pl := IPv6HeaderLen + int(ip.PayloadLen); pl <= len(data) {
-		end = pl
-	}
-	ip.payload = data[IPv6HeaderLen:end]
-	return nil
-}
-
-// Payload returns the bytes following the fixed header.
-func (ip *IPv6) Payload() []byte { return ip.payload }
-
-// SerializeTo implements SerializableLayer.
-func (ip *IPv6) SerializeTo(b *SerializeBuffer, opts SerializeOptions) error {
-	payloadLen := b.Len()
-	h := b.PrependBytes(IPv6HeaderLen)
-	putU32(h[0:4], 6<<28|uint32(ip.TrafficClass)<<20|ip.FlowLabel&0xfffff)
-	if opts.FixLengths {
-		ip.PayloadLen = uint16(payloadLen)
-	}
-	putU16(h[4:6], ip.PayloadLen)
-	h[6] = ip.NextHeader
-	h[7] = ip.HopLimit
-	copy(h[8:24], ip.Src[:])
-	copy(h[24:40], ip.Dst[:])
-	return nil
-}

@@ -1,6 +1,6 @@
 // Package packet implements the frame parsing and crafting substrate used
 // by the OSNT generator, monitor and the switches under test: Ethernet,
-// 802.1Q, ARP, IPv4, IPv6, UDP, TCP and ICMPv4 codecs plus 5-tuple flow
+// 802.1Q, ARP, IPv4, UDP and TCP codecs plus IPv4/IPv6 5-tuple flow
 // extraction.
 //
 // The API follows the two idioms that made gopacket suitable for
@@ -41,11 +41,6 @@ type MAC [6]byte
 // String renders the address in canonical colon notation.
 func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}
-
-// IsBroadcast reports whether m is ff:ff:ff:ff:ff:ff.
-func (m MAC) IsBroadcast() bool {
-	return m == MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 }
 
 // IsMulticast reports whether the group bit is set.
@@ -100,9 +95,8 @@ type SerializableLayer interface {
 }
 
 // SerializeBuffer accumulates a packet from the innermost layer outward.
-// PrependBytes grows the front (the common case); AppendBytes grows the
-// back (trailers, padding). The buffer keeps headroom across Clear calls
-// so steady-state serialization does not allocate.
+// PrependBytes grows the front. The buffer keeps headroom across Clear
+// calls so steady-state serialization does not allocate.
 type SerializeBuffer struct {
 	buf      []byte
 	start    int
@@ -143,24 +137,6 @@ func (b *SerializeBuffer) PrependBytes(n int) []byte {
 	}
 	b.start -= n
 	return b.buf[b.start : b.start+n]
-}
-
-// AppendBytes returns n bytes of zeroed space at the back of the packet.
-func (b *SerializeBuffer) AppendBytes(n int) []byte {
-	if n < 0 {
-		panic("packet: negative append")
-	}
-	old := len(b.buf)
-	if cap(b.buf) >= old+n {
-		b.buf = b.buf[:old+n]
-		tail := b.buf[old:]
-		for i := range tail {
-			tail[i] = 0
-		}
-		return tail
-	}
-	b.buf = append(b.buf, make([]byte, n)...)
-	return b.buf[old:]
 }
 
 // Clear resets the buffer to empty, preserving capacity and headroom.

@@ -16,9 +16,8 @@ var (
 func TestSerializeBufferPrependAppend(t *testing.T) {
 	b := NewSerializeBuffer(4, 4)
 	copy(b.PrependBytes(3), []byte{1, 2, 3})
-	copy(b.AppendBytes(2), []byte{4, 5})
 	copy(b.PrependBytes(1), []byte{0})
-	want := []byte{0, 1, 2, 3, 4, 5}
+	want := []byte{0, 1, 2, 3}
 	if !bytes.Equal(b.Bytes(), want) {
 		t.Fatalf("Bytes = %v, want %v", b.Bytes(), want)
 	}
@@ -53,8 +52,8 @@ func TestSerializeBufferSteadyStateNoAlloc(t *testing.T) {
 	b := NewSerializeBuffer(64, 128)
 	round := func() {
 		b.Clear()
+		copy(b.PrependBytes(40), make([]byte, 40))
 		copy(b.PrependBytes(20), make([]byte, 20))
-		copy(b.AppendBytes(40), make([]byte, 40))
 	}
 	round()
 	allocs := testing.AllocsPerRun(100, round)
@@ -94,14 +93,14 @@ func TestMACHelpers(t *testing.T) {
 		t.Fatalf("String = %q", mac1.String())
 	}
 	bcast := MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-	if !bcast.IsBroadcast() || !bcast.IsMulticast() {
+	if !bcast.IsMulticast() {
 		t.Fatal("broadcast misclassified")
 	}
-	if mac1.IsMulticast() || mac1.IsBroadcast() {
+	if mac1.IsMulticast() {
 		t.Fatal("unicast misclassified")
 	}
 	mcast := MAC{0x01, 0, 0x5e, 0, 0, 1}
-	if !mcast.IsMulticast() || mcast.IsBroadcast() {
+	if !mcast.IsMulticast() {
 		t.Fatal("multicast misclassified")
 	}
 }
@@ -223,25 +222,27 @@ func TestIPv4Malformed(t *testing.T) {
 	}
 }
 
+// IPv6 is read only by flow extraction: a hand-built Ethernet/IPv6/UDP
+// frame must come back as its v6 5-tuple.
 func TestIPv6RoundTrip(t *testing.T) {
 	src := IP6{0x20, 0x01, 0x0d, 0xb8}
 	dst := IP6{0xfe, 0x80, 15: 0x01}
-	ip := &IPv6{TrafficClass: 0xc0, FlowLabel: 0xabcde, NextHeader: ProtoUDP, HopLimit: 64, Src: src, Dst: dst}
-	b := NewSerializeBuffer(40, 0)
-	out, err := Serialize(b, SerializeOptions{FixLengths: true}, ip, Payload([]byte{1, 2, 3}))
+	l3 := make([]byte, IPv6HeaderLen+UDPHeaderLen)
+	l3[0] = 6 << 4
+	l3[6], l3[7] = ProtoUDP, 64 // next header, hop limit
+	copy(l3[8:24], src[:])
+	copy(l3[24:40], dst[:])
+	putU16(l3[40:42], 1111)
+	putU16(l3[42:44], 2222)
+	eth := &Ethernet{Dst: mac2, Src: mac1, EtherType: EtherTypeIPv6}
+	out, err := Serialize(NewSerializeBuffer(EthernetHeaderLen, 0), SerializeOptions{}, eth, Payload(l3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d IPv6
-	if err := d.DecodeFromBytes(out); err != nil {
-		t.Fatal(err)
-	}
-	if d.TrafficClass != 0xc0 || d.FlowLabel != 0xabcde || d.NextHeader != ProtoUDP ||
-		d.HopLimit != 64 || d.Src != src || d.Dst != dst || d.PayloadLen != 3 {
-		t.Fatalf("decoded %+v", d)
-	}
-	if !bytes.Equal(d.Payload(), []byte{1, 2, 3}) {
-		t.Fatalf("payload %v", d.Payload())
+	f, ok := ExtractFlow(out)
+	if !ok || !f.V6 || f.Src != src || f.Dst != dst || f.Proto != ProtoUDP ||
+		f.SrcPort != 1111 || f.DstPort != 2222 {
+		t.Fatalf("flow %+v (ok=%v)", f, ok)
 	}
 }
 
@@ -301,25 +302,6 @@ func TestTCPRoundTripChecksum(t *testing.T) {
 	}
 	if !d.VerifyChecksum(out, ipA, ipB) {
 		t.Fatal("checksum does not verify")
-	}
-}
-
-func TestICMPv4RoundTrip(t *testing.T) {
-	c := &ICMPv4{Type: ICMPv4EchoRequest, Rest: 0x00010002}
-	b := NewSerializeBuffer(8, 8)
-	out, err := Serialize(b, SerializeOptions{ComputeChecksums: true}, c, Payload([]byte("ping")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d ICMPv4
-	if err := d.DecodeFromBytes(out); err != nil {
-		t.Fatal(err)
-	}
-	if d.Type != ICMPv4EchoRequest || d.Rest != 0x00010002 || string(d.Payload()) != "ping" {
-		t.Fatalf("decoded %+v", d)
-	}
-	if Checksum(out, 0) != 0 {
-		t.Fatal("ICMP checksum does not verify")
 	}
 }
 
@@ -467,35 +449,6 @@ func TestExtractFlowAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ExtractFlow allocates %v/op", allocs)
-	}
-}
-
-func TestFlowHashProperties(t *testing.T) {
-	p := UDPSpec{SrcMAC: mac1, DstMAC: mac2, SrcIP: ipA, DstIP: ipB, SrcPort: 1111, DstPort: 2222, FrameSize: 64}.Build()
-	f, _ := ExtractFlow(p)
-	r := f.Reverse()
-	if f.Hash() == r.Hash() {
-		t.Fatal("directional hash collided for reverse flow")
-	}
-	if f.SymmetricHash() != r.SymmetricHash() {
-		t.Fatal("symmetric hash differs across directions")
-	}
-	if f.Reverse().Reverse() != f {
-		t.Fatal("double reverse != identity")
-	}
-}
-
-// Property: symmetric hash is invariant under reversal for arbitrary
-// flows.
-func TestPropertySymmetricHash(t *testing.T) {
-	f := func(src, dst [4]byte, proto byte, sp, dp uint16) bool {
-		fl := Flow{Proto: proto, SrcPort: sp, DstPort: dp}
-		copy(fl.Src[:4], src[:])
-		copy(fl.Dst[:4], dst[:])
-		return fl.SymmetricHash() == fl.Reverse().SymmetricHash()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
 	}
 }
 

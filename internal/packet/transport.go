@@ -1,6 +1,6 @@
 package packet
 
-// This file holds the transport-layer codecs: UDP, TCP and ICMPv4.
+// This file holds the transport-layer codecs: UDP and TCP.
 
 // pseudoHeader describes the IPv4 network-layer context a transport
 // checksum covers.
@@ -190,54 +190,6 @@ func (t *TCP) SerializeTo(b *SerializeBuffer, opts SerializeOptions) error {
 // VerifyChecksum checks the TCP checksum of a decoded segment.
 func (t *TCP) VerifyChecksum(seg []byte, src, dst IP4) bool {
 	return Checksum(seg, PseudoV4(src, dst, ProtoTCP, len(seg))) == 0
-}
-
-// ICMPv4 message types used in tests and examples.
-const (
-	ICMPv4EchoReply   uint8 = 0
-	ICMPv4EchoRequest uint8 = 8
-)
-
-// ICMPv4 is an ICMPv4 header. Rest carries the type-specific second word
-// (identifier/sequence for echo).
-type ICMPv4 struct {
-	Type, Code uint8
-	Checksum   uint16
-	Rest       uint32
-	payload    []byte
-}
-
-// ICMPv4HeaderLen is the ICMPv4 header size.
-const ICMPv4HeaderLen = 8
-
-// DecodeFromBytes parses an ICMPv4 header, resetting c.
-func (c *ICMPv4) DecodeFromBytes(data []byte) error {
-	if len(data) < ICMPv4HeaderLen {
-		return ErrTooShort
-	}
-	c.Type = data[0]
-	c.Code = data[1]
-	c.Checksum = beU16(data[2:4])
-	c.Rest = beU32(data[4:8])
-	c.payload = data[ICMPv4HeaderLen:]
-	return nil
-}
-
-// Payload returns the ICMP payload.
-func (c *ICMPv4) Payload() []byte { return c.payload }
-
-// SerializeTo implements SerializableLayer.
-func (c *ICMPv4) SerializeTo(b *SerializeBuffer, opts SerializeOptions) error {
-	h := b.PrependBytes(ICMPv4HeaderLen)
-	h[0] = c.Type
-	h[1] = c.Code
-	putU16(h[2:4], 0)
-	putU32(h[4:8], c.Rest)
-	if opts.ComputeChecksums {
-		c.Checksum = Checksum(b.Bytes(), 0)
-	}
-	putU16(h[2:4], c.Checksum)
-	return nil
 }
 
 // Checksum computes the Internet checksum (RFC 1071) of data with an

@@ -45,12 +45,10 @@ var (
 
 // Reader decodes a pcap stream.
 type Reader struct {
-	r        io.Reader
-	order    binary.ByteOrder
-	nano     bool
-	snapLen  uint32
-	linkType uint32
-	hdr      [16]byte
+	r     io.Reader
+	order binary.ByteOrder
+	nano  bool
+	hdr   [16]byte
 }
 
 // NewReader parses the global header and returns a reader positioned at
@@ -75,19 +73,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	default:
 		return nil, ErrBadMagic
 	}
-	p.snapLen = p.order.Uint32(gh[16:20])
-	p.linkType = p.order.Uint32(gh[20:24])
 	return p, nil
 }
-
-// Nano reports whether record timestamps carry nanosecond resolution.
-func (p *Reader) Nano() bool { return p.nano }
-
-// SnapLen returns the file's snapshot length.
-func (p *Reader) SnapLen() uint32 { return p.snapLen }
-
-// LinkType returns the file's link type (1 for Ethernet).
-func (p *Reader) LinkType() uint32 { return p.linkType }
 
 // Next returns the next record, or io.EOF at end of stream. The returned
 // Data is freshly allocated and owned by the caller.

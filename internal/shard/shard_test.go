@@ -31,37 +31,49 @@ func TestCrossLinkRejectsZeroDelay(t *testing.T) {
 			t.Fatal("CrossLink with zero delay did not panic")
 		}
 	}()
-	c.CrossLink(0, 1, c.Engine(0), wire.Rate10G, 0, nil)
+	c.CrossLink(0, 1, c.Engines()[0], wire.Rate10G, 0, nil)
 }
 
 func TestLookaheadIsMinimumCutDelay(t *testing.T) {
-	c := shard.NewCluster(2)
-	defer c.Close()
-	if got := c.Lookahead(); got != 0 {
-		t.Fatalf("lookahead before any boundary link: %v, want 0", got)
+	// windows runs 20 µs with work on both shards every microsecond, so
+	// no window can be skipped and each spans the lookahead.
+	windows := func(delays ...sim.Duration) uint64 {
+		c := shard.NewCluster(2)
+		defer c.Close()
+		var sink topo.Sink
+		for i, d := range delays {
+			src := i % 2
+			c.CrossLink(src, 1-src, c.Engines()[src], wire.Rate10G, d, &sink)
+		}
+		for _, e := range c.Engines() {
+			e.ScheduleEvery(0, sim.Microsecond, func() {})
+		}
+		c.RunUntil(sim.Time(20 * sim.Microsecond))
+		return c.Windows()
 	}
-	var sink topo.Sink
-	c.CrossLink(0, 1, c.Engine(0), wire.Rate10G, 5*sim.Microsecond, &sink)
-	c.CrossLink(1, 0, c.Engine(1), wire.Rate10G, 2*sim.Microsecond, &sink)
-	c.CrossLink(0, 1, c.Engine(0), wire.Rate10G, 9*sim.Microsecond, &sink)
-	if got := c.Lookahead(); got != 2*sim.Microsecond {
-		t.Fatalf("lookahead = %v, want the 2µs minimum cut delay", got)
+	if got := windows(); got != 1 {
+		t.Fatalf("%d windows before any boundary link, want 1 (unbounded lookahead)", got)
+	}
+	// RunUntil is inclusive, so the ticks at 20 µs take one window past
+	// the ten 2 µs windows.
+	if got := windows(5*sim.Microsecond, 2*sim.Microsecond, 9*sim.Microsecond); got != 11 {
+		t.Fatalf("%d windows over 20µs, want 11 (the 2µs minimum cut delay)", got)
 	}
 }
 
 func TestSingleShardPassthrough(t *testing.T) {
 	c := shard.NewCluster(1)
 	defer c.Close()
-	if c.Shards() != 1 || len(c.Engines()) != 1 {
-		t.Fatalf("1-shard cluster reports %d shards / %d engines", c.Shards(), len(c.Engines()))
+	if len(c.Engines()) != 1 {
+		t.Fatalf("1-shard cluster reports %d engines", len(c.Engines()))
 	}
 	fired := 0
-	c.Engine(0).Schedule(sim.Time(100), func() { fired++ })
+	c.Engines()[0].Schedule(sim.Time(100), func() { fired++ })
 	c.RunUntil(sim.Time(50))
 	if fired != 0 {
 		t.Fatal("event before its instant")
 	}
-	c.RunFor(sim.Duration(50))
+	c.RunUntil(sim.Time(100))
 	if fired != 1 {
 		t.Fatalf("event at t=100 fired %d times after RunUntil(100)", fired)
 	}
@@ -89,7 +101,14 @@ type randomScenario struct {
 func makeScenario(rng *sim.Rand) randomScenario {
 	s := randomScenario{testers: 3 + rng.Intn(3), ports: 2}
 	n := s.testers * s.ports
-	s.wire = rng.Perm(n)
+	s.wire = make([]int, n) // a Fisher–Yates permutation of the ports
+	for i := range s.wire {
+		s.wire[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		s.wire[i], s.wire[j] = s.wire[j], s.wire[i]
+	}
 	s.delay = make([]sim.Duration, n)
 	s.seed = make([]uint64, n)
 	for i := range s.delay {
@@ -268,11 +287,11 @@ func TestPanicReraisedAfterEveryShardQuiesces(t *testing.T) {
 	for panicking := 0; panicking < 2; panicking++ {
 		c := shard.NewCluster(2)
 		var sink topo.Sink
-		c.CrossLink(0, 1, c.Engine(0), wire.Rate10G, sim.Microsecond, &sink)
+		c.CrossLink(0, 1, c.Engines()[0], wire.Rate10G, sim.Microsecond, &sink)
 		bystander := 1 - panicking
 		fired := 0
-		c.Engine(panicking).Schedule(sim.Time(5*sim.Microsecond), func() { panic("boom") })
-		c.Engine(bystander).Schedule(sim.Time(5500*sim.Nanosecond), func() { fired++ })
+		c.Engines()[panicking].Schedule(sim.Time(5*sim.Microsecond), func() { panic("boom") })
+		c.Engines()[bystander].Schedule(sim.Time(5500*sim.Nanosecond), func() { fired++ })
 		func() {
 			defer func() {
 				if r := recover(); r != "boom" {
@@ -332,7 +351,7 @@ func TestSparseTrafficStepsWindowsPerFrame(t *testing.T) {
 	}
 	perFrame := float64(c.Windows()) / float64(received)
 	t.Logf("%d windows for %d frames (%.1f per frame; fixed windows would step %d)",
-		c.Windows(), received, perFrame, span/c.Lookahead())
+		c.Windows(), received, perFrame, span/sim.Microsecond)
 	if perFrame > 4 {
 		t.Fatalf("%d windows for %d frames: %.1f per frame, want ≤ 4", c.Windows(), received, perFrame)
 	}
@@ -346,16 +365,17 @@ func BenchmarkClusterWindow(b *testing.B) {
 	c := shard.NewCluster(2)
 	defer c.Close()
 	var sink topo.Sink
-	c.CrossLink(0, 1, c.Engine(0), wire.Rate10G, sim.Microsecond, &sink)
-	la := c.Lookahead()
-	for i := 0; i < c.Shards(); i++ {
-		c.Engine(i).ScheduleEvery(0, la, func() {})
+	c.CrossLink(0, 1, c.Engines()[0], wire.Rate10G, sim.Microsecond, &sink)
+	const la = sim.Microsecond // the lookahead: the one cut delay
+	for _, e := range c.Engines() {
+		e.ScheduleEvery(0, la, func() {})
 	}
-	c.RunFor(100 * la) // first windows: slot and scratch growth
+	warm := sim.Time(0).Add(100 * la)
+	c.RunUntil(warm) // first windows: slot and buffer growth
 	w0 := c.Windows()
 	b.ReportAllocs()
 	b.ResetTimer()
-	c.RunFor(sim.Duration(b.N) * la)
+	c.RunUntil(warm.Add(sim.Duration(b.N) * la))
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.Windows()-w0), "ns/window")
 }

@@ -317,10 +317,6 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// RunFor executes events for a span d of virtual time from the current
-// instant.
-func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
-
 // Peek returns the instant of the next pending event without executing
 // it.
 func (e *Engine) Peek() (Time, bool) { return e.peek() }
@@ -376,14 +372,4 @@ func (t *Ticker) fire() {
 func (t *Ticker) Stop() {
 	t.stopped = true
 	t.ev.Cancel()
-}
-
-// Reset re-arms a stopped ticker to fire at t0 (and every period after),
-// reusing the ticker's event. Stop leaves the event cancel-flagged,
-// possibly still queued; Arm re-keys a queued event in place and pushes a
-// popped one, clearing the flag either way. Resetting a running ticker
-// simply moves its next firing to t0.
-func (t *Ticker) Reset(t0 Time) {
-	t.stopped = false
-	t.engine.Arm(&t.ev, t0)
 }

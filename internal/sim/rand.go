@@ -82,16 +82,3 @@ func (r *Rand) NormFloat64() float64 {
 		return rad * math.Cos(ang)
 	}
 }
-
-// Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -68,16 +68,8 @@ func (t Time) Truncate(d Duration) Time {
 // Picoseconds returns t as an integer count of picoseconds.
 func (t Time) Picoseconds() int64 { return int64(t) }
 
-// Nanoseconds returns t rounded down to nanoseconds.
-func (t Time) Nanoseconds() int64 { return int64(t) / int64(Nanosecond) }
-
 // Seconds returns t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Std converts t to a time.Duration from the simulation epoch, saturating
-// instead of overflowing (time.Duration has nanosecond resolution, so the
-// conversion is always in range for valid Times).
-func (t Time) Std() time.Duration { return time.Duration(t.Nanoseconds()) * time.Nanosecond }
 
 // String formats t with an adaptive unit, e.g. "1.5µs" or "2.000s".
 func (t Time) String() string { return Duration(t).String() }
@@ -85,14 +77,8 @@ func (t Time) String() string { return Duration(t).String() }
 // Picoseconds returns d as an integer count of picoseconds.
 func (d Duration) Picoseconds() int64 { return int64(d) }
 
-// Nanoseconds returns d in nanoseconds, truncated toward zero.
-func (d Duration) Nanoseconds() int64 { return int64(d) / int64(Nanosecond) }
-
 // Seconds returns d as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
-
-// Std converts d to a time.Duration (nanosecond resolution).
-func (d Duration) Std() time.Duration { return time.Duration(d.Nanoseconds()) * time.Nanosecond }
 
 // DurationOf converts a standard library duration into a simulation
 // Duration.
@@ -101,15 +87,8 @@ func DurationOf(d time.Duration) Duration { return Duration(d.Nanoseconds()) * N
 // Picoseconds builds a Duration from an integer picosecond count.
 func Picoseconds(ps int64) Duration { return Duration(ps) }
 
-// Nanoseconds builds a Duration from an integer nanosecond count.
-func Nanoseconds(ns int64) Duration { return Duration(ns) * Nanosecond }
-
 // Milliseconds builds a Duration from an integer millisecond count.
 func Milliseconds(ms int64) Duration { return Duration(ms) * Millisecond }
-
-// Seconds builds a Duration from floating-point seconds. Fractions below
-// one picosecond are truncated.
-func Seconds(s float64) Duration { return Duration(s * float64(Second)) }
 
 // String formats d with an adaptive unit.
 func (d Duration) String() string {

@@ -111,20 +111,11 @@ type Value struct {
 	Bytes []byte
 }
 
-// Int64 builds an INTEGER value.
-func Int64(v int64) Value { return Value{Kind: tagInteger, Int: v} }
-
-// Counter32 builds a Counter32 value.
-func Counter32(v uint32) Value { return Value{Kind: tagCounter32, Int: int64(v)} }
-
 // Counter64 builds a Counter64 value.
 func Counter64(v uint64) Value { return Value{Kind: tagCounter64, Int: int64(v)} }
 
 // TimeTicks builds a TimeTicks value (hundredths of seconds).
 func TimeTicks(v uint32) Value { return Value{Kind: tagTimeTicks, Int: int64(v)} }
-
-// Str builds an OCTET STRING value.
-func Str(s string) Value { return Value{Kind: tagOctetString, Bytes: []byte(s)} }
 
 // Null is the NULL value (used in request varbinds).
 var Null = Value{Kind: tagNull}
@@ -484,17 +475,6 @@ func (a *Agent) next(after OID) (OID, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Walk returns every (OID, value) pair in MIB order, the result of a full
-// GETNEXT walk.
-func (a *Agent) Walk() []VarBind {
-	a.sortOIDs()
-	out := make([]VarBind, 0, len(a.order))
-	for _, oid := range a.order {
-		out = append(out, VarBind{OID: oid, Value: a.vars[oid.String()]()})
-	}
-	return out
 }
 
 // Standard interface-MIB OID prefixes (1.3.6.1.2.1.2.2.1.<col>.<ifIndex>).

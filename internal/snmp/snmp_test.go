@@ -61,11 +61,11 @@ func TestValueEncodings(t *testing.T) {
 	m := Message{Version: Version2c, Community: "c", PDU: PDU{
 		Type: GetResponse, RequestID: 1,
 		VarBinds: []VarBind{
-			{OID: MustOID("1.3.1"), Value: Int64(-300)},
-			{OID: MustOID("1.3.2"), Value: Counter32(4000000000)},
+			{OID: MustOID("1.3.1"), Value: Value{Kind: tagInteger, Int: -300}},
+			{OID: MustOID("1.3.2"), Value: Value{Kind: tagCounter32, Int: 4000000000}},
 			{OID: MustOID("1.3.3"), Value: Counter64(1 << 40)},
 			{OID: MustOID("1.3.4"), Value: TimeTicks(8640000)},
-			{OID: MustOID("1.3.5"), Value: Str("osnt")},
+			{OID: MustOID("1.3.5"), Value: Value{Kind: tagOctetString, Bytes: []byte("osnt")}},
 		},
 	}}
 	got, err := Decode(Encode(m))
@@ -191,9 +191,6 @@ func TestAgentGetNextWalk(t *testing.T) {
 	}
 	if seen[0] != OIDSysUpTime.String() || seen[2] != OIDIfOutOctets.Append(1).String() {
 		t.Fatalf("walk order %v", seen)
-	}
-	if len(a.Walk()) != 3 {
-		t.Fatal("Walk()")
 	}
 }
 

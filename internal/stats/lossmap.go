@@ -50,9 +50,6 @@ func NewLossMap(sent, delivered uint64, ledger *wire.DropLedger) *LossMap {
 	return m
 }
 
-// Entries returns the non-zero loss cells in (hop, reason) order.
-func (m *LossMap) Entries() []LossEntry { return m.entries }
-
 // Attributed returns the total drops across all cells.
 func (m *LossMap) Attributed() uint64 {
 	var n uint64

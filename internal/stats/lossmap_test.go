@@ -36,27 +36,22 @@ func TestLossMapConservation(t *testing.T) {
 
 func TestLossMapEntriesOrderedAndElided(t *testing.T) {
 	l, leaf, spine := lossFixture()
-	lm := NewLossMap(100, 60, l)
-	es := lm.Entries()
-	if len(es) != 3 {
-		t.Fatalf("entries %d, want 3 (zero cells elided)", len(es))
+	rows := NewLossMap(100, 60, l).Table().Rows
+	// One row per non-zero cell, then the totals row.
+	if len(rows) != 4 {
+		t.Fatalf("%d rows, want 3 cells (zero cells elided) and a total", len(rows))
 	}
-	want := []struct {
-		hop    int
-		reason wire.DropReason
-		count  uint64
-	}{
-		{leaf, wire.DropEgressOverflow, 30},
-		{leaf, wire.DropRunt, 2},
-		{spine, wire.DropLookupOverflow, 8},
+	want := [][]any{
+		{leaf, "leaf", wire.DropEgressOverflow, uint64(30), 30.0},
+		{leaf, "leaf", wire.DropRunt, uint64(2), 2.0},
+		{spine, "spine", wire.DropLookupOverflow, uint64(8), 8.0},
 	}
 	for i, w := range want {
-		if es[i].Hop != w.hop || es[i].Reason != w.reason || es[i].Count != w.count {
-			t.Fatalf("entry %d = %+v, want %+v", i, es[i], w)
+		for c := range w {
+			if rows[i][c] != w[c] {
+				t.Fatalf("row %d = %v, want %v", i, rows[i], w)
+			}
 		}
-	}
-	if f := lm.Fraction(es[0]); f != 0.3 {
-		t.Fatalf("Fraction = %v", f)
 	}
 }
 
@@ -91,8 +86,8 @@ func TestLossMapSnapshots(t *testing.T) {
 // ledger, and both the map and its rendered table must keep working.
 func TestLossMapNilLedger(t *testing.T) {
 	lm := NewLossMap(10, 10, nil)
-	if len(lm.Entries()) != 0 {
-		t.Fatalf("nil ledger produced %d entries", len(lm.Entries()))
+	if rows := lm.Table().Rows; len(rows) != 1 {
+		t.Fatalf("nil ledger produced %d cells", len(rows)-1)
 	}
 	if lm.Attributed() != 0 {
 		t.Fatalf("nil ledger attributed %d drops", lm.Attributed())

@@ -30,9 +30,6 @@ func (p *PerHop) Record(i int, v int64) {
 	p.hists[i].Record(v)
 }
 
-// Hops returns the number of hop indices seen.
-func (p *PerHop) Hops() int { return len(p.hists) }
-
 // Hist returns hop i's histogram, or nil when that hop was never
 // recorded.
 func (p *PerHop) Hist(i int) *Histogram {

@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestPerHopRecordsPerIndex(t *testing.T) {
 	p := NewPerHop(2)
@@ -9,17 +12,17 @@ func TestPerHopRecordsPerIndex(t *testing.T) {
 	p.Record(1, 50)
 	// Recording past the initial size grows the set.
 	p.Record(3, 7)
-	if p.Hops() != 4 {
-		t.Fatalf("hops = %d, want 4", p.Hops())
+	if p.Hist(3) == nil || p.Hist(3).Max() != 7 {
+		t.Fatal("hop 3 not grown on record")
 	}
 	if got := p.Hist(0).Mean(); got != 200 {
 		t.Fatalf("hop 0 mean %v, want 200", got)
 	}
-	if got := p.Hist(1).Count(); got != 1 {
-		t.Fatalf("hop 1 count %d, want 1", got)
+	if got := p.Hist(1).Summary(1, ""); !strings.HasPrefix(got, "n=1 ") {
+		t.Fatalf("hop 1 %q, want one sample", got)
 	}
 	// Hop 2 exists (grown) but is empty; out-of-range is nil.
-	if p.Hist(2).Count() != 0 || p.Hist(4) != nil || p.Hist(-1) != nil {
+	if !strings.HasPrefix(p.Hist(2).Summary(1, ""), "n=0 ") || p.Hist(4) != nil || p.Hist(-1) != nil {
 		t.Fatal("gap/out-of-range hop handling")
 	}
 }

@@ -27,9 +27,6 @@ func (p *PerQueue) Set(i int, steered, delivered, dropped uint64) {
 	p.dropped[i] = dropped
 }
 
-// Queues returns the number of queues.
-func (p *PerQueue) Queues() int { return len(p.steered) }
-
 // TotalSteered returns the packets steered across all queues.
 func (p *PerQueue) TotalSteered() uint64 {
 	var n uint64
@@ -74,15 +71,6 @@ func (p *PerQueue) DropFraction(i int) float64 {
 		return 0
 	}
 	return float64(p.dropped[i]) / float64(p.steered[i])
-}
-
-// TotalDropFraction returns aggregate drops over aggregate steered.
-func (p *PerQueue) TotalDropFraction() float64 {
-	total := p.TotalSteered()
-	if total == 0 {
-		return 0
-	}
-	return float64(p.TotalDropped()) / float64(total)
 }
 
 // Imbalance returns the hottest queue's steered count over the per-queue

@@ -1,6 +1,6 @@
 // Package stats provides the streaming statistics the OSNT host tools
-// report: latency histograms with percentile queries, running
-// mean/variance, rate meters and simple time series. Everything is
+// report: latency histograms with percentile queries, packet/byte
+// counters, loss ledgers and the tables experiments print. Everything is
 // allocation-light so it can run inside per-packet callbacks.
 package stats
 
@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -21,7 +20,6 @@ type Histogram struct {
 	counts []uint64
 	count  uint64
 	sum    float64
-	min    int64
 	max    int64
 }
 
@@ -32,10 +30,7 @@ const subBuckets = 1 << subBucketBits
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{
-		counts: make([]uint64, (64-subBucketBits)*subBuckets),
-		min:    math.MaxInt64,
-	}
+	return &Histogram{counts: make([]uint64, (64-subBucketBits)*subBuckets)}
 }
 
 func bucketIndex(v int64) int {
@@ -62,7 +57,7 @@ func bucketLow(i int) int64 {
 
 // Record adds one sample. Negative samples are clamped to zero (latency
 // can round slightly negative when two clocks disagree). The clamp
-// applies before any accumulation, so Mean, Min, Max and every
+// applies before any accumulation, so Mean, Max and every
 // percentile describe the same clamped sample — they can never disagree
 // about a negative tail.
 func (h *Histogram) Record(v int64) {
@@ -70,9 +65,6 @@ func (h *Histogram) Record(v int64) {
 		v = 0
 	}
 	h.sum += float64(v)
-	if v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -80,24 +72,12 @@ func (h *Histogram) Record(v int64) {
 	h.count++
 }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
 // Mean returns the arithmetic mean of the recorded (clamped) samples.
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest recorded sample (clamped at 0), or 0 when
-// empty.
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest recorded sample.
@@ -139,13 +119,8 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.count += o.count
 	h.sum += o.sum
-	if o.count > 0 {
-		if o.min < h.min {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
+	if o.max > h.max {
+		h.max = o.max
 	}
 }
 
@@ -159,38 +134,6 @@ func (h *Histogram) Summary(unit float64, unitName string) string {
 		float64(h.max)/unit, unitName)
 }
 
-// Welford tracks running mean and variance without storing samples.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one sample.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the sample count.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance (n-1 denominator).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
 // Counter is a monotonically increasing event/byte counter pair, the
 // shape of every OSNT hardware statistics register.
 type Counter struct {
@@ -202,11 +145,6 @@ type Counter struct {
 func (c *Counter) Add(n int) {
 	c.Packets++
 	c.Bytes += uint64(n)
-}
-
-// Sub returns the difference c-o, for interval rates.
-func (c Counter) Sub(o Counter) Counter {
-	return Counter{Packets: c.Packets - o.Packets, Bytes: c.Bytes - o.Bytes}
 }
 
 // BitsPerSecond converts a byte delta over elapsed seconds to a bit rate.
@@ -223,43 +161,6 @@ func (c Counter) PacketsPerSecond(elapsed float64) float64 {
 		return 0
 	}
 	return float64(c.Packets) / elapsed
-}
-
-// Series is an append-only (x, y) sequence used to hold experiment
-// curves (e.g. latency vs offered load).
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Point is one sample of a series.
-type Point struct{ X, Y float64 }
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
-
-// YAt returns the Y of the point with the given X, or ok=false.
-func (s *Series) YAt(x float64) (float64, bool) {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.Y, true
-		}
-	}
-	return 0, false
-}
-
-// MaxY returns the largest Y in the series, or 0 when empty.
-func (s *Series) MaxY() float64 {
-	m := math.Inf(-1)
-	for _, p := range s.Points {
-		if p.Y > m {
-			m = p.Y
-		}
-	}
-	if math.IsInf(m, -1) {
-		return 0
-	}
-	return m
 }
 
 // Column is one table column: its header and the fmt verb every cell
@@ -334,27 +235,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Quantiles computes exact quantiles of a small sample set (sorts a
-// copy). For the big streams use Histogram instead.
-func Quantiles(samples []float64, qs ...float64) []float64 {
-	if len(samples) == 0 {
-		return make([]float64, len(qs))
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		pos := q / 100 * float64(len(s)-1)
-		lo := int(pos)
-		hi := lo + 1
-		if hi >= len(s) {
-			out[i] = s[len(s)-1]
-			continue
-		}
-		frac := pos - float64(lo)
-		out[i] = s[lo]*(1-frac) + s[hi]*frac
-	}
-	return out
 }

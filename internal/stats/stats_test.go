@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,7 +8,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.count != 0 || h.Mean() != 0 || h.Percentile(50) != 0 || h.Percentile(0) != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram not all-zero")
 	}
 }
@@ -19,11 +18,11 @@ func TestHistogramBasics(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		h.Record(i)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("Count = %d", h.Count())
+	if h.count != 100 {
+		t.Fatalf("Count = %d", h.count)
 	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("min/max = %d/%d", h.Min(), h.Max())
+	if h.Percentile(0) != 1 || h.Max() != 100 {
+		t.Fatalf("min/max = %d/%d", h.Percentile(0), h.Max())
 	}
 	if m := h.Mean(); m != 50.5 {
 		t.Fatalf("Mean = %v", m)
@@ -85,7 +84,7 @@ func TestPropertyBucketIdempotent(t *testing.T) {
 func TestHistogramNegativeClamp(t *testing.T) {
 	h := NewHistogram()
 	h.Record(-5)
-	if h.Min() != 0 || h.Percentile(50) != 0 {
+	if h.Percentile(0) != 0 || h.Percentile(50) != 0 {
 		t.Fatal("negative sample not clamped to 0 bucket")
 	}
 	if h.Mean() != 0 {
@@ -105,8 +104,8 @@ func TestHistogramNegativeSamplesConsistent(t *testing.T) {
 	if got := h.Mean(); got != 50 {
 		t.Fatalf("Mean = %v, want 50 (clamped samples 0 and 100)", got)
 	}
-	if h.Min() != 0 || h.Max() != 100 {
-		t.Fatalf("min/max = %d/%d, want 0/100", h.Min(), h.Max())
+	if h.Percentile(0) != 0 || h.Max() != 100 {
+		t.Fatalf("min/max = %d/%d, want 0/100", h.Percentile(0), h.Max())
 	}
 	if p0 := h.Percentile(0); float64(p0) > h.Mean() {
 		t.Fatalf("Percentile(0)=%d exceeds Mean=%v", p0, h.Mean())
@@ -154,11 +153,11 @@ func TestHistogramMerge(t *testing.T) {
 		b.Record(i)
 	}
 	a.Merge(b)
-	if a.Count() != 100 {
-		t.Fatalf("merged count = %d", a.Count())
+	if a.count != 100 {
+		t.Fatalf("merged count = %d", a.count)
 	}
-	if a.Min() != 0 || a.Max() != 99 {
-		t.Fatalf("merged min/max = %d/%d", a.Min(), a.Max())
+	if a.Percentile(0) != 0 || a.Max() != 99 {
+		t.Fatalf("merged min/max = %d/%d", a.Percentile(0), a.Max())
 	}
 	// Samples are 0..99, so the 50th smallest (rank ceil(0.5·100)) is 49.
 	if p := a.Percentile(50); p != 49 {
@@ -175,37 +174,6 @@ func TestHistogramSummary(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Fatalf("N = %d", w.N())
-	}
-	if w.Mean() != 5 {
-		t.Fatalf("Mean = %v", w.Mean())
-	}
-	// Sample variance of that classic set is 32/7.
-	if v := w.Variance(); math.Abs(v-32.0/7) > 1e-9 {
-		t.Fatalf("Variance = %v, want %v", v, 32.0/7)
-	}
-	if s := w.Stddev(); math.Abs(s-math.Sqrt(32.0/7)) > 1e-9 {
-		t.Fatalf("Stddev = %v", s)
-	}
-}
-
-func TestWelfordFewSamples(t *testing.T) {
-	var w Welford
-	if w.Variance() != 0 {
-		t.Fatal("variance of empty set")
-	}
-	w.Add(3)
-	if w.Variance() != 0 {
-		t.Fatal("variance of single sample")
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Add(64)
@@ -213,10 +181,7 @@ func TestCounter(t *testing.T) {
 	if c.Packets != 2 || c.Bytes != 1564 {
 		t.Fatalf("counter %+v", c)
 	}
-	d := c.Sub(Counter{Packets: 1, Bytes: 64})
-	if d.Packets != 1 || d.Bytes != 1500 {
-		t.Fatalf("sub %+v", d)
-	}
+	d := Counter{Packets: 1, Bytes: 1500}
 	if bps := d.BitsPerSecond(2); bps != 6000 {
 		t.Fatalf("bps = %v", bps)
 	}
@@ -225,26 +190,6 @@ func TestCounter(t *testing.T) {
 	}
 	if d.BitsPerSecond(0) != 0 || d.PacketsPerSecond(-1) != 0 {
 		t.Fatal("zero elapsed must not divide")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(1, 10)
-	s.Add(2, 30)
-	s.Add(3, 20)
-	if y, ok := s.YAt(2); !ok || y != 30 {
-		t.Fatalf("YAt(2) = %v %v", y, ok)
-	}
-	if _, ok := s.YAt(99); ok {
-		t.Fatal("YAt of missing x")
-	}
-	if s.MaxY() != 30 {
-		t.Fatalf("MaxY = %v", s.MaxY())
-	}
-	var empty Series
-	if empty.MaxY() != 0 {
-		t.Fatal("MaxY of empty series")
 	}
 }
 
@@ -268,20 +213,6 @@ func TestTableString(t *testing.T) {
 	}
 	if tb.Col("rate") != 1 || tb.Col("loss") != -1 {
 		t.Fatalf("Col: rate %d, loss %d", tb.Col("rate"), tb.Col("loss"))
-	}
-}
-
-func TestQuantiles(t *testing.T) {
-	s := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	qs := Quantiles(s, 0, 50, 100)
-	if qs[0] != 1 || qs[2] != 10 {
-		t.Fatalf("q0/q100 = %v/%v", qs[0], qs[2])
-	}
-	if qs[1] != 5.5 {
-		t.Fatalf("median = %v, want 5.5", qs[1])
-	}
-	if got := Quantiles(nil, 50); got[0] != 0 {
-		t.Fatal("empty quantiles")
 	}
 }
 

@@ -146,7 +146,6 @@ type Switch struct {
 	sprays  uint64
 
 	lookupDrops uint64
-	floods      uint64
 	forwarded   stats.Counter
 
 	// Loss attribution: every drop path reports (dropHop, reason) into
@@ -239,11 +238,6 @@ func (s *Switch) LearnGroup(mac packet.MAC, gid int) {
 	s.fdb[mac] = -gid
 }
 
-// GroupPorts returns the member ports of group gid.
-func (s *Switch) GroupPorts(gid int) []int {
-	return append([]int(nil), s.groups[gid-1]...)
-}
-
 // sprayMember picks the group member carrying this frame: the hardware
 // digest over the L2–L4 headers (packet.HeaderDigestBytes — ECMP must
 // hash headers only, or the embedded TX timestamp would move a flow
@@ -278,9 +272,6 @@ func (s *Switch) Learn(mac packet.MAC, port int) {
 // NumPorts returns the port count.
 func (s *Switch) NumPorts() int { return len(s.ports) }
 
-// Rate returns the per-port line rate.
-func (s *Switch) Rate() wire.Rate { return s.cfg.Rate }
-
 // PortRate returns port i's line rate: its PortRates override when set,
 // the switch-wide Rate otherwise.
 func (s *Switch) PortRate(i int) wire.Rate {
@@ -290,14 +281,8 @@ func (s *Switch) PortRate(i int) wire.Rate {
 	return s.cfg.Rate
 }
 
-// HopID returns the switch's hop-trace ID (0 = stamping disabled).
-func (s *Switch) HopID() int { return s.cfg.HopID }
-
 // Port returns port i.
 func (s *Switch) Port(i int) *Port { return s.ports[i] }
-
-// Mode returns the forwarding mode.
-func (s *Switch) Mode() ForwardingMode { return s.cfg.Mode }
 
 // LookupDrops returns packets dropped at saturated ingress lookup
 // pipelines.
@@ -306,20 +291,8 @@ func (s *Switch) LookupDrops() uint64 { return s.lookupDrops }
 // Sprays returns the number of ECMP member selections performed.
 func (s *Switch) Sprays() uint64 { return s.sprays }
 
-// Floods returns packets flooded for unknown/broadcast destinations.
-func (s *Switch) Floods() uint64 { return s.floods }
-
 // Forwarded returns counters over frames that left an egress queue.
 func (s *Switch) Forwarded() stats.Counter { return s.forwarded }
-
-// MACTable returns a copy of the learned station table.
-func (s *Switch) MACTable() map[packet.MAC]int {
-	out := make(map[packet.MAC]int, len(s.fdb))
-	for k, v := range s.fdb {
-		out[k] = v
-	}
-	return out
-}
 
 // receive admits a run to the port's lookup pipeline when its first
 // frame has fully arrived (the event fires at the last bit; cut-through
@@ -544,7 +517,6 @@ func (s *Switch) decide(d pendingLookup) {
 // are down). The egress queues take clones, so the ingress frame goes
 // back to its pool.
 func (s *Switch) flood(d pendingLookup, f *wire.Frame) {
-	s.floods++
 	for i, port := range s.ports {
 		if i == d.inPort || port.mac.Link() == nil {
 			continue
@@ -570,8 +542,8 @@ func (s *Switch) flood(d pendingLookup, f *wire.Frame) {
 // the MAC, and real converting hardware buffers the whole frame. The
 // boundary is detected against the frame's *actual* ingress occupancy
 // (lastBit − firstBit, which encodes the arrival wire's rate), not the
-// ingress port's nominal rate — a topo Convert edge can legally deliver a
-// slower wire into a faster port, and that boundary must store too.
+// ingress port's nominal rate — a hand-built link can deliver a slower
+// wire into a faster port, and that boundary must store too.
 // Same-rate forwarding keeps the lookup-derived instant untouched, so
 // uniform-rate switches behave exactly as before. The boundary flag also
 // classifies any overflow drop: losing frames at a conversion point is
@@ -622,9 +594,6 @@ type Port struct {
 	// many); the LookupQueueCap check is against frames, as on hardware.
 	lookupFrames int
 }
-
-// Index returns the port number.
-func (p *Port) Index() int { return p.index }
 
 // SetLink attaches the egress link.
 func (p *Port) SetLink(l *wire.Link) { p.mac.SetLink(l) }

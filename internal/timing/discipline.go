@@ -40,37 +40,26 @@ func (c *FreeClock) Now(t sim.Time) Timestamp {
 type Discipline struct {
 	Osc *Oscillator
 
-	// Kp and Ki are the proportional and integral servo gains applied to
-	// the measured offset (in ppm per second-of-offset-per-second). The
-	// defaults from NewDiscipline converge in a few tens of PPS edges.
-	Kp, Ki float64
-	// MaxSlewPPM caps the magnitude of a single frequency correction, as
-	// real servos do to ride through a GPS glitch.
-	MaxSlewPPM float64
-	// StepThreshold: offsets larger than this are corrected by stepping
-	// the phase outright rather than slewing (cold-start behaviour).
-	StepThreshold sim.Duration
-
 	integral float64 // integral of offset, in ppm
-	locked   bool
-	edges    int
-
-	// history of |offset| observed at each PPS edge, for reporting.
-	offsets []sim.Duration
 }
 
-// NewDiscipline returns a servo with gains suitable for the simulated
-// oscillator parameters (converges within ~30 PPS edges for ±50 ppm
-// initial error).
-func NewDiscipline(osc *Oscillator) *Discipline {
-	return &Discipline{
-		Osc:           osc,
-		Kp:            0.7e6,  // 0.7 ppm per µs of offset
-		Ki:            0.15e6, // 0.15 ppm·s⁻¹ per µs of offset
-		MaxSlewPPM:    100,
-		StepThreshold: 10 * sim.Millisecond,
-	}
-}
+// The servo's constants, suited to the simulated oscillator parameters:
+// it converges within ~30 PPS edges for ±50 ppm initial error.
+const (
+	// kp and ki are the proportional and integral gains applied to the
+	// measured offset (in ppm per second-of-offset-per-second).
+	kp = 0.7e6  // 0.7 ppm per µs of offset
+	ki = 0.15e6 // 0.15 ppm·s⁻¹ per µs of offset
+	// maxSlewPPM caps the magnitude of a single frequency correction, as
+	// real servos do to ride through a GPS glitch.
+	maxSlewPPM = 100
+	// stepThreshold: offsets larger than this are corrected by stepping
+	// the phase outright rather than slewing (cold-start behaviour).
+	stepThreshold = 10 * sim.Millisecond
+)
+
+// NewDiscipline returns a servo for the oscillator.
+func NewDiscipline(osc *Oscillator) *Discipline { return &Discipline{Osc: osc} }
 
 // Start begins disciplining: the servo observes a PPS edge at every whole
 // true second on the engine, beginning at the next one.
@@ -83,54 +72,27 @@ func (d *Discipline) Start(e *sim.Engine) {
 func (d *Discipline) onPPS(t sim.Time) {
 	dev := d.Osc.DeviceTimeAt(t)
 	offset := dev.Sub(t) // positive: device clock runs fast
-	d.edges++
-	d.offsets = append(d.offsets, absDur(offset))
 
-	if absDur(offset) > d.StepThreshold {
+	if absDur(offset) > stepThreshold {
 		// Cold start or gross error: step the phase, leave frequency to
 		// the servo on subsequent edges.
 		d.Osc.AdjustPhase(-offset)
-		d.locked = false
 		d.integral = 0
 		return
 	}
 
 	offSec := offset.Seconds() // seconds of phase error per 1 s of PPS interval
 	d.integral += offSec
-	corr := d.Kp*offSec + d.Ki*d.integral // ppm
-	if corr > d.MaxSlewPPM {
-		corr = d.MaxSlewPPM
-	} else if corr < -d.MaxSlewPPM {
-		corr = -d.MaxSlewPPM
+	corr := kp*offSec + ki*d.integral // ppm
+	if corr > maxSlewPPM {
+		corr = maxSlewPPM
+	} else if corr < -maxSlewPPM {
+		corr = -maxSlewPPM
 	}
 	d.Osc.AdjustFreqPPM(-corr)
 	// Slew out the residual phase error immediately; the quantity is small
 	// (sub-µs once near lock) so this models a fine phase adjustment.
 	d.Osc.AdjustPhase(-offset)
-	if absDur(offset) < 1*sim.Microsecond {
-		d.locked = true
-	}
-}
-
-// Locked reports whether the most recent PPS offset was below 1 µs.
-func (d *Discipline) Locked() bool { return d.locked }
-
-// Edges returns the number of PPS edges processed.
-func (d *Discipline) Edges() int { return d.edges }
-
-// MaxOffsetAfter returns the worst absolute PPS offset observed after the
-// first skip edges — the steady-state error bound once lock is reached.
-func (d *Discipline) MaxOffsetAfter(skip int) sim.Duration {
-	var max sim.Duration
-	for i, o := range d.offsets {
-		if i < skip {
-			continue
-		}
-		if o > max {
-			max = o
-		}
-	}
-	return max
 }
 
 func absDur(d sim.Duration) sim.Duration {

@@ -51,12 +51,6 @@ func (ts Timestamp) Sim() sim.Time {
 	return sim.Time(sec*picosPerSecond + ps)
 }
 
-// Seconds returns the whole-seconds field.
-func (ts Timestamp) Seconds() uint32 { return uint32(ts >> 32) }
-
-// Frac returns the 32-bit binary fraction-of-second field.
-func (ts Timestamp) Frac() uint32 { return uint32(ts) }
-
 // Sub returns the signed difference ts-u as a virtual duration. Because
 // both operands share the 32.32 format the subtraction is exact to the
 // fraction unit before conversion to picoseconds.

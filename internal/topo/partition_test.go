@@ -6,6 +6,7 @@ import (
 
 	"osnt/internal/netfpga"
 	"osnt/internal/sim"
+	"osnt/internal/stats"
 	"osnt/internal/switchsim"
 	"osnt/internal/wire"
 )
@@ -16,6 +17,9 @@ import (
 func passLink(src, dst int, e *sim.Engine, rate wire.Rate, delay sim.Duration, peer wire.Endpoint) *wire.Link {
 	return wire.NewLink(e, rate, delay, peer)
 }
+
+// attributed is every drop in the ledger, as the loss map reports it.
+func attributed(l *wire.DropLedger) uint64 { return stats.NewLossMap(0, 0, l).Attributed() }
 
 // twoShards maps t0/sw0 to shard 0 and everything else to shard 1.
 func twoShards(name string) int {
@@ -141,59 +145,54 @@ func TestPartitionedDropsMerge(t *testing.T) {
 	if got := m.Count(h1, wire.DropEgressOverflow); got != 5 {
 		t.Fatalf("merged count for sw1 = %d, want 5", got)
 	}
-	if m.Total() != 8 {
-		t.Fatalf("merged total = %d, want 8", m.Total())
+	if got := attributed(m); got != 8 {
+		t.Fatalf("merged total = %d, want 8", got)
 	}
 	// Drops snapshots are fresh: reporting more afterwards shows up in a
 	// re-taken snapshot, not the old one.
 	tp.ledgers[0].Report(h0, wire.DropEgressOverflow, 1)
-	if m.Total() != 8 {
+	if attributed(m) != 8 {
 		t.Fatal("snapshot mutated after the fact")
 	}
-	if tp.Drops().Total() != 9 {
-		t.Fatalf("fresh snapshot total = %d, want 9", tp.Drops().Total())
+	if got := attributed(tp.Drops()); got != 9 {
+		t.Fatalf("fresh snapshot total = %d, want 9", got)
 	}
 }
 
+// keyRecorder is an Exporter that records the delivery key each
+// exported run carries.
+type keyRecorder struct{ keys []uint64 }
+
+func (k *keyRecorder) Export(r wire.Run, _, _ sim.Time, key uint64) {
+	k.keys = append(k.keys, key)
+	r.Release()
+}
+
 // TestDeliveryKeysArePartitionIndependent pins the structural-priority
-// contract at the topo layer: every positive-delay link gets the same
-// delivery key whether the graph is built on one engine or across a
-// cut, because keys are assigned in edge-declaration order before any
-// partition concern. Zero-delay links keep wire's default (no key).
+// contract at the topo layer: positive-delay links are keyed in
+// edge-declaration order before any partition concern, so a cut edge
+// exports under the key a single-engine build gives the same edge. The
+// zero-delay link is declared first and takes no key.
 func TestDeliveryKeysArePartitionIndependent(t *testing.T) {
-	declare := func() *Builder {
-		return New().
-			Tester("t0", netfpga.Config{Ports: 2}).
-			Tester("t1", netfpga.Config{Ports: 2}).
-			Link("t0:1", "t0:0"). // zero delay: no key
-			LinkAt("t0:0", "t1:0", 0, sim.Microsecond).
-			LinkAt("t1:0", "t0:1", 0, 2*sim.Microsecond)
+	rec := &keyRecorder{}
+	p := twoEnginePartition()
+	p.CrossLink = func(_, _ int, e *sim.Engine, rate wire.Rate, delay sim.Duration, _ wire.Endpoint) *wire.Link {
+		return wire.NewExportLink(e, rate, delay, rec)
 	}
-	keys := func(tp *Topology) []uint64 {
-		var out []uint64
-		for _, ref := range []string{"t0:1", "t0:0", "t1:0"} {
-			out = append(out, tp.Port(ref).Link().DeliveryKey())
-		}
-		return out
-	}
-	single, err := declare().Build(sim.NewEngine())
+	tp, err := New().
+		Tester("t0", netfpga.Config{Ports: 2}).
+		Tester("t1", netfpga.Config{Ports: 2}).
+		Link("t0:1", "t0:0"). // zero delay: no key
+		LinkAt("t0:0", "t1:0", 0, sim.Microsecond).
+		LinkAt("t1:0", "t0:1", 0, 2*sim.Microsecond).
+		BuildPartitioned(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := declare().BuildPartitioned(twoEnginePartition())
-	if err != nil {
-		t.Fatal(err)
+	for _, ref := range []string{"t0:0", "t1:0"} {
+		tp.Port(ref).Link().Transmit(wire.One(wire.NewFrame(make([]byte, 60))), 0)
 	}
-	ks, kp := keys(single), keys(split)
-	for i := range ks {
-		if ks[i] != kp[i] {
-			t.Fatalf("delivery keys diverge across partitioning: single %v, split %v", ks, kp)
-		}
-	}
-	if ks[0] != sim.PrioDefault {
-		t.Fatalf("zero-delay link carries key %d, want the PrioDefault sentinel", ks[0])
-	}
-	if ks[1] != 1 || ks[2] != 2 {
-		t.Fatalf("positive-delay links keyed %v, want declaration order 1, 2", ks[1:])
+	if len(rec.keys) != 2 || rec.keys[0] != 1 || rec.keys[1] != 2 {
+		t.Fatalf("cut links exported under keys %v, want declaration order 1, 2", rec.keys)
 	}
 }

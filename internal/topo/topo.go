@@ -11,10 +11,10 @@
 //		Link("osnt:0", "sw:0").
 //		Duplex("osnt:1", "sw:1").
 //		MustBuild(engine)
-//	dev, sw := t.Tester("osnt"), t.DUT("sw")
+//	card, sw := t.Tester("osnt"), t.DUT("sw")
 //
 // Node kinds are the vocabulary of the paper's rigs: a Tester is one OSNT
-// device (a simulated NetFPGA card plus host drivers, core.Device), a DUT
+// device (a simulated NetFPGA card, netfpga.Card), a DUT
 // is a legacy switch under test (switchsim.Switch), an OFSwitch is an
 // OpenFlow switch (ofswitch.Switch), and a Sink is a terminal endpoint
 // that counts and releases whatever reaches it. Edges are unidirectional
@@ -31,11 +31,9 @@
 // Rates are resolved per port, not per device: a DUT whose switchsim
 // config carries PortRates can expose a 40G uplink next to 10G edge
 // ports, and each edge must match the rate of the specific ports it
-// joins. An edge between ports at *different* rates is still an error at
-// a dumb cable, but may be declared as an explicit conversion edge
-// (Convert) when at least one endpoint is a DUT — the device
-// that store-and-forwards across the rate boundary. A conversion edge
-// serialises at the transmitting port's rate. DUTs are also assigned
+// joins; a cable between ports at different rates is an error. A rate
+// boundary lives inside a mixed-rate DUT, which store-and-forwards
+// across it. DUTs are also assigned
 // sequential hop IDs (1, 2, ... in declaration order, unless the config
 // pins one), so chains of switches stamp per-hop egress timestamps into
 // every frame's wire.HopTrace and latency decomposes hop by hop.
@@ -46,7 +44,6 @@ import (
 	"strconv"
 	"strings"
 
-	"osnt/internal/core"
 	"osnt/internal/mon"
 	"osnt/internal/netfpga"
 	"osnt/internal/ofswitch"
@@ -98,7 +95,7 @@ type node struct {
 
 	// instantiated handles (one of these, post-Build). The sink lives in
 	// the node itself: one allocation per node, not two.
-	tester *core.Device
+	tester *netfpga.Card
 	dut    *switchsim.Switch
 	of     *ofswitch.Switch
 	sink   Sink
@@ -109,15 +106,10 @@ type node struct {
 type Edge struct {
 	From, To string
 	// Rate is the link speed; 0 inherits the endpoints' native port rate
-	// (which must then agree, unless Convert is set).
+	// (which must then agree).
 	Rate wire.Rate
 	// Delay is the propagation delay.
 	Delay sim.Duration
-	// Convert marks a speed-conversion edge: the endpoints' port rates
-	// may differ, provided at least one endpoint is a DUT (the device
-	// that store-and-forwards across the boundary). The wire serialises
-	// at the transmitting port's rate; Rate, if set, must equal it.
-	Convert bool
 }
 
 // Builder accumulates a scenario graph. Declaration order is preserved:
@@ -169,8 +161,7 @@ func (b *Builder) addNode(n *node) *Builder {
 	return b
 }
 
-// Tester declares one OSNT tester (a simulated NetFPGA card plus host
-// drivers).
+// Tester declares one OSNT tester (a simulated NetFPGA card).
 func (b *Builder) Tester(name string, cfg netfpga.Config) *Builder {
 	return b.addNode(&node{name: name, kind: kindTester, testerCfg: cfg})
 }
@@ -213,20 +204,6 @@ func (b *Builder) Duplex(a, c string) *Builder {
 // DuplexAt is Duplex with an explicit rate and propagation delay.
 func (b *Builder) DuplexAt(a, c string, rate wire.Rate, delay sim.Duration) *Builder {
 	return b.LinkAt(a, c, rate, delay).LinkAt(c, a, rate, delay)
-}
-
-// Convert declares a unidirectional speed-conversion edge from → to:
-// the endpoints' port rates may differ when at least one endpoint is a
-// DUT, and the wire runs at the transmitting port's rate.
-func (b *Builder) Convert(from, to string) *Builder {
-	b.edges = append(b.edges, Edge{From: from, To: to, Convert: true})
-	return b
-}
-
-// Add appends a pre-built Edge (the non-fluent spelling of Link/LinkAt).
-func (b *Builder) Add(e Edge) *Builder {
-	b.edges = append(b.edges, e)
-	return b
 }
 
 // offsetRef shifts the port of a "node" or "node:port" reference by k
@@ -272,14 +249,9 @@ func (b *Builder) GroupAt(from, to string, n int, rate wire.Rate, delay sim.Dura
 	return b
 }
 
-// GroupDuplex declares the two directions of an n-wide group link: n
-// parallel cables between a's ports a..a+n-1 and c's ports c..c+n-1.
-func (b *Builder) GroupDuplex(a, c string, n int) *Builder {
-	return b.Group(a, c, n).Group(c, a, n)
-}
-
-// GroupDuplexAt is GroupDuplex with an explicit per-member rate and
-// propagation delay.
+// GroupDuplexAt declares the two directions of an n-wide group link: n
+// parallel cables between a's ports a..a+n-1 and c's ports c..c+n-1, at
+// an explicit per-member rate and propagation delay.
 func (b *Builder) GroupDuplexAt(a, c string, n int, rate wire.Rate, delay sim.Duration) *Builder {
 	return b.GroupAt(a, c, n, rate, delay).GroupAt(c, a, n, rate, delay)
 }
@@ -336,7 +308,7 @@ func resolveRef(byName map[string]*node, ref string) (endpoint, error) {
 func (n *node) numPorts() int {
 	switch n.kind {
 	case kindTester:
-		return n.tester.Card.NumPorts()
+		return n.tester.NumPorts()
 	case kindDUT:
 		return n.dut.NumPorts()
 	case kindOFSwitch:
@@ -352,7 +324,7 @@ func (n *node) numPorts() int {
 func (n *node) rateAt(port int) wire.Rate {
 	switch n.kind {
 	case kindTester:
-		return n.tester.Card.Rate()
+		return n.tester.Rate()
 	case kindDUT:
 		return n.dut.PortRate(port)
 	case kindOFSwitch:
@@ -367,7 +339,7 @@ func (n *node) rateAt(port int) wire.Rate {
 func (n *node) rxEndpoint(port int) wire.Endpoint {
 	switch n.kind {
 	case kindTester:
-		return n.tester.Card.Port(port)
+		return n.tester.Port(port)
 	case kindDUT:
 		return n.dut.Port(port)
 	case kindOFSwitch:
@@ -382,7 +354,7 @@ func (n *node) rxEndpoint(port int) wire.Endpoint {
 func (n *node) setLink(port int, l *wire.Link) {
 	switch n.kind {
 	case kindTester:
-		n.tester.Card.Port(port).SetLink(l)
+		n.tester.Port(port).SetLink(l)
 	case kindDUT:
 		n.dut.Port(port).SetLink(l)
 	case kindOFSwitch:
@@ -501,7 +473,7 @@ func (b *Builder) BuildPartitioned(p Partition) (*Topology, error) {
 		e := p.Engines[n.shard]
 		switch n.kind {
 		case kindTester:
-			n.tester = core.NewDevice(e, n.testerCfg)
+			n.tester = netfpga.New(e, n.testerCfg)
 		case kindDUT:
 			cfg := n.dutCfg
 			if cfg.HopID == 0 {
@@ -560,7 +532,7 @@ func (b *Builder) BuildPartitioned(p Partition) (*Topology, error) {
 		case kindTester:
 			n.hop = drops.Add(n.name)
 			register(n)
-			n.tester.Card.SetDropSite(ledgers[n.shard], n.hop)
+			n.tester.SetDropSite(ledgers[n.shard], n.hop)
 		}
 	}
 
@@ -623,42 +595,25 @@ func (b *Builder) BuildPartitioned(p Partition) (*Topology, error) {
 		// Resolve the link rate and demand agreement with both endpoints'
 		// native port rates: a 40G fibre into a 10G MAC is a miswiring.
 		// Rates resolve per port (a mixed-rate DUT exposes different
-		// rates on different ports). A genuine rate boundary is legal
-		// only on an explicit conversion edge anchored at a DUT, which
-		// serialises at the transmitting port's rate.
+		// rates on different ports).
 		rate := edge.Rate
 		fromRate := from.n.rateAt(from.port)
 		toRate := to.n.rateAt(to.port)
-		if edge.Convert {
-			if from.n.kind != kindDUT && to.n.kind != kindDUT {
-				fail(fmt.Errorf("topo: conversion edge %s → %s joins no DUT (only a DUT store-and-forwards across a rate boundary)",
-					edge.From, edge.To))
+		if fromRate != 0 && toRate != 0 && fromRate != toRate {
+			fail(fmt.Errorf("topo: edge %s → %s joins %s %q at %v to %s %q at %v",
+				edge.From, edge.To, from.n.kind, from.n.name, fromRate, to.n.kind, to.n.name, toRate))
+			continue
+		}
+		for _, native := range []wire.Rate{fromRate, toRate} {
+			if native == 0 {
 				continue
 			}
 			if rate == 0 {
-				rate = fromRate
-			} else if fromRate != 0 && rate != fromRate {
-				fail(fmt.Errorf("topo: conversion edge %s → %s at %v, but the transmitting %s %q port runs at %v",
-					edge.From, edge.To, rate, from.n.kind, from.n.name, fromRate))
-				continue
-			}
-		} else {
-			if fromRate != 0 && toRate != 0 && fromRate != toRate {
-				fail(fmt.Errorf("topo: edge %s → %s joins %s %q at %v to %s %q at %v; use a Convert edge at a DUT for store-and-forward speed conversion",
-					edge.From, edge.To, from.n.kind, from.n.name, fromRate, to.n.kind, to.n.name, toRate))
-				continue
-			}
-			for _, native := range []wire.Rate{fromRate, toRate} {
-				if native == 0 {
-					continue
-				}
-				if rate == 0 {
-					rate = native
-				} else if rate != native {
-					fail(fmt.Errorf("topo: edge %s → %s at %v, but its ports run at %v",
-						edge.From, edge.To, rate, native))
-					break
-				}
+				rate = native
+			} else if rate != native {
+				fail(fmt.Errorf("topo: edge %s → %s at %v, but its ports run at %v",
+					edge.From, edge.To, rate, native))
+				break
 			}
 		}
 		if rate == 0 {
@@ -813,8 +768,8 @@ func (t *Topology) node(name string, k kind) *node {
 	return n
 }
 
-// Tester returns the named OSNT tester.
-func (t *Topology) Tester(name string) *core.Device { return t.node(name, kindTester).tester }
+// Tester returns the named OSNT tester's card.
+func (t *Topology) Tester(name string) *netfpga.Card { return t.node(name, kindTester).tester }
 
 // DUT returns the named legacy switch.
 func (t *Topology) DUT(name string) *switchsim.Switch { return t.node(name, kindDUT).dut }
@@ -837,7 +792,7 @@ func (t *Topology) Port(ref string) *netfpga.Port {
 	if ep.n.kind != kindTester {
 		panic(fmt.Sprintf("topo: node %q is a %s, not a tester", ep.n.name, ep.n.kind))
 	}
-	return ep.n.tester.Card.Port(ep.port)
+	return ep.n.tester.Port(ep.port)
 }
 
 // AttachMonitor attaches a capture engine to a tester port declared in

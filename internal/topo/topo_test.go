@@ -151,7 +151,7 @@ func TestBuildWiresWorkingTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2.Start(e.Now())
-	e.RunFor(10 * sim.Microsecond)
+	e.RunUntil(e.Now().Add(10 * sim.Microsecond))
 	g2.Stop()
 	e.Run()
 	if got := tp.Sink("drop").Received().Packets; got != g2.Sent().Packets {
@@ -172,7 +172,7 @@ func TestBuildOFSwitchNode(t *testing.T) {
 	if tp.OFSwitch("sw").NumPorts() != 4 {
 		t.Fatal("OF switch not instantiated with default ports")
 	}
-	if tp.Tester("osnt").Card.Port(0).Link() == nil {
+	if tp.Tester("osnt").Port(0).Link() == nil {
 		t.Fatal("tester port 0 has no egress link")
 	}
 }
@@ -307,43 +307,6 @@ func TestBuild40GLoopback(t *testing.T) {
 	}
 }
 
-// A rate boundary on a plain edge is a miswiring; the same boundary on a
-// Convert edge anchored at a DUT builds, with the wire serialising at the
-// transmitting port's rate.
-func TestConvertEdgeLegalisesRateBoundary(t *testing.T) {
-	wantBuildError(t,
-		New().Tester("osnt", netfpga.Config{Rate: wire.Rate40G}).
-			DUT("sw", switchsim.Config{}).
-			Link("osnt:0", "sw:0"),
-		"Convert edge")
-	e := sim.NewEngine()
-	tp := New().
-		Tester("osnt", netfpga.Config{Rate: wire.Rate40G}).
-		DUT("sw", switchsim.Config{}).
-		Convert("osnt:0", "sw:0").
-		Convert("sw:1", "osnt:1").
-		MustBuild(e)
-	// The conversion wire runs at the transmitter's 40G rate.
-	if l := tp.Tester("osnt").Card.Port(0).Link(); l.Rate != wire.Rate40G {
-		t.Fatalf("conversion edge rate %v, want %v", l.Rate, wire.Rate40G)
-	}
-}
-
-func TestConvertEdgeNeedsDUT(t *testing.T) {
-	wantBuildError(t,
-		New().Tester("a", netfpga.Config{}).Tester("c", netfpga.Config{Rate: wire.Rate40G}).
-			Convert("a:0", "c:0"),
-		"joins no DUT")
-}
-
-func TestConvertEdgeRateMustMatchTransmitter(t *testing.T) {
-	wantBuildError(t,
-		New().Tester("osnt", netfpga.Config{}).
-			DUT("sw", switchsim.Config{Rate: wire.Rate40G}).
-			Add(Edge{From: "osnt:0", To: "sw:0", Rate: wire.Rate40G, Convert: true}),
-		"transmitting", `"osnt"`)
-}
-
 // A DUT with mixed per-port rates validates each edge against the rate
 // of the specific port it joins — the E12 fan-in rig in miniature.
 func TestMixedRateDUTValidatesPerPort(t *testing.T) {
@@ -364,7 +327,7 @@ func TestMixedRateDUTValidatesPerPort(t *testing.T) {
 	// The 40G uplink port cannot take a plain edge from a 10G tester.
 	wantBuildError(t,
 		build().Link("osnt:0", "dut:4"),
-		"10Gb/s", "40Gb/s", "Convert edge")
+		"10Gb/s", "40Gb/s")
 }
 
 // DUTs get sequential hop IDs in declaration order unless pinned.
@@ -381,7 +344,7 @@ func TestDUTHopIDAssignment(t *testing.T) {
 		Link("sw3:1", "osnt:1").
 		MustBuild(e)
 	for name, want := range map[string]int{"sw1": 1, "sw2": 9, "sw3": 2} {
-		if got := tp.DUT(name).HopID(); got != want {
+		if got := tp.Hop(name); got != want {
 			t.Errorf("%s hop ID %d, want %d", name, got, want)
 		}
 	}
@@ -397,7 +360,7 @@ func TestDUTHopIDClash(t *testing.T) {
 		DUT("auto", switchsim.Config{}).
 		DUT("pin", switchsim.Config{HopID: 1}).
 		MustBuild(e)
-	if a, p := tp.DUT("auto").HopID(), tp.DUT("pin").HopID(); a == p || a != 2 {
+	if a, p := tp.Hop("auto"), tp.Hop("pin"); a == p || a != 2 {
 		t.Fatalf("auto=%d pin=%d, want auto to skip the pinned 1", a, p)
 	}
 	wantBuildError(t,
@@ -451,26 +414,28 @@ func TestChainHopTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// A Convert edge can deliver a slower wire into a faster DUT port; even
-// in cut-through mode the switch must then store the whole frame before
-// egress — otherwise the recorded delivery would precede the frame's own
-// arrival (causality violation in every downstream timestamp).
+// A mixed-rate DUT converts a slower ingress wire to a faster egress
+// port; even in cut-through mode the switch must then store the whole
+// frame before egress — otherwise the recorded delivery would precede
+// the frame's own arrival (causality violation in every downstream
+// timestamp).
 func TestConvertEdgeCutThroughStoresFully(t *testing.T) {
 	e := sim.NewEngine()
 	tp := New().
 		Tester("src", netfpga.Config{}). // 10G
 		Tester("dst", netfpga.Config{Ports: 1, Rate: wire.Rate40G}).
 		DUT("sw", switchsim.Config{
-			Rate: wire.Rate40G,
-			Mode: switchsim.CutThrough,
+			Ports:     2,
+			PortRates: []wire.Rate{wire.Rate10G, wire.Rate40G},
+			Mode:      switchsim.CutThrough,
 			// Near-zero lookup/pipeline: only the store clamp can delay
 			// egress.
 			LookupPerPacket: sim.Nanosecond,
 			LookupPerByte:   sim.Picosecond,
 			PipelineLatency: sim.Nanosecond,
 		}).
-		Convert("src:0", "sw:0"). // 10G wire into the 40G DUT port
-		Link("sw:1", "dst:0").
+		Link("src:0", "sw:0"). // 10G wire into the 10G DUT port
+		Link("sw:1", "dst:0"). // out of the 40G DUT port
 		MustBuild(e)
 	tp.DUT("sw").Learn(testSpec.DstMAC, 1)
 	var arrivals []sim.Time
@@ -514,13 +479,13 @@ func TestGroupLinkExpands(t *testing.T) {
 		"transmit port leaf:3 used by two edges")
 }
 
-// GroupDuplex wires both directions of the bundle.
+// GroupDuplexAt wires both directions of the bundle.
 func TestGroupDuplexWiresBothDirections(t *testing.T) {
 	e := sim.NewEngine()
 	tp := New().
 		DUT("leaf", switchsim.Config{Ports: 4}).
 		DUT("spine", switchsim.Config{Ports: 4}).
-		GroupDuplex("leaf:0", "spine:0", 2).
+		GroupDuplexAt("leaf:0", "spine:0", 2, 0, 0).
 		MustBuild(e)
 	// Both switches can transmit across the bundle: their member ports
 	// have egress links (enqueue panics on a link-less port).
@@ -615,8 +580,8 @@ func TestBuildThreadsDropLedger(t *testing.T) {
 	if tp.Drops() == nil {
 		t.Fatal("topology owns no drop ledger")
 	}
-	if hop := tp.Hop("sw"); hop != tp.DUT("sw").HopID() {
-		t.Fatalf("ledger hop %d != HopTrace hop %d", hop, tp.DUT("sw").HopID())
+	if hop := tp.Hop("sw"); hop != 1 {
+		t.Fatalf("ledger hop %d, want the sole DUT's HopTrace hop 1", hop)
 	}
 	if label := tp.Drops().Label(tp.Hop("sw")); label != "sw" {
 		t.Fatalf("hop label %q", label)
@@ -639,8 +604,8 @@ func TestBuildThreadsDropLedger(t *testing.T) {
 	// lookup is lossless. So conservation is the assertion here:
 	sent := g.Sent().Packets
 	delivered := tp.Sink("drain").Received().Packets
-	if sent != delivered+ledger.Total() {
-		t.Fatalf("sent %d != delivered %d + attributed %d", sent, delivered, ledger.Total())
+	if lm := stats.NewLossMap(sent, delivered, ledger); !lm.Conserved() {
+		t.Fatalf("sent %d != delivered %d + attributed %d", sent, delivered, lm.Attributed())
 	}
 }
 
@@ -669,11 +634,12 @@ func TestAttachMonitorJoinsLedger(t *testing.T) {
 	if m.Filtered() != 50 {
 		t.Fatalf("filtered %d, want 50", m.Filtered())
 	}
-	if got := tp.Drops().ReasonTotal(wire.DropFilterReject); got != 50 {
-		t.Fatalf("ledger filter rejects = %d, want 50", got)
+	// The monitor registers at the next hop after the last device.
+	if got := tp.Drops().Count(tp.Hop("rx")+1, wire.DropFilterReject); got != 50 {
+		t.Fatalf("ledger filter rejects at the monitor = %d, want 50", got)
 	}
-	if got := filters.DropHits(); got != 50 {
-		t.Fatalf("filter.DropHits = %d, want 50 (cross-check broken)", got)
+	if got := filters.DefaultHits(); got != 50 {
+		t.Fatalf("filter default-drop hits = %d, want 50 (cross-check broken)", got)
 	}
 }
 

@@ -178,18 +178,6 @@ func (l *DropLedger) HopTotal(hop int) uint64 {
 	return n
 }
 
-// ReasonTotal returns all drops with one reason across hops.
-func (l *DropLedger) ReasonTotal(reason DropReason) uint64 {
-	if l == nil || reason >= NumDropReasons {
-		return 0
-	}
-	var n uint64
-	for i := range l.hops {
-		n += l.hops[i].counts[reason]
-	}
-	return n
-}
-
 // Merge folds src into l: counts add hop by hop and src's labels are
 // adopted wherever l has none. It is the reduction step for sharded
 // scenarios, where each shard owns a private ledger (devices report only
@@ -211,19 +199,4 @@ func (l *DropLedger) Merge(src *DropLedger) {
 			l.hops[hop].counts[r] += src.hops[hop].counts[r]
 		}
 	}
-}
-
-// Total returns every attributed drop in the ledger — the Σ in
-// sent = delivered + Σ attributed drops.
-func (l *DropLedger) Total() uint64 {
-	if l == nil {
-		return 0
-	}
-	var n uint64
-	for i := range l.hops {
-		for _, c := range l.hops[i].counts {
-			n += c
-		}
-	}
-	return n
 }

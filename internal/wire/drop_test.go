@@ -6,6 +6,15 @@ import (
 	"osnt/internal/sim"
 )
 
+// total sums every hop's drops: the Σ in sent = delivered + Σ drops.
+func total(l *DropLedger) uint64 {
+	var n uint64
+	for hop := 0; hop < l.Hops(); hop++ {
+		n += l.HopTotal(hop)
+	}
+	return n
+}
+
 func TestDropLedgerAccounting(t *testing.T) {
 	l := &DropLedger{}
 	hopA := l.Add("leaf")
@@ -23,11 +32,11 @@ func TestDropLedgerAccounting(t *testing.T) {
 	if got := l.HopTotal(hopA); got != 4 {
 		t.Fatalf("HopTotal(leaf) = %d", got)
 	}
-	if got := l.ReasonTotal(DropLookupOverflow); got != 2 {
-		t.Fatalf("ReasonTotal(lookup) = %d", got)
+	if got := l.Count(hopB, DropLookupOverflow); got != 2 {
+		t.Fatalf("Count(spine, lookup) = %d", got)
 	}
-	if got := l.Total(); got != 6 {
-		t.Fatalf("Total = %d", got)
+	if got := total(l); got != 6 {
+		t.Fatalf("total = %d", got)
 	}
 	if l.Label(hopA) != "leaf" || l.Label(hopB) != "spine" {
 		t.Fatalf("labels: %q, %q", l.Label(hopA), l.Label(hopB))
@@ -55,8 +64,8 @@ func TestDropLedgerUnattributedBuckets(t *testing.T) {
 	if got := l.Count(0, DropRunt); got != 2 {
 		t.Fatalf("unattributed runts = %d, want 2", got)
 	}
-	if got := l.Total(); got != 4 {
-		t.Fatalf("Total = %d, want 4", got)
+	if got := total(l); got != 4 {
+		t.Fatalf("total = %d, want 4", got)
 	}
 }
 
@@ -66,8 +75,8 @@ func TestDropLedgerNilSafe(t *testing.T) {
 	var l *DropLedger
 	l.Report(1, DropRunt, 1)
 	l.Register(1, "x")
-	if l.Total() != 0 || l.Hops() != 0 || l.Count(1, DropRunt) != 0 ||
-		l.HopTotal(1) != 0 || l.ReasonTotal(DropRunt) != 0 || l.Label(1) != "" {
+	if l.Hops() != 0 || l.Count(1, DropRunt) != 0 ||
+		l.HopTotal(1) != 0 || l.Label(1) != "" {
 		t.Fatal("nil ledger is not inert")
 	}
 }
@@ -96,6 +105,7 @@ func TestUnterminatedLinkCountsDrops(t *testing.T) {
 
 	pool := NewPool()
 	f := pool.Get(64)
+	size := f.Size
 	l.Transmit(One(f), e.Now())
 	e.Run()
 
@@ -108,8 +118,8 @@ func TestUnterminatedLinkCountsDrops(t *testing.T) {
 	if _, puts, _ := pool.Stats(); puts != 1 {
 		t.Fatalf("dropped frame not released to its pool (puts=%d)", puts)
 	}
-	if l.TxFrames() != 1 {
-		t.Fatalf("unterminated transmit must still busy the wire (txFrames=%d)", l.TxFrames())
+	if want := sim.Time(0).Add(SerializationTime(size, l.Rate)); l.busyUntil != want {
+		t.Fatalf("unterminated transmit must still busy the wire (busy until %v, want %v)", l.busyUntil, want)
 	}
 }
 

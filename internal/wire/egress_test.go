@@ -60,8 +60,8 @@ func TestEgressEntryLeavesAtOwnEarliestOrPreviousEnd(t *testing.T) {
 			t.Errorf("frame %d latched %+v, want %+v", i, log.got[i], want[i])
 		}
 	}
-	if !eg.Idle() || eg.Link().BusyUntil() != third.Add(small) {
-		t.Fatalf("idle %v, link busy until %v", eg.Idle(), eg.Link().BusyUntil())
+	if !eg.Idle() || eg.Link().busyUntil != third.Add(small) {
+		t.Fatalf("idle %v, link busy until %v", eg.Idle(), eg.Link().busyUntil)
 	}
 }
 
@@ -85,8 +85,8 @@ func TestEgressOverflowCountsReportsAndReleases(t *testing.T) {
 	if eg.Drops() != 1 || eg.Frames() != 1 {
 		t.Fatalf("drops %d frames %d, want 1 and 1", eg.Drops(), eg.Frames())
 	}
-	if got := ledger.Count(hop, DropRateBoundary); got != 1 || ledger.Total() != 1 {
-		t.Fatalf("ledger rate-boundary %d of %d total, want 1 of 1", got, ledger.Total())
+	if got := ledger.Count(hop, DropRateBoundary); got != 1 || total(ledger) != 1 {
+		t.Fatalf("ledger rate-boundary %d of %d total, want 1 of 1", got, total(ledger))
 	}
 	if _, puts, _ := pool.Stats(); puts != 1 {
 		t.Fatalf("overflowed frame not released to its pool (puts=%d)", puts)
@@ -165,18 +165,17 @@ func TestEgressTrainMatchesSinglePushes(t *testing.T) {
 			t.Errorf("frame %d: train latch %+v, single %+v", i, got[i], ref[i])
 		}
 	}
-	if link.TxFrames() != refLink.TxFrames() || link.TxWireBytes() != refLink.TxWireBytes() ||
-		link.BusyUntil() != refLink.BusyUntil() {
-		t.Fatalf("link after train: %d frames %d B busy to %v; after singles: %d frames %d B busy to %v",
-			link.TxFrames(), link.TxWireBytes(), link.BusyUntil(),
-			refLink.TxFrames(), refLink.TxWireBytes(), refLink.BusyUntil())
+	if link.txBytes != refLink.txBytes || link.busyUntil != refLink.busyUntil {
+		t.Fatalf("link after train: %d B busy to %v; after singles: %d B busy to %v",
+			link.txBytes, link.busyUntil, refLink.txBytes, refLink.busyUntil)
 	}
 }
 
 // Idle and Frames count a train by its frames and clear once it leaves.
 func TestEgressIdleAndFramesAroundTrain(t *testing.T) {
 	e := sim.NewEngine()
-	eg := newEgress(e, 16, &latchLog{}, EndpointFunc(func(*Frame, sim.Time, sim.Time) {}))
+	delivered := 0
+	eg := newEgress(e, 16, &latchLog{}, EndpointFunc(func(*Frame, sim.Time, sim.Time) { delivered++ }))
 	if !eg.Idle() || eg.Frames() != 0 {
 		t.Fatal("fresh egress not idle and empty")
 	}
@@ -193,8 +192,8 @@ func TestEgressIdleAndFramesAroundTrain(t *testing.T) {
 	if !eg.Idle() || eg.Frames() != 0 {
 		t.Fatalf("drained egress: idle %v frames %d", eg.Idle(), eg.Frames())
 	}
-	if got := eg.Link().TxFrames(); got != 6 {
-		t.Fatalf("link carried %d frames, want 6", got)
+	if delivered != 6 {
+		t.Fatalf("link carried %d frames, want 6", delivered)
 	}
 }
 
@@ -279,9 +278,9 @@ func TestEgressEventsPerHop(t *testing.T) {
 				}
 			}
 			e.Run()
-			if int(latched) != hopFrames || eg.Link().TxFrames() != hopFrames || !eg.Idle() {
-				t.Fatalf("latched %d, link carried %d, idle %v; want %d frames and an idle MAC",
-					latched, eg.Link().TxFrames(), eg.Idle(), hopFrames)
+			if int(latched) != hopFrames || !eg.Idle() {
+				t.Fatalf("latched %d, idle %v; want %d frames and an idle MAC",
+					latched, eg.Idle(), hopFrames)
 			}
 			if eg.Link().exporter == nil && delivered != hopFrames {
 				t.Fatalf("delivered %d frames, want %d", delivered, hopFrames)

@@ -63,12 +63,11 @@ func TestExportLinkMirrorsLocalDelivery(t *testing.T) {
 		t.Fatalf("exported instants (%v, %v) != local delivery (%v, %v)",
 			got.firstBit, got.lastBit, refStart, refEnd)
 	}
-	if bl.TxFrames() != local.TxFrames() || bl.TxWireBytes() != local.TxWireBytes() {
-		t.Fatalf("counters: export %d/%d, local %d/%d",
-			bl.TxFrames(), bl.TxWireBytes(), local.TxFrames(), local.TxWireBytes())
+	if bl.txBytes != local.txBytes {
+		t.Fatalf("wire bytes: export %d, local %d", bl.txBytes, local.txBytes)
 	}
-	if bl.BusyUntil() != local.BusyUntil() {
-		t.Fatalf("busy horizon: export %v, local %v", bl.BusyUntil(), local.BusyUntil())
+	if bl.busyUntil != local.busyUntil {
+		t.Fatalf("busy horizon: export %v, local %v", bl.busyUntil, local.busyUntil)
 	}
 	if _, pending := ee.Peek(); pending {
 		t.Fatal("export link scheduled a local event; delivery belongs to the destination shard")
@@ -82,12 +81,9 @@ func TestExportLinkCarriesDeliveryKey(t *testing.T) {
 	e := sim.NewEngine()
 	exp := &captureExporter{}
 	l := NewExportLink(e, Rate10G, sim.Microsecond, exp)
-	if l.DeliveryKey() != sim.PrioDefault {
-		t.Fatalf("fresh export link key = %d, want PrioDefault", l.DeliveryKey())
-	}
-	l.Transmit(One(NewFrame(make([]byte, 60))), e.Now())
+	end := l.Transmit(One(NewFrame(make([]byte, 60))), e.Now())
 	l.SetDeliveryKey(42)
-	l.Transmit(One(NewFrame(make([]byte, 60))), l.BusyUntil())
+	l.Transmit(One(NewFrame(make([]byte, 60))), end)
 	if exp.got[0].key != sim.PrioDefault || exp.got[1].key != 42 {
 		t.Fatalf("exported keys %d, %d; want PrioDefault then 42",
 			exp.got[0].key, exp.got[1].key)

@@ -43,18 +43,6 @@ type Train struct {
 	pool *Pool
 }
 
-// Len returns the number of frames in the run.
-func (t *Train) Len() int { return len(t.Frames) }
-
-// Span returns the total wire occupancy of the run at t.Rate.
-func (t *Train) Span() sim.Duration {
-	var d sim.Duration
-	for _, f := range t.Frames {
-		d += SerializationTime(f.Size, t.Rate)
-	}
-	return d
-}
-
 // Release drops the whole run: every frame returns to its pool, then the
 // container recycles. The terminal-endpoint shorthand.
 func (t *Train) Release() {

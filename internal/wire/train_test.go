@@ -34,7 +34,7 @@ type delivery struct {
 // instead of N.
 func TestTransmitTrainMatchesPerFrame(t *testing.T) {
 	lens := []int{60, 1514, 124, 508}
-	run := func(asTrain bool) (got []delivery, end sim.Time, inflight int, tx, bytes uint64, busy sim.Time) {
+	run := func(asTrain bool) (got []delivery, end sim.Time, inflight int, bytes uint64, busy sim.Time) {
 		e := sim.NewEngine()
 		sink := EndpointFunc(func(f *Frame, start, at sim.Time) {
 			got = append(got, delivery{f.Size, start, at})
@@ -47,13 +47,13 @@ func TestTransmitTrainMatchesPerFrame(t *testing.T) {
 				end = l.Transmit(One(f), 0)
 			}
 		}
-		inflight = l.InFlight()
+		inflight = l.pending.Len()
 		e.Run()
-		return got, end, inflight, l.TxFrames(), l.TxWireBytes(), l.BusyUntil()
+		return got, end, inflight, l.txBytes, l.busyUntil
 	}
 
-	ref, refEnd, refInflight, refTx, refBytes, refBusy := run(false)
-	got, end, inflight, tx, bytes, busy := run(true)
+	ref, refEnd, refInflight, refBytes, refBusy := run(false)
+	got, end, inflight, bytes, busy := run(true)
 	if len(ref) != len(lens) || len(got) != len(lens) {
 		t.Fatalf("deliveries: per-frame %d, train %d, want %d", len(ref), len(got), len(lens))
 	}
@@ -65,13 +65,22 @@ func TestTransmitTrainMatchesPerFrame(t *testing.T) {
 	if end != refEnd {
 		t.Errorf("end: train %v, per-frame %v", end, refEnd)
 	}
-	if tx != refTx || bytes != refBytes || busy != refBusy {
-		t.Errorf("counters: train %d frames/%d bytes busy to %v, per-frame %d/%d busy to %v",
-			tx, bytes, busy, refTx, refBytes, refBusy)
+	if bytes != refBytes || busy != refBusy {
+		t.Errorf("counters: train %d bytes busy to %v, per-frame %d busy to %v",
+			bytes, busy, refBytes, refBusy)
 	}
 	if refInflight != len(lens) || inflight != 1 {
 		t.Errorf("in-flight entries: per-frame %d (want %d), train %d (want 1)", refInflight, len(lens), inflight)
 	}
+}
+
+// trainSpan is the train's total wire occupancy at its Rate.
+func trainSpan(t *Train) sim.Duration {
+	var d sim.Duration
+	for _, f := range t.Frames {
+		d += SerializationTime(f.Size, t.Rate)
+	}
+	return d
 }
 
 // runSink records whole-run deliveries.
@@ -98,7 +107,7 @@ func TestTransmitTrainToTrainEndpoint(t *testing.T) {
 	l := NewLink(e, Rate40G, delay, sink)
 
 	tr := &Train{Frames: trainFrames(60, 60, 1514), Rate: Rate40G}
-	span := tr.Span()
+	span := trainSpan(tr)
 	const earliest = sim.Time(1000)
 	end := l.Transmit(tr.Run(), earliest)
 	e.Run()
@@ -239,7 +248,7 @@ func TestTransmitTrainUnterminated(t *testing.T) {
 		tr.Frames = append(tr.Frames, pool.Get(60))
 	}
 	tr.Rate = Rate10G
-	span := tr.Span()
+	span := trainSpan(tr)
 	end := l.Transmit(tr.Run(), 0)
 	e.Run()
 
@@ -255,8 +264,8 @@ func TestTransmitTrainUnterminated(t *testing.T) {
 	if _, puts, _ := pool.Stats(); puts != 3 {
 		t.Errorf("pool releases = %d, want 3", puts)
 	}
-	if l.TxFrames() != 3 {
-		t.Errorf("txFrames = %d, want 3", l.TxFrames())
+	if want := sim.Time(0).Add(span); l.busyUntil != want {
+		t.Errorf("busy until %v, want %v: unterminated transmits still busy the wire", l.busyUntil, want)
 	}
 }
 

@@ -40,7 +40,6 @@ type Rate int64
 
 // Standard rates.
 const (
-	Rate1G   Rate = 1_000_000_000
 	Rate10G  Rate = 10_000_000_000
 	Rate40G  Rate = 40_000_000_000
 	Rate100G Rate = 100_000_000_000
@@ -219,7 +218,6 @@ type Link struct {
 	Peer   Endpoint
 
 	busyUntil sim.Time
-	txFrames  uint64
 	txBytes   uint64 // wire bytes including overhead
 
 	// Loss attribution: a link with no peer is an unterminated fibre —
@@ -339,7 +337,6 @@ func (l *Link) Transmit(r Run, earliest sim.Time) sim.Time {
 		l.txBytes += uint64(WireBytes(f.Size))
 	}
 	l.busyUntil = end
-	l.txFrames += uint64(n)
 	if t := r.Train(); t != nil {
 		t.Rate = l.Rate
 	}
@@ -386,9 +383,6 @@ func (l *Link) SetDeliveryKey(key uint64) {
 	}
 }
 
-// DeliveryKey returns the link's structural delivery key.
-func (l *Link) DeliveryKey() uint64 { return l.deliverPrio }
-
 // SetDropSite attaches the scenario's loss-attribution ledger: drops on
 // this link (unterminated-fibre frames) report as (hop, reason) into it.
 func (l *Link) SetDropSite(ledger *DropLedger, hop int) {
@@ -398,20 +392,6 @@ func (l *Link) SetDropSite(ledger *DropLedger, hop int) {
 // Drops returns frames lost to an unterminated link (no peer).
 func (l *Link) Drops() uint64 { return l.drops }
 
-// InFlight returns the number of runs serialised but not yet delivered
-// to the peer. However deep the burst, it is drained by a single pending
-// engine event.
-func (l *Link) InFlight() int { return l.pending.Len() }
-
-// BusyUntil returns the instant the current transmission completes.
-func (l *Link) BusyUntil() sim.Time { return l.busyUntil }
-
-// TxFrames returns the number of frames transmitted.
-func (l *Link) TxFrames() uint64 { return l.txFrames }
-
-// TxWireBytes returns the cumulative wire occupancy in byte times.
-func (l *Link) TxWireBytes() uint64 { return l.txBytes }
-
 // Utilisation returns the fraction of the interval [0, t] the link spent
 // serialising.
 func (l *Link) Utilisation(t sim.Time) float64 {
@@ -420,10 +400,4 @@ func (l *Link) Utilisation(t sim.Time) float64 {
 	}
 	used := sim.Duration(l.txBytes) * l.Rate.ByteTime()
 	return float64(used) / float64(t.Sub(0))
-}
-
-// Connect builds the two unidirectional links of a full-duplex cable
-// between endpoints a and b, returning the a→b and b→a links.
-func Connect(e *sim.Engine, r Rate, delay sim.Duration, a, b Endpoint) (ab, ba *Link) {
-	return NewLink(e, r, delay, b), NewLink(e, r, delay, a)
 }

@@ -11,7 +11,7 @@ func TestByteTime(t *testing.T) {
 	if got := Rate10G.ByteTime(); got != 800 {
 		t.Fatalf("10G byte time = %dps, want 800", got)
 	}
-	if got := Rate1G.ByteTime(); got != 8000 {
+	if got := Rate(1_000_000_000).ByteTime(); got != 8000 {
 		t.Fatalf("1G byte time = %dps, want 8000", got)
 	}
 }
@@ -98,11 +98,9 @@ func TestLinkBackToBack(t *testing.T) {
 			t.Fatalf("arrival %d = %v, want %v", i, arrivals[i], want[i])
 		}
 	}
-	if l.TxFrames() != 3 {
-		t.Fatalf("TxFrames = %d", l.TxFrames())
-	}
-	if l.TxWireBytes() != 3*84 {
-		t.Fatalf("TxWireBytes = %d, want 252", l.TxWireBytes())
+	// 3 × 84 wire bytes (frame, preamble and IFG) fill the wire exactly.
+	if u := l.Utilisation(201600); u != 1 {
+		t.Fatalf("utilisation over the 3 slots = %v, want 1", u)
 	}
 }
 
@@ -165,7 +163,7 @@ func TestLinkBurstBatchesDeliveries(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		l.Transmit(One(NewFrame(make([]byte, 60))), e.Now())
 	}
-	if got := l.InFlight(); got != burst {
+	if got := l.pending.Len(); got != burst {
 		t.Fatalf("in-flight = %d, want %d", got, burst)
 	}
 	if got := e.Pending(); got != 1 {
@@ -182,8 +180,8 @@ func TestLinkBurstBatchesDeliveries(t *testing.T) {
 			t.Fatalf("arrival %d at %v, want %v", i, at, want)
 		}
 	}
-	if l.InFlight() != 0 {
-		t.Fatalf("in-flight after drain = %d", l.InFlight())
+	if l.pending.Len() != 0 {
+		t.Fatalf("in-flight after drain = %d", l.pending.Len())
 	}
 }
 
@@ -226,7 +224,7 @@ func TestLinkUtilisation(t *testing.T) {
 		l.Transmit(One(NewFrame(make([]byte, 1514))), e.Now())
 	}
 	e.Run()
-	busy := l.BusyUntil()
+	busy := l.busyUntil
 	u := l.Utilisation(busy)
 	if u < 0.999 || u > 1.001 {
 		t.Fatalf("utilisation during saturation = %v, want 1.0", u)

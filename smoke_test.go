@@ -131,10 +131,19 @@ func TestCLIsRejectBadFlags(t *testing.T) {
 		{"osnt-gen", []string{"-size", "10"}, "-size"},
 		{"osnt-gen", []string{"-size", "20000"}, "-size"},
 		{"osnt-gen", []string{"-count", "0"}, "-count"}, // no -out: a regression must not fill a disk
+		{"osnt-gen", []string{"-flows", "0"}, "-flows"},
+		{"osnt-gen", []string{"-flows", "-1"}, "-flows"},
 		{"osnt-mon", []string{"-load", "0"}, "-load"},
 		{"osnt-mon", []string{"-size", "10"}, "-size"},
 		{"osnt-mon", []string{"-size", "20000"}, "-size"},
 		{"osnt-mon", []string{"-filter-dport", "70000"}, "-filter-dport"},
+		{"osnt-mon", []string{"-dur", "0"}, "-dur"},
+		{"osnt-mon", []string{"-dur", "-3"}, "-dur"},
+		{"osnt-mon", []string{"-snap", "-5"}, "-snap"},
+		{"osnt-mon", []string{"-hash", "-3"}, "-hash"},
+		{"osnt-mon", []string{"-flows", "-2"}, "-flows"},
+		{"osnt-mon", []string{"-flows", "4", "-heavy", "0"}, "-heavy"},
+		{"osnt-mon", []string{"-flows", "4", "-heavy", "-2"}, "-heavy"},
 		{"oflops", []string{"-rules", "-3"}, "-rules"},
 	} {
 		out, err := run(tc.cmd, tc.args...)
@@ -151,6 +160,12 @@ func TestCLIsRejectBadFlags(t *testing.T) {
 	capture := filepath.Join(dir, "wire.pcap")
 	if out, err := run("osnt-gen", "-count", "10", "-out", capture); err != nil {
 		t.Fatalf("osnt-gen -out: %v\n%s", err, out)
+	}
+	for _, scale := range []string{"0", "-1"} {
+		out, err := run("osnt-gen", "-in", capture, "-scale", scale)
+		if s := string(out); err == nil || !strings.Contains(s, "-scale") || strings.Contains(s, "panic:") {
+			t.Errorf("osnt-gen -in -scale %s: want a non-zero exit naming -scale, got %v:\n%s", scale, err, s)
+		}
 	}
 	if out, err := run("osnt-gen", "-in", capture, "-load", "0", "-size", "10"); err != nil {
 		t.Errorf("osnt-gen -in with unused -load/-size: %v\n%s", err, out)
